@@ -11,6 +11,7 @@ the Fock side; only the exact scalar layer is shared.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .budget import check_budget
 from .exact import CycNum, cyc
@@ -487,7 +488,7 @@ def filtered_convolution(f: GradedClassFunction,
     n = f.wcf.n
     if g.wcf.n != n:
         raise GroupMismatch("filtered convolution needs equal symmetric groups")
-    check_budget(_fact(n), "filtered convolution", limit=5100)
+    check_budget(factorial(n), "filtered convolution", limit=5100)
     lvl = wreath_level(T, n)
     target = f.degree + g.degree
     out = {}
@@ -504,13 +505,6 @@ def filtered_convolution(f: GradedClassFunction,
         if not acc.is_zero():
             out[rho] = acc
     return GradedClassFunction(WreathClassFunction(T, n, out), target)
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def transposition_type(n: int) -> TypeFunction | None:

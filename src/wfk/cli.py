@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .budget import BudgetExceeded
+from .budget import BudgetExceeded, budget_override
 from .exact import CycNum
 from .groups import FiniteGroup, builtin_group
 from .report import VerificationReport
@@ -299,17 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    import os
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "budget", None) is not None:
-        os.environ["WFK_BUDGET"] = str(args.budget)
     try:
-        return args.fn(args)
+        with budget_override(getattr(args, "budget", None)):
+            return args.fn(args)
     except (ValueError, KeyError, OSError, BudgetExceeded) as exc:
         print(f"wfk: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

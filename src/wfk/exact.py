@@ -106,9 +106,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             q, r = _poly_divmod([Fraction(c) for c in num],
                                 [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not r, "cyclotomic division must be exact"
+            if r:
+                raise ArithmeticError("cyclotomic division must be exact")
             num = q
-    assert all(c.denominator == 1 for c in num)
+    if any(c.denominator != 1 for c in num):
+        raise ArithmeticError(f"Phi_{n} has a non-integer coefficient")
     return tuple(int(c) for c in num)
 
 
@@ -275,7 +277,8 @@ class CycNum:
             return CycNum(n, (1 / self.coeffs[0],) + (Fraction(0),) * (len(self.coeffs) - 1))
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
         g, u, _ = _poly_xgcd(list(self.coeffs), phi)
-        assert len(g) == 1, "Phi_n is irreducible, gcd with a nonzero element is constant"
+        if len(g) != 1:  # Phi_n is irreducible, so the gcd with a nonzero element is constant
+            raise ArithmeticError(f"gcd with Phi_{n} is not constant")
         inv = [c / g[0] for c in u]
         return CycNum(n, _reduce_mod_cyclotomic(inv, n))
 
@@ -357,10 +360,6 @@ class CycNum:
     def from_json(data: dict) -> "CycNum":
         coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
         return CycNum(int(data["conductor"]), coeffs)
-
-
-ZERO = CycNum.from_rational(0)
-ONE = CycNum.from_rational(1)
 
 
 def cyc(x) -> CycNum:

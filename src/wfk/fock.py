@@ -764,7 +764,8 @@ def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
 
 
 def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
-    """[q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id on the weight truncation."""
+    """[q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id on the weight truncation; the
+    bracket is the supercommutator (an anticommutator for two odd elements)."""
     from .report import VerificationReport
 
     space = ColorSpace.of_algebra(alg)
@@ -774,7 +775,11 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     a, b = alg.basis(i), alg.basis(j)
-                    br = q_mode(alg, n, a).commutator(q_mode(alg, m, b))
+                    qa, qb = q_mode(alg, n, a), q_mode(alg, m, b)
+                    if alg.parity_of(a) and alg.parity_of(b):
+                        br = qa.compose(qb) + qb.compose(qa)  # supercommutator
+                    else:
+                        br = qa.commutator(qb)
                     scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
                     ok = True
                     for w in range(max(weight - max(abs(n), abs(m)), 0) + 1):

@@ -8,6 +8,7 @@ direct products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -47,16 +48,27 @@ class DiagonalizationFailure(RuntimeError):
 class FiniteGroup:
     """Multiplication-table group with elements 0..order-1.
 
-    `mult[a][b]` is the index of a*b.  Instances are immutable after
-    construction; conjugacy data, character table and convolution structure
-    constants are cached lazily.
+    `mult[a, b]` is the index of a*b.  `mult` is the one stored table: a
+    read-only `np.int32` array of shape (order, order).  An int32 array passed
+    in is adopted, not copied, and made read-only; anything else is copied
+    into a new array.  `rows` is the same table as nested Python lists, built
+    on first use, for the element loops that read single products.  Instances
+    are immutable after construction; conjugacy data, character table and
+    convolution structure constants are cached lazily.
     """
 
     def __init__(self, mult, identity=None, inverse=None, labels=None,
                  matrix_model=None, name="group", validate=True,
                  perm_actions=None, product_factors=None):
-        self.mult = [list(row) for row in mult]
-        self.order = len(self.mult)
+        try:
+            table = np.asarray(mult, dtype=np.int32)
+        except ValueError:
+            raise ValueError("multiplication table is not square") from None
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValueError("multiplication table is not square")
+        table.flags.writeable = False
+        self.mult = table
+        self.order = len(table)
         self.name = name
         self.element_labels = list(labels) if labels is not None else None
         self.matrix_model = matrix_model
@@ -64,59 +76,52 @@ class FiniteGroup:
         self.product_factors = product_factors
         self.identity = self._find_identity() if identity is None else identity
         self.inverse = list(inverse) if inverse is not None else self._find_inverses()
-        self._np = None
         self._conjugacy = None
         self._chartable = None
         self._structure = None
         if validate:
             self._validate()
 
+    @functools.cached_property
+    def rows(self) -> list[list[int]]:
+        """`mult` as nested lists of Python ints, for element-by-element loops."""
+        return self.mult.tolist()
+
     # -- plumbing ------------------------------------------------------------
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            row = self.mult[e]
-            if all(row[b] == b for b in range(self.order)):
-                return e
-        raise ValueError("multiplication table has no identity")
+        left_units = (self.mult == np.arange(self.order)).all(axis=1)
+        if not left_units.any():
+            raise ValueError("multiplication table has no identity")
+        return int(left_units.argmax())
 
     def _find_inverses(self) -> list[int]:
-        e = self.identity
-        inv = [-1] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.mult[a][b] == e:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
-        return inv
-
-    def np_mult(self) -> np.ndarray:
-        if self._np is None:
-            self._np = np.array(self.mult, dtype=np.int32)
-        return self._np
+        hits = self.mult == self.identity
+        inv = hits.argmax(axis=1)
+        missing = ~hits[np.arange(self.order), inv]
+        if missing.any():
+            raise ValueError(f"element {missing.argmax()} has no inverse")
+        return inv.tolist()
 
     def _validate(self) -> None:
         n = self.order
         e = self.identity
-        if any(len(row) != n for row in self.mult):
-            raise ValueError("multiplication table is not square")
-        if any(self.mult[e][b] != b or self.mult[b][e] != b for b in range(n)):
+        m = self.mult
+        arange = np.arange(n)
+        if not (np.array_equal(m[e], arange) and np.array_equal(m[:, e], arange)):
             raise ValueError("identity law fails")
-        if any(self.mult[a][self.inverse[a]] != e for a in range(n)):
+        if (m[arange, self.inverse] != e).any():
             raise ValueError("inverse law fails")
-        m = self.np_mult()
         if n <= _ASSOC_FULL_LIMIT:
             for a in range(n):
                 if not np.array_equal(m[m[a], :], m[a, m]):
                     raise ValueError(f"associativity fails at element {a}")
         else:
             rng = random.Random(0)
-            for _ in range(_SAMPLE_TRIPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                    raise ValueError("associativity fails on sampled triple")
+            a, b, c = np.array([[rng.randrange(n) for _ in range(3)]
+                                for _ in range(_SAMPLE_TRIPLES)]).T
+            if (m[m[a, b], c] != m[a, m[b, c]]).any():
+                raise ValueError("associativity fails on sampled triple")
         if self.matrix_model is not None:
             self._validate_matrix_model()
 
@@ -136,18 +141,18 @@ class FiniteGroup:
                  else [(rng.randrange(self.order), rng.randrange(self.order))
                        for _ in range(256)])
         for a, b in pairs:
-            if _mat_mul(mats[a], mats[b]) != [list(r) for r in mats[self.mult[a][b]]]:
+            if _mat_mul(mats[a], mats[b]) != [list(r) for r in mats[self.mult[a, b]]]:
                 raise ValueError("matrix model does not match the multiplication table")
 
     # -- group basics --------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
+        return self.rows[a][b]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
-            x = self.mult[x][a]
+            x = self.rows[x][a]
             k += 1
         return k
 
@@ -159,8 +164,7 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
-        m = self.np_mult()
-        return bool(np.array_equal(m, m.T))
+        return bool(np.array_equal(self.mult, self.mult.T))
 
     def conjugacy(self) -> "ConjugacyData":
         if self._conjugacy is None:
@@ -173,7 +177,7 @@ class FiniteGroup:
         return self._chartable
 
     def to_json(self) -> dict:
-        data = {"order": self.order, "mult": self.mult}
+        data = {"order": self.order, "mult": self.mult.tolist()}
         if self.element_labels is not None:
             data["labels"] = self.element_labels
         if self.matrix_model is not None:
@@ -211,15 +215,14 @@ class ConjugacyData:
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
     """Classes by conjugation orbits; centralizer orders from the class equation."""
     n = G.order
-    m = G.np_mult()
+    m = G.mult
     inv = np.array(G.inverse, dtype=np.int32)
-    arange = np.arange(n)
     class_of = [-1] * n
     reps, sizes = [], []
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        gx = m[arange, x]          # g*x for all g
+        gx = m[:, x]               # g*x for all g
         orbit = m[gx, inv]         # (g*x)*g^-1
         members = np.unique(orbit)
         cls = len(reps)
@@ -227,7 +230,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
             class_of[y] = cls
         reps.append(x)
         sizes.append(int(members.size))
-    assert sum(sizes) == n
+    if sum(sizes) != n:
+        raise ValueError("conjugation orbits do not partition the group")
     cents = [n // s for s in sizes]
     inverse_class = [class_of[G.inverse[r]] for r in reps]
     return ConjugacyData(class_of, reps, sizes, cents, inverse_class)
@@ -240,7 +244,7 @@ def power_class(G: FiniteGroup, c: int, k: int) -> int:
     k %= G.element_order(g)
     x = G.identity
     for _ in range(k):
-        x = G.mult[x][g]
+        x = G.rows[x][g]
     return cd.class_of[x]
 
 
@@ -328,7 +332,7 @@ def _structure_constants(G: FiniteGroup):
         row = table[f_idx]
         for x in range(G.order):
             d = cd.class_of[x]
-            e = cd.class_of[G.mult[G.inverse[x]][z]]
+            e = cd.class_of[G.rows[G.inverse[x]][z]]
             row[(d, e)] = row.get((d, e), 0) + 1
     G._structure = table
     return table
@@ -464,7 +468,7 @@ def _abelian_generators(G: FiniteGroup) -> list[int]:
         while grown:
             grown = False
             for a in list(reached):
-                for b in (G.mult[x][a], *[G.mult[g][a] for g in gens]):
+                for b in (G.rows[x][a], *[G.rows[g][a] for g in gens]):
                     if b not in reached:
                         reached.add(b)
                         grown = True
@@ -486,7 +490,7 @@ def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
     for g in _abelian_generators(G):
         o = G.element_order(g)
         roots = [CycNum.zeta(e, (e // o) * k) for k in range(o)]
-        perm = [G.mult[g][j] for j in range(n)]  # e_j -> e_{g j}
+        perm = [G.rows[g][j] for j in range(n)]  # e_j -> e_{g j}
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -525,7 +529,7 @@ def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
         v = basis[0]
         j0 = next(j for j, c in enumerate(v) if not (c == 0))
         # (rho(g)v)_i = v_{g^{-1} i}, so the eigenvalue is read off at i = j0
-        values = [v[G.mult[G.inverse[rep]][j0]] / v[j0] for rep in cd.class_reps]
+        values = [v[G.rows[G.inverse[rep]][j0]] / v[j0] for rep in cd.class_reps]
         rows.append(ClassFunction(G, values))
     return rows
 
@@ -550,14 +554,14 @@ def _commutator_subgroup(G: FiniteGroup) -> list[int]:
     for a in range(n):
         ai = G.inverse[a]
         for b in range(n):
-            comms.add(G.mult[G.mult[a][b]][G.mult[ai][G.inverse[b]]])
+            comms.add(G.rows[G.rows[a][b]][G.rows[ai][G.inverse[b]]])
     # close under multiplication
     members = set(comms) | {G.identity}
     frontier = list(members)
     while frontier:
         x = frontier.pop()
         for y in list(members):
-            for z in (G.mult[x][y], G.mult[y][x]):
+            for z in (G.rows[x][y], G.rows[y][x]):
                 if z not in members:
                     members.add(z)
                     frontier.append(z)
@@ -574,12 +578,12 @@ def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
         if x in coset_of:
             continue
         idx = len(cosets)
-        members = sorted(G.mult[x][h] for h in N)
+        members = sorted(G.rows[x][h] for h in N)
         for y in members:
             coset_of[y] = idx
         cosets.append(members[0])
     q = len(cosets)
-    mult = [[coset_of[G.mult[cosets[i]][cosets[j]]] for j in range(q)] for i in range(q)]
+    mult = [[coset_of[G.rows[cosets[i]][cosets[j]]] for j in range(q)] for i in range(q)]
     Q = FiniteGroup(mult, name=f"{G.name}/derived", validate=False)
     rows = _abelian_table(Q)
     cdQ = Q.conjugacy()
@@ -805,35 +809,19 @@ def build_from_generators(gens, bound: int = 1000, name: str = "matrix-group") -
                 frontier.append(index[key])
     n = len(elements)
     # right multiplication by each generator, as a permutation of element indices
-    right = [[index[_mat_key(_mat_mul(elements[x], g))] for x in range(n)] for g in gens]
+    right = np.array([[index[_mat_key(_mat_mul(elements[x], g))] for x in range(n)]
+                      for g in gens], dtype=np.int32)
     # every element is parent * generator, so columns of the table fill in BFS order:
     # (a * parent_j) * gen = table column of j
-    mult = [[0] * n for _ in range(n)]
-    for a in range(n):
-        mult[a][0] = a
+    mult = np.empty((n, n), dtype=np.int32)
+    mult[:, 0] = np.arange(n)
     for j in range(1, n):
         p, gi = parent[j]
-        rg = right[gi]
-        col_p = p
-        for a in range(n):
-            mult[a][j] = rg[mult[a][col_p]]
+        mult[:, j] = right[gi, mult[:, p]]
     return FiniteGroup(mult, identity=0, matrix_model=elements, name=name)
 
 
-def _cached_builtin(fn):
-    cache: dict = {}
-
-    def wrapper(*args):
-        if args not in cache:
-            cache[args] = fn(*args)
-        return cache[args]
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-@_cached_builtin
+@functools.cache
 def trivial_group() -> FiniteGroup:
     one = cyc(1)
     zero = cyc(0)
@@ -841,7 +829,7 @@ def trivial_group() -> FiniteGroup:
                        matrix_model=[[[one, zero], [zero, one]]], name="trivial")
 
 
-@_cached_builtin
+@functools.cache
 def cyclic_group(k: int) -> FiniteGroup:
     """Z/k as diag(zeta_k, zeta_k^-1) in SL2."""
     if k == 1:
@@ -851,7 +839,7 @@ def cyclic_group(k: int) -> FiniteGroup:
         bound=k + 1, name=f"cyclic-{k}")
 
 
-@_cached_builtin
+@functools.cache
 def binary_dihedral(m: int) -> FiniteGroup:
     """Binary dihedral (dicyclic) group of order 4m."""
     a = [[CycNum.zeta(2 * m), cyc(0)], [cyc(0), CycNum.zeta(2 * m, 2 * m - 1)]]
@@ -859,7 +847,7 @@ def binary_dihedral(m: int) -> FiniteGroup:
     return build_from_generators([a, b], bound=4 * m + 1, name=f"binary-dihedral-{m}")
 
 
-@_cached_builtin
+@functools.cache
 def binary_tetrahedral() -> FiniteGroup:
     i = CycNum.zeta(4)
     half = Fraction(1, 2)
@@ -868,7 +856,7 @@ def binary_tetrahedral() -> FiniteGroup:
     return build_from_generators([qi, omega], bound=25, name="binary-tetrahedral")
 
 
-@_cached_builtin
+@functools.cache
 def binary_octahedral() -> FiniteGroup:
     i = CycNum.zeta(4).embed(8)
     half = Fraction(1, 2)
@@ -878,7 +866,7 @@ def binary_octahedral() -> FiniteGroup:
     return build_from_generators([qi, omega, tau], bound=49, name="binary-octahedral")
 
 
-@_cached_builtin
+@functools.cache
 def binary_icosahedral() -> FiniteGroup:
     eps = [CycNum.zeta(5, j) for j in range(5)]
     root5 = eps[1] - eps[2] - eps[3] + eps[4]  # sqrt(5)
@@ -888,7 +876,7 @@ def binary_icosahedral() -> FiniteGroup:
     return build_from_generators([s, t], bound=121, name="binary-icosahedral")
 
 
-@_cached_builtin
+@functools.cache
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on 0..n-1 with the natural permutation action attached."""
     perms = list(itertools.permutations(range(n)))
@@ -901,14 +889,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     na, nb = A.order, B.order
-    mult = [[0] * (na * nb) for _ in range(na * nb)]
-    for a1 in range(na):
-        for b1 in range(nb):
-            row = mult[a1 * nb + b1]
-            ra, rb = A.mult[a1], B.mult[b1]
-            for a2 in range(na):
-                for b2 in range(nb):
-                    row[a2 * nb + b2] = ra[a2] * nb + rb[b2]
+    # (a1, b1) * (a2, b2) = (a1 a2, b1 b2), element (a, b) at index a * nb + b
+    mult = (A.mult[:, None, :, None] * nb + B.mult[None, :, None, :]).reshape(na * nb, na * nb)
     return FiniteGroup(mult, name=f"{A.name}x{B.name}", product_factors=(A, B))
 
 

@@ -5,8 +5,6 @@ Used with Fraction and CycNum entries; matrices are lists of lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _is_zero(x) -> bool:
     return x == 0
@@ -108,17 +106,3 @@ def invert(matrix: list[list], one, zero) -> list[list]:
         raise ValueError("matrix is singular")
     return [row[n:] for row in work]
 
-
-def solve(matrix: list[list], rhs: list, one, zero):
-    """Solve M x = rhs for square nonsingular M."""
-    inv = invert(matrix, one, zero)
-    n = len(matrix)
-    return [sum((inv[i][j] * rhs[j] for j in range(n)), zero) for i in range(n)]
-
-
-def identity(n: int, one, zero) -> list[list]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]

@@ -68,7 +68,8 @@ def mckay_data(G: FiniteGroup) -> McKayData:
         tensored = q.pointwise(rows[i])
         for j in range(r):
             val = inner_product(tensored, rows[j]).as_rational()
-            assert val.denominator == 1 and val >= 0
+            if val.denominator != 1 or val < 0:
+                raise ValueError(f"<Q (x) gamma_{i}, gamma_{j}> = {val} is not a multiplicity")
             adjacency[i][j] = int(val)
     cartan = [[(2 if i == j else 0) - adjacency[i][j] for j in range(r)]
               for i in range(r)]
@@ -173,7 +174,8 @@ def quiver_dimension(G: FiniteGroup, n: int) -> dict:
     w = [1 if i == data.trivial_index else 0 for i in range(r)]
     cv = [sum(data.cartan[i][j] * v[j] for j in range(r)) for i in range(r)]
     dim = 2 * sum(a * b for a, b in zip(v, w))
-    assert dim == 2 * n
+    if dim != 2 * n:
+        raise ValueError(f"quiver dimension {dim} != 2n = {2 * n}")
     return {"v": v, "w": w, "dim": dim, "cartan_v": cv, "null": all(x == 0 for x in cv)}
 
 

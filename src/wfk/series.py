@@ -12,8 +12,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .budget import ORBIFOLD_BUDGET, BudgetExceeded, check_budget
+import numpy as np
+
+from .budget import ORBIFOLD_BUDGET, check_budget
 from .groups import FiniteGroup
+
+
+_ACTION_CHECK_ENTRIES = 1 << 20  # table entries gathered per block of the action check
 
 
 class NonIntegralResult(ArithmeticError):
@@ -190,32 +195,31 @@ def hodge_product(h: dict[tuple[int, int], int], order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 class GSet:
-    """Finite group action: table[g][p] is the image of point p under g."""
+    """Finite group action: table[g, p] is the image of point p under g.
+
+    `table` is a read-only `np.int32` array with one row per group element,
+    checked on construction to be an action of `group`.
+    """
 
     def __init__(self, group: FiniteGroup, table):
         self.group = group
-        self.table = [list(row) for row in table]
-        self.points = len(self.table[0]) if self.table else 0
-        e = group.identity
-        if self.table[e] != list(range(self.points)):
+        self.table = np.array(table, dtype=np.int32)
+        self.table.flags.writeable = False
+        if self.table.ndim != 2 or len(self.table) != group.order:
+            raise ValueError("action table needs one row per group element")
+        self.points = self.table.shape[1]
+        if not np.array_equal(self.table[group.identity], np.arange(self.points)):
             raise ValueError("identity must act trivially")
-        for a in range(group.order):
-            for b in range(group.order):
-                ab = group.mult[a][b]
-                for p in range(self.points):
-                    if self.table[ab][p] != self.table[a][self.table[b][p]]:
-                        raise ValueError("action is not compatible with the product")
+        # table[a*b] == table[a] o table[b], checked for a block of rows a at a time
+        m, t = group.mult, self.table
+        step = max(1, _ACTION_CHECK_ENTRIES // max(1, group.order * self.points))
+        for a in range(0, group.order, step):
+            if not np.array_equal(t[m[a:a + step]], t[a:a + step][:, t]):
+                raise ValueError("action is not compatible with the product")
 
     @staticmethod
     def trivial(group: FiniteGroup, points: int) -> "GSet":
         return GSet(group, [list(range(points)) for _ in range(group.order)])
-
-    @staticmethod
-    def left_translation(group: FiniteGroup) -> "GSet":
-        return GSet(group, [list(row) for row in group.mult])
-
-    def fixed_points(self, g: int) -> set[int]:
-        return {p for p in range(self.points) if self.table[g][p] == p}
 
 
 def swap_action(group: FiniteGroup, points: int = 2) -> GSet:
@@ -232,16 +236,15 @@ def orbifold_euler_bruteforce(S: GSet) -> int:
     G = S.group
     check_budget(G.order, "orbifold commuting-pair sum", limit=ORBIFOLD_BUDGET)
     cd = G.conjugacy()
+    m = G.mult
+    fixed = S.table == np.arange(S.points)  # fixed[h, p]: h fixes p
     total = 0
     for c, rep in enumerate(cd.class_reps):
-        fixed_rep = S.fixed_points(rep)
-        if not fixed_rep:
+        fixed_rep = fixed[rep]
+        if not fixed_rep.any():
             continue
-        row = G.mult[rep]
-        cent = [h for h in range(G.order) if row[h] == G.mult[h][rep]]
-        sub = 0
-        for h in cent:
-            sub += sum(1 for p in fixed_rep if S.table[h][p] == p)
+        centralizer = m[rep] == m[:, rep]
+        sub = int(np.count_nonzero(fixed[centralizer][:, fixed_rep]))
         total += cd.class_sizes[c] * sub
     if total % G.order:
         raise NonIntegralResult(f"{total} not divisible by {G.order}")
@@ -254,15 +257,13 @@ def wreath_gset(base: GSet, n: int) -> GSet:
     from .wreath import build_wreath, perm_inverse
     W = build_wreath(base.group, n)
     pts = list(itertools.product(range(base.points), repeat=n))
-    index = {p: i for i, p in enumerate(pts)}
-    table = []
-    for a in W.wreath_elements:
-        sinv = perm_inverse(a.s)
-        row = []
-        for p in pts:
-            img = tuple(base.table[a.g[i]][p[sinv[i]]] for i in range(n))
-            row.append(index[img])
-        table.append(row)
+    pts = np.array(pts, dtype=np.int64).reshape(len(pts), n)
+    g = np.array([a.g for a in W.wreath_elements]).reshape(W.order, n)
+    sinv = np.array([perm_inverse(a.s) for a in W.wreath_elements]).reshape(W.order, n)
+    # img[a, p, i] = g_i x_{s^-1(i)} for element a and point p = (x_1..x_n);
+    # points are numbered in itertools.product order, last coordinate fastest
+    img = base.table[g[:, None, :], pts[:, sinv].transpose(1, 0, 2)]
+    table = img @ (base.points ** np.arange(n - 1, -1, -1))
     return GSet(W, table)
 
 

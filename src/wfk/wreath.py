@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -135,15 +136,8 @@ def centralizer_order(G: FiniteGroup, rho: TypeFunction) -> int:
         zc = cd.centralizer_orders[c]
         z *= zc ** len(parts)
         for r, m in partition_multiplicities(parts).items():
-            z *= (r ** m) * _factorial(m)
+            z *= (r ** m) * factorial(m)
     return z
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,8 @@ def perm_inverse(s: tuple[int, ...]) -> tuple[int, ...]:
 def wreath_mult(G: FiniteGroup, a: WreathElement, b: WreathElement) -> WreathElement:
     """(g,s)(h,t) = (g . s(h), st) with s(h)_i = h_{s^-1(i)}."""
     sinv = perm_inverse(a.s)
-    g = tuple(G.mult[a.g[i]][b.g[sinv[i]]] for i in range(len(a.g)))
+    rows = G.rows
+    g = tuple(rows[a.g[i]][b.g[sinv[i]]] for i in range(len(a.g)))
     s = tuple(a.s[b.s[i]] for i in range(len(a.s)))
     return WreathElement(g, s)
 
@@ -200,11 +195,12 @@ def _cycles(s: tuple[int, ...]) -> list[list[int]]:
 def type_of(G: FiniteGroup, n: int, a: WreathElement) -> TypeFunction:
     """Cycle decomposition plus cycle-products: the conjugacy invariant."""
     cd = G.conjugacy()
+    rows = G.rows
     acc: dict[int, list[int]] = {}
     for cyc_ in _cycles(a.s):
         prod = G.identity
         for i in cyc_:  # g_{i_r} ... g_{i_1} applied left to right on indices
-            prod = G.mult[a.g[i]][prod]
+            prod = rows[a.g[i]][prod]
         acc.setdefault(cd.class_of[prod], []).append(len(cyc_))
     return TypeFunction(acc.items())
 
@@ -212,6 +208,8 @@ def type_of(G: FiniteGroup, n: int, a: WreathElement) -> TypeFunction:
 def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathElement:
     """Canonical element: consecutive cycles, class representative on the
     first letter of each cycle."""
+    if rho.size() > n:
+        raise ValueError(f"type of size {rho.size()} does not fit in level {n}")
     cd = G.conjugacy()
     g = [G.identity] * n
     s = list(range(n))
@@ -223,7 +221,6 @@ def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathE
                 s[letters[i]] = letters[(i + 1) % r]
             g[letters[0]] = cd.class_reps[c]
             pos += r
-    assert pos == rho.size() <= n
     return WreathElement(tuple(g), tuple(s))
 
 
@@ -237,7 +234,7 @@ class WreathLevel:
     def __init__(self, G: FiniteGroup, n: int):
         self.group = G
         self.n = n
-        self.order = (G.order ** n) * _factorial(n)
+        self.order = (G.order ** n) * factorial(n)
         self.types = enumerate_types(G, n)
         self.type_index = {t: i for i, t in enumerate(self.types)}
         self._class_elements: dict[TypeFunction, list[WreathElement]] = {}
@@ -247,7 +244,8 @@ class WreathLevel:
 
     def class_size(self, rho: TypeFunction) -> int:
         z = self.z(rho)
-        assert self.order % z == 0
+        if self.order % z:
+            raise ValueError(f"{rho} is not a type of level {self.n}")
         return self.order // z
 
     def elements(self) -> Iterator[WreathElement]:
@@ -268,7 +266,8 @@ class WreathLevel:
             x = wreath_mult(G, wreath_mult(G, y, rep), wreath_inverse(G, y))
             seen.add(x)
         out = sorted(seen)
-        assert len(out) == self.class_size(rho)
+        if len(out) != self.class_size(rho):
+            raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
         return out
 
@@ -285,7 +284,7 @@ def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
     return _LEVEL_CACHE[key]
 
 
-_EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling
+_EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
 _BUILD_CACHE: dict[tuple[int, int], FiniteGroup] = {}
 
 
@@ -295,7 +294,7 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     key = (id(G), n)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
-    order = (G.order ** n) * _factorial(n)
+    order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
     check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
     perms = list(itertools.permutations(range(n)))
@@ -305,14 +304,14 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     # varies the last coordinate fastest, so g_idx = sum g_i |Gamma|^(n-1-i)
     elem_list = [WreathElement(gparts[i % nG], perms[i // nG]) for i in range(order)]
 
-    gm = G.np_mult()
+    gm = G.mult
     H = np.array(gparts, dtype=np.int64).reshape(nG, max(n, 1))
     perm_index = {p: i for i, p in enumerate(perms)}
     comp = np.array([[perm_index[tuple(p[q[i]] for i in range(n))] for q in perms]
                      for p in perms], dtype=np.int64)
     weights = np.array([G.order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
 
-    mult = np.empty((order, order), dtype=np.int64)
+    mult = np.empty((order, order), dtype=np.int32)
     cols_t = np.arange(nP, dtype=np.int64)
     for si, s in enumerate(perms):
         sinv = perm_inverse(s)
@@ -328,19 +327,19 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
                 gnums = np.zeros(1, dtype=np.int64)
             block = res_perm[:, None] * nG + gnums[None, :]  # (nP, nG)
             mult[row_elem] = block.reshape(-1)
-    table = mult.tolist()
     # natural action on n x |Gamma| points and the lifted S_n action
     points = [(i, x) for i in range(n) for x in range(G.order)]
     pt_index = {p: k for k, p in enumerate(points)}
+    rows = G.rows
     natural = []
     top = []
     for a in elem_list:
         row = [0] * len(points)
         for (i, x), k in pt_index.items():
-            row[k] = pt_index[(a.s[i], G.mult[a.g[a.s[i]]][x])]
+            row[k] = pt_index[(a.s[i], rows[a.g[a.s[i]]][x])]
         natural.append(row)
         top.append(list(a.s) + list(range(n, len(points))))
-    W = FiniteGroup(table, name=f"{G.name}_wr_S{n}",
+    W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}",
                     perm_actions=[natural, top] if n >= 1 else [])
     W.wreath_elements = elem_list
     W.wreath_base = G
@@ -535,7 +534,7 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
     N = n + m
     lvl = wreath_level(G, N)
     check_budget(lvl.order, "brute-force induction")
-    h_order = (G.order ** n) * _factorial(n) * (G.order ** m) * _factorial(m)
+    h_order = (G.order ** n) * factorial(n) * (G.order ** m) * factorial(m)
     out = {}
     for rho in lvl.types:
         x = representative_of_type(G, N, rho)

@@ -131,6 +131,20 @@ def test_cyclotomic_values_serialized_per_schema(capsys):
     assert val.conductor in (1, 3)
 
 
+def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
+    from wfk import budget
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    argv = ["verify", "koszul-thom", "--group", "builtin:cyclic:2", "--n", "2"]
+    assert run(argv + ["--budget", "7"]) == 1  # Gamma_2 has 8 elements
+    assert "exceeds budget 7" in capsys.readouterr().err
+    assert budget.budget() == budget.DEFAULT_BUDGET
+    assert run(argv) == 0
+    monkeypatch.setenv("WFK_BUDGET", "7")
+    assert run(argv) == 1
+    assert run(argv + ["--budget", "100"]) == 0
+    assert budget.budget() == 7
+
+
 def test_orbifold_series_cli(capsys):
     code, out = capture(capsys, ["series", "orbifold-euler",
                                  "--group", "builtin:cyclic:2",

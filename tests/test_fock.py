@@ -23,6 +23,7 @@ from wfk.fock import (
     exterior_two_model,
     fock_inner,
     graded_dimension,
+    heisenberg_check,
     monomial_basis,
     normal_order,
     operators_equal_below,
@@ -78,6 +79,13 @@ def test_heisenberg_bracket_on_models():
                         scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
                         for v in basis_vectors(space, 4 - max(abs(n), abs(m))):
                             assert br.apply(v) == v.scale(scal)
+
+
+def test_heisenberg_check_odd_pairs_use_supercommutator():
+    # odd x odd brackets are anticommutators: {q_n(a), q_m(b)} = n d_{n+m} trace(ab) Id
+    report = heisenberg_check(exterior_two_model(), 2, 4)
+    assert len(report.probes) == 400
+    assert report.passed
 
 
 def test_creation_weight():

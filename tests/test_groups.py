@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wfk.exact import CycNum, cyc
@@ -244,7 +245,7 @@ def test_json_round_trip():
     data = G.to_json()
     H = FiniteGroup.from_json(data)
     assert H.order == G.order
-    assert H.mult == G.mult
+    assert np.array_equal(H.mult, G.mult)
     assert H.matrix_model is not None
 
 

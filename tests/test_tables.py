@@ -1,0 +1,213 @@
+"""The stored multiplication table: array readers against element-loop
+references, malformed tables, and the types the group API hands out."""
+
+import numpy as np
+import pytest
+
+from wfk.groups import (
+    FiniteGroup,
+    binary_dihedral,
+    binary_icosahedral,
+    binary_octahedral,
+    binary_tetrahedral,
+    cyclic_group,
+    direct_product,
+    symmetric_group,
+    trivial_group,
+)
+from wfk.series import GSet, orbifold_euler_bruteforce, swap_action, wreath_gset
+from wfk.wreath import build_wreath
+
+
+def builtin_groups():
+    return ([trivial_group()] + [cyclic_group(k) for k in (2, 3, 4, 6)]
+            + [binary_dihedral(m) for m in (2, 3)]
+            + [binary_tetrahedral(), binary_octahedral(), binary_icosahedral()]
+            + [symmetric_group(n) for n in (1, 2, 3, 4)])
+
+
+GROUPS = builtin_groups() + [build_wreath(cyclic_group(2), 3)]
+GROUP_IDS = [G.name for G in GROUPS]
+
+
+# -- element-loop references ------------------------------------------------
+
+def find_identity_loop(mult):
+    n = len(mult)
+    for e in range(n):
+        if all(mult[e][b] == b for b in range(n)):
+            return e
+    raise ValueError("multiplication table has no identity")
+
+
+def find_inverses_loop(mult, e):
+    inv = [-1] * len(mult)
+    for a in range(len(mult)):
+        for b in range(len(mult)):
+            if mult[a][b] == e:
+                inv[a] = b
+                break
+        if inv[a] < 0:
+            raise ValueError(f"element {a} has no inverse")
+    return inv
+
+
+def is_action_loop(G, table):
+    n, points = G.order, len(table[0])
+    if table[G.identity] != list(range(points)):
+        return False
+    return all(table[G.rows[a][b]][p] == table[a][table[b][p]]
+               for a in range(n) for b in range(n) for p in range(points))
+
+
+def commuting_fixed_pairs_loop(S):
+    """sum over commuting pairs (g, h) of the points both fix."""
+    G, table = S.group, S.table.tolist()
+    return sum(1 for g in range(G.order) for h in range(G.order)
+               if G.rows[g][h] == G.rows[h][g]
+               for p in range(S.points) if table[g][p] == p and table[h][p] == p)
+
+
+def regular_action(G):
+    return G.mult.tolist()
+
+
+def conjugation_action(G):
+    return [[G.rows[G.rows[g][p]][G.inverse[g]] for p in range(G.order)]
+            for g in range(G.order)]
+
+
+def gsets(G):
+    out = [GSet.trivial(G, 2), GSet(G, regular_action(G)), GSet(G, conjugation_action(G))]
+    out += [GSet(G, action) for action in G.perm_actions]
+    return out
+
+
+# -- agreement with the references ----------------------------------------------
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_identity_and_inverses_match_loops(G):
+    rows = G.mult.tolist()
+    assert G._find_identity() == find_identity_loop(rows) == G.identity
+    assert G._find_inverses() == find_inverses_loop(rows, G.identity) == G.inverse
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_action_check_matches_loop(G):
+    for S in gsets(G):
+        assert is_action_loop(G, S.table.tolist())
+    if G.order < 3:
+        return
+    # the regular action with two images of a non-identity element swapped
+    broken = regular_action(G)
+    g = 1 if G.identity != 1 else 2
+    broken[g][0], broken[g][1] = broken[g][1], broken[g][0]
+    assert not is_action_loop(G, broken)
+    with pytest.raises(ValueError, match="not compatible with the product"):
+        GSet(G, broken)
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_orbifold_count_matches_loop(G):
+    for S in gsets(G):
+        total = commuting_fixed_pairs_loop(S)
+        assert total % G.order == 0
+        assert orbifold_euler_bruteforce(S) == total // G.order
+
+
+def test_wreath_gset_matches_loop_and_leaves_rows_unbuilt():
+    base = FiniteGroup(cyclic_group(2).mult, name="Z2-fresh")
+    S = wreath_gset(swap_action(base), 3)
+    chi = orbifold_euler_bruteforce(S)
+    assert "rows" not in vars(S.group)  # the explicit group is read as an array only
+    assert chi == commuting_fixed_pairs_loop(S) // S.group.order
+
+
+# -- storage -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_one_read_only_int32_table(G):
+    assert G.mult.dtype == np.int32 and G.mult.shape == (G.order, G.order)
+    assert not G.mult.flags.writeable
+    with pytest.raises(ValueError):
+        G.mult[0, 0] = 0
+    assert G.rows == G.mult.tolist()
+    S = GSet.trivial(G, 2)
+    assert S.table.dtype == np.int32 and not S.table.flags.writeable
+
+
+def test_direct_product_matches_pairwise_products():
+    A, B = cyclic_group(3), symmetric_group(3)
+    G = direct_product(A, B)
+    for a1 in range(A.order):
+        for b1 in range(B.order):
+            for a2 in range(A.order):
+                for b2 in range(B.order):
+                    assert (G.mul(a1 * B.order + b1, a2 * B.order + b2)
+                            == A.mul(a1, a2) * B.order + B.mul(b1, b2))
+
+
+@pytest.mark.parametrize("G", [binary_tetrahedral(), symmetric_group(3),
+                               FiniteGroup.from_json(cyclic_group(4).to_json()),
+                               build_wreath(cyclic_group(2), 2)], ids=lambda G: G.name)
+def test_api_returns_python_ints(G):
+    cd = G.conjugacy()
+    values = [G.mul(1, G.order - 1), G.identity, G.element_order(G.order - 1),
+              *G.inverse, *cd.class_reps, *cd.class_of]
+    assert all(type(v) is int for v in values)
+
+
+# -- malformed tables ----------------------------------------------------------
+
+# a loop of order 5 (Latin square with identity 0, every element its own
+# inverse) that is not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1]], [0, 1]],
+                         ids=["rectangular", "ragged", "flat"])
+def test_table_not_square(table):
+    with pytest.raises(ValueError, match="not square"):
+        FiniteGroup(table)
+
+
+def test_table_without_identity():
+    with pytest.raises(ValueError, match="no identity"):
+        FiniteGroup([[1, 0], [1, 0]])
+
+
+def test_element_without_inverse():
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        FiniteGroup([[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        find_inverses_loop([[0, 1], [1, 1]], 0)
+
+
+def test_identity_and_inverse_laws():
+    with pytest.raises(ValueError, match="identity law fails"):
+        FiniteGroup([[0, 1], [0, 1]], identity=0)
+    with pytest.raises(ValueError, match="inverse law fails"):
+        FiniteGroup(cyclic_group(3).mult, inverse=[0, 1, 2])
+
+
+def test_non_associative_small_table():
+    with pytest.raises(ValueError, match="associativity fails at element 1"):
+        FiniteGroup(LOOP5)
+    FiniteGroup(LOOP5, validate=False)  # the loop itself has identity and inverses
+
+
+def test_non_associative_large_table_is_sampled():
+    z = np.add.outer(np.arange(120), np.arange(120)) % 120
+    loop = np.array(LOOP5)
+    table = (loop[:, None, :, None] * 120 + z[None, :, None, :]).reshape(600, 600)
+    with pytest.raises(ValueError, match="associativity fails on sampled triple"):
+        FiniteGroup(table)
+
+
+def test_gset_malformed_tables():
+    G = symmetric_group(3)
+    with pytest.raises(ValueError, match="identity must act trivially"):
+        GSet(G, [[1, 0]] * G.order)
+    with pytest.raises(ValueError, match="one row per group element"):
+        GSet(G, [[0, 1]] * (G.order - 1))
