@@ -1,18 +1,22 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
 
 `Rational` is `fractions.Fraction` (always lowest terms, positive denominator).
-`CycNum` is an element of the cyclotomic field Q(zeta_N), stored in the power
-basis {zeta^0, ..., zeta^(phi(N)-1)} after reduction modulo the N-th
-cyclotomic polynomial, so equality at a fixed conductor is a plain
-coefficient comparison.  Mixed-conductor arithmetic embeds both operands into
-the lcm conductor; no descent to the minimal conductor is attempted.
+`CycNum` is an element of the cyclotomic field Q(zeta_N) in the power basis
+{zeta^0, ..., zeta^(phi(N)-1)}, stored as integer numerators over one common
+positive denominator, the layout of FLINT's `fmpq_poly`.  The form is
+canonical: the denominator and the numerators have gcd 1, and zero is all
+zeros over 1, so equality at a fixed conductor is a tuple comparison.  The
+N-th cyclotomic polynomial is monic with integer coefficients, so products,
+embeddings and Galois maps reduce modulo it in plain integers.
+Mixed-conductor arithmetic embeds both operands into the lcm conductor; no
+descent to the minimal conductor is attempted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -22,66 +26,10 @@ class DivisionByZero(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (dense, lowest degree first)
+# integer polynomial helpers (dense, lowest degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    # exact division over Q; den must be nonzero
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = Fraction(den[-1])
-    while len(num) >= len(den) and _poly_trim(list(num)):
-        num = _poly_trim(num)
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        c = Fraction(num[-1]) / lead
-        q[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-        num.pop()
-    return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_xgcd(a: list, b: list) -> tuple[list, list, list]:
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        yield x, y
-
-
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result, m, p = n, n, 2
     while p * p <= m:
@@ -104,89 +52,145 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod([Fraction(c) for c in num],
-                                [Fraction(c) for c in cyclotomic_polynomial(d)])
-            if r:
+            div = cyclotomic_polynomial(d)  # monic, so the quotient stays integral
+            k = len(div) - 1
+            quot = [0] * (len(num) - k)
+            for s in range(len(quot) - 1, -1, -1):
+                c = quot[s] = num[s + k]
+                if c:
+                    for i, b in enumerate(div):
+                        num[s + i] -= c * b
+            if any(num):
                 raise ArithmeticError("cyclotomic division must be exact")
-            num = q
-    if any(c.denominator != 1 for c in num):
-        raise ArithmeticError(f"Phi_{n} has a non-integer coefficient")
-    return tuple(int(c) for c in num)
+            num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row d gives x^(phi(n)+d) modulo Phi_n in the power basis, for d >= 0
-    up to degree max(2*phi-2, n-1)."""
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row d lists the nonzero (i, c) of x^(phi(n)+d) modulo Phi_n, for d >= 0
+    up to degree max(2*phi-2, n-1): the top degree of a product of two reduced
+    elements, and of a power zeta^i with i < n."""
     phi = euler_phi(n)
     top = max(2 * phi - 2, n - 1)
-    poly = cyclotomic_polynomial(n)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})  (Phi_n is monic)
-    rows: list[tuple[Fraction, ...]] = []
-    base = tuple(Fraction(-c) for c in poly[:phi])
-    rows.append(base)
-    for d in range(phi + 1, top + 1):
-        prev = rows[-1]
-        shifted = [Fraction(0)] + list(prev[:-1])
+    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
+    dense = [base]
+    for _ in range(phi + 1, top + 1):
+        prev = dense[-1]
+        row = [0] + prev[:-1]
         if prev[-1]:
-            shifted = [s + prev[-1] * b for s, b in zip(shifted, base)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+            row = [r + prev[-1] * b for r, b in zip(row, base)]
+        dense.append(row)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in dense)
 
 
-def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple[Fraction, ...]:
-    phi = euler_phi(n)
-    out = [Fraction(c) for c in coeffs[:phi]] + [Fraction(0)] * max(0, phi - len(coeffs))
-    if len(coeffs) > phi:
-        rows = _reduction_rows(n)
-        for d in range(phi, len(coeffs)):
-            c = coeffs[d]
-            if c == 0:
-                continue
-            row = rows[d - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+def _reduce(poly: list, n: int, phi: int) -> list:
+    """The phi power-basis numerators of `poly` modulo Phi_n."""
+    if len(poly) <= phi:
+        return poly + [0] * (phi - len(poly))
+    out = poly[:phi]
+    rows = _reduction_rows(n)
+    for d in range(phi, len(poly)):
+        c = poly[d]
+        if c:
+            for i, r in rows[d - phi]:
+                out[i] += c * r
+    return out
+
+
+def _poly_mul(a: tuple, b: tuple) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    return out
+
+
+def _permute(nums: tuple, n: int, k: int) -> list:
+    """Numerators of the image under zeta_n -> zeta_n^k, for k coprime to n."""
+    out = [0] * n
+    for i, c in enumerate(nums):
+        if c:
+            out[i * k % n] = c
+    return _reduce(out, n, len(nums))
+
+
+def _make(conductor: int, nums: tuple, den: int) -> "CycNum":
+    """A CycNum from numerators and a denominator already in canonical form."""
+    x = _new(CycNum)
+    _set_conductor(x, conductor)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _canonical(conductor: int, nums: list, den: int) -> "CycNum":
+    """A CycNum from integer numerators over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return _make(conductor, tuple(nums), den)
+
+
+def _ratio(c) -> tuple[int, int]:
+    if type(c) is int:
+        return c, 1
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class CycNum:
-    """Exact element of Q(zeta_N) in the canonical power basis.
+    """Exact element of Q(zeta_N): integer numerators `nums` (one per power
+    basis element) over one positive denominator `den`, in lowest terms.
 
     Arithmetic accepts int, Fraction and CycNum operands; mixed conductors are
-    embedded into lcm(N1, N2).  Instances are immutable; hashing is disabled
+    embedded into lcm(N1, N2).  An int or Fraction operand scales or shifts the
+    numerators directly.  Instances are immutable; hashing is disabled
     because equal values can live at different conductors.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, conductor: int, coeffs) -> None:
         phi = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
+        ratios = [_ratio(c) for c in coeffs]
+        if len(ratios) != phi:
             raise ValueError(f"need {phi} coefficients at conductor {conductor}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        # over the lcm of denominators in lowest terms, the form is canonical
+        den = lcm(*(q for _, q in ratios))
+        _set_conductor(self, conductor)
+        _set_nums(self, tuple(p * (den // q) for p, q in ratios))
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "CycNum":
-        return CycNum(1, (Fraction(x),))
+        p, q = _ratio(x)
+        return _make(1, (p,), q)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycNum":
         """zeta_n^power."""
         power %= n
-        coeffs = [0] * (n if n > 1 else 1)
-        if n == 1:
-            coeffs[0] = 1
-        else:
-            coeffs[power] = 1
-        return CycNum(n, _reduce_mod_cyclotomic(coeffs, n))
+        poly = [0] * power + [1]
+        return _make(n, tuple(_reduce(poly, n, euler_phi(n))), 1)
 
     # -- conversions --------------------------------------------------------
 
@@ -197,27 +201,31 @@ class CycNum:
             return self
         if m % n:
             raise ValueError(f"cannot embed conductor {n} into {m}")
+        phi = euler_phi(m)
+        if n == 1:
+            return _make(m, self.nums + (0,) * (phi - 1), self.den)
         k = m // n
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
+        out = [0] * m
+        for i, c in enumerate(self.nums):
             if c:
-                out[(i * k) % m] += c
-        return CycNum(m, _reduce_mod_cyclotomic(out, m))
+                out[i * k] = c
+        # the power basis spans the ring of integers, so the form stays canonical
+        return _make(m, tuple(_reduce(out, m, phi)), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def key(self):
         """Hashable canonical form at this value's own conductor."""
-        return (self.conductor, self.coeffs)
+        return (self.conductor, self.nums, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -230,57 +238,82 @@ class CycNum:
         return NotImplemented  # type: ignore[return-value]
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum", int]:
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         return self.embed(n), other.embed(n), n
 
-    def __add__(self, other):
-        o = CycNum._coerce(other)
-        if o is NotImplemented:
+    def _plus(self, other, sign: int):
+        """self + sign * other."""
+        a, b, n = self, other, self.conductor
+        if isinstance(other, (int, Fraction)):
+            zeros = (0,) * (len(self.nums) - 1)
+            b = _make(n, (other.numerator,) + zeros, other.denominator)
+        elif not isinstance(other, CycNum):
             return NotImplemented
-        a, b, n = self._common(o)
-        return CycNum(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        elif other.conductor != n:
+            a, b, n = self._common(other)
+        da, db = a.den, b.den
+        if n == 1:
+            return _canonical(1, [a.nums[0] * db + sign * b.nums[0] * da], da * db)
+        if da == db:
+            if sign > 0:
+                nums = [x + y for x, y in zip(a.nums, b.nums)]
+            else:
+                nums = [x - y for x, y in zip(a.nums, b.nums)]
+            return _canonical(n, nums, da)
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return _canonical(n, [x * sa + y * sb for x, y in zip(a.nums, b.nums)], da * sa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(-c for c in self.coeffs))
+        return _make(self.conductor, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        o = CycNum._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        o = CycNum._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
+        if isinstance(other, CycNum):
+            a, b, n = self, other, self.conductor
+            if other.conductor != n:
+                a, b, n = self._common(other)
+            if n == 1:
+                return _canonical(1, [a.nums[0] * b.nums[0]], a.den * b.den)
+            prod = _poly_mul(a.nums, b.nums)
+            return _canonical(n, _reduce(prod, n, len(a.nums)), a.den * b.den)
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.conductor, tuple(c * other for c in self.coeffs))
-        o = CycNum._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b, n = self._common(o)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return CycNum(n, _reduce_mod_cyclotomic(prod, n))
+            p, q = other.numerator, other.denominator
+            return _canonical(self.conductor, [x * p for x in self.nums], self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1/a = (product of the other Galois conjugates of a) / N(a), where the
+        norm N(a), the product of all conjugates, is rational."""
         if self.is_zero():
             raise DivisionByZero("cyclotomic division by zero")
-        n = self.conductor
+        n, nums, den = self.conductor, self.nums, self.den
         if self.is_rational():
-            return CycNum(n, (1 / self.coeffs[0],) + (Fraction(0),) * (len(self.coeffs) - 1))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        g, u, _ = _poly_xgcd(list(self.coeffs), phi)
-        if len(g) != 1:  # Phi_n is irreducible, so the gcd with a nonzero element is constant
-            raise ArithmeticError(f"gcd with Phi_{n} is not constant")
-        inv = [c / g[0] for c in u]
-        return CycNum(n, _reduce_mod_cyclotomic(inv, n))
+            p = nums[0]
+            return _make(n, (den if p > 0 else -den,) + nums[1:], abs(p))
+        phi = len(nums)
+        rest = [1] + [0] * (phi - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = _reduce(_poly_mul(rest, _permute(nums, n, k)), n, phi)
+        norm = _reduce(_poly_mul(nums, rest), n, phi)
+        if any(norm[1:]) or norm[0] <= 0:
+            raise ArithmeticError(f"norm to Q from conductor {n} is not a positive rational")
+        # a = nums/den and nums*rest = norm[0], so 1/a = den*rest/norm[0].  The norm
+        # is positive: complex conjugation pairs the conjugates, N(a) = prod |s(a)|^2.
+        return _canonical(n, [x * den for x in rest], norm[0])
 
     def __truediv__(self, other):
         o = CycNum._coerce(other)
@@ -307,19 +340,22 @@ class CycNum:
         return out
 
     def __eq__(self, other):
-        o = CycNum._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.conductor == o.conductor:
-            return self.coeffs == o.coeffs
-        a, b, _ = self._common(o)
-        return a.coeffs == b.coeffs
+        if isinstance(other, CycNum):
+            a, b = self, other
+            if other.conductor != self.conductor:
+                a, b, _ = self._common(other)
+            return a.den == b.den and a.nums == b.nums
+        if isinstance(other, (int, Fraction)):
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and self.is_rational())
+        return NotImplemented
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -332,34 +368,35 @@ class CycNum:
 
     def conjugate(self) -> "CycNum":
         """Apply zeta_N -> zeta_N^(-1)."""
-        n = self.conductor
-        out = [Fraction(0)] * max(n, 1)
-        for i, c in enumerate(self.coeffs):
-            out[(n - i) % n] += c
-        return CycNum(n, _reduce_mod_cyclotomic(out, n))
+        return _make(self.conductor, tuple(_permute(self.nums, self.conductor, -1)), self.den)
 
     def galois(self, k: int) -> "CycNum":
         """Apply zeta_N -> zeta_N^k; requires gcd(k, N) = 1."""
         n = self.conductor
         if gcd(k, n) != 1:
             raise ValueError("Galois exponent must be coprime to the conductor")
-        out = [Fraction(0)] * max(n, 1)
-        for i, c in enumerate(self.coeffs):
-            out[(i * k) % n] += c
-        return CycNum(n, _reduce_mod_cyclotomic(out, n))
+        # an automorphism keeps the ring of integers, so the form stays canonical
+        return _make(n, tuple(_permute(self.nums, n, k)), self.den)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
+        den, pairs = self.den, []
+        for x in self.nums:
+            g = gcd(x, den)
+            pairs.append([str(x // g), str(den // g)])
+        return {"conductor": self.conductor, "coeffs": pairs}
 
     @staticmethod
     def from_json(data: dict) -> "CycNum":
         coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
         return CycNum(int(data["conductor"]), coeffs)
+
+
+# CycNum.__setattr__ refuses every write; the slot descriptors build new values
+_new = object.__new__
+_set_conductor, _set_nums, _set_den = (CycNum.__dict__[name].__set__
+                                       for name in CycNum.__slots__)
 
 
 def cyc(x) -> CycNum:

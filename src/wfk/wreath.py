@@ -256,9 +256,9 @@ class WreathLevel:
 
     def class_elements(self, rho: TypeFunction) -> list[WreathElement]:
         """Conjugation orbit of the canonical representative."""
+        check_budget(self.order, f"class orbit in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
-        check_budget(self.order, f"class orbit in level {self.n}")
         G = self.group
         rep = representative_of_type(G, self.n, rho)
         seen = {rep}
@@ -291,12 +291,12 @@ _BUILD_CACHE: dict[tuple[int, int], FiniteGroup] = {}
 def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     """Explicit multiplication-table model of Gamma_n, with the natural
     permutation actions attached and the element list stored on the result."""
-    key = (id(G), n)
-    if key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
     check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
+    key = (id(G), n)
+    if key in _BUILD_CACHE:
+        return _BUILD_CACHE[key]
     perms = list(itertools.permutations(range(n)))
     gparts = list(itertools.product(range(G.order), repeat=n))
     nP, nG = len(perms), len(gparts)

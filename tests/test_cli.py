@@ -145,6 +145,14 @@ def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
     assert budget.budget() == 7
 
 
+def test_budget_applies_to_cached_wreath(capsys, monkeypatch):
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    argv = ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "3"]
+    assert run(argv) == 0  # builds and caches the explicit Gamma_2 and Gamma_3
+    assert run(argv + ["--budget", "7"]) == 1
+    assert "build_wreath(cyclic-2, 2): 8 elements exceeds budget 7" in capsys.readouterr().err
+
+
 def test_orbifold_series_cli(capsys):
     code, out = capture(capsys, ["series", "orbifold-euler",
                                  "--group", "builtin:cyclic:2",

@@ -1,0 +1,107 @@
+"""Property tests for CycNum: field laws, inverses, embeddings, Galois maps,
+JSON round trips and the canonical integer form."""
+
+import json
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wfk.exact import CycNum, euler_phi
+
+bounded = settings(max_examples=60, deadline=None)
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+coefficients = st.one_of(st.just(Fraction(0)), rationals, st.integers(-5, 5))
+
+
+@st.composite
+def cycnums(draw, conductors=CONDUCTORS):
+    n = draw(st.sampled_from(conductors))
+    phi = euler_phi(n)
+    return CycNum(n, draw(st.lists(coefficients, min_size=phi, max_size=phi)))
+
+
+def nonzero(conductors=CONDUCTORS):
+    return cycnums(conductors).filter(lambda x: not x.is_zero())
+
+
+def canonical(x: CycNum) -> bool:
+    nums, den = x.nums, x.den
+    return (len(nums) == euler_phi(x.conductor)
+            and all(type(c) is int for c in nums) and type(den) is int
+            and den > 0 and gcd(den, *nums) == 1
+            and (any(nums) or den == 1))
+
+
+@bounded
+@given(cycnums(), cycnums(), cycnums())
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and (a * 0).is_zero()
+    assert (a + (-a)).is_zero()
+    assert a - b == a + (-b)
+
+
+@bounded
+@given(nonzero(), cycnums())
+def test_inverse(a, b):
+    assert a * a.inverse() == 1
+    assert (b / a) * a == b
+    assert a ** -2 * a ** 2 == 1
+
+
+@bounded
+@given(cycnums(), cycnums(), st.sampled_from((1, 2, 3, 5)))
+def test_embed_agrees_with_equality(a, b, k):
+    m = a.conductor * b.conductor * k
+    ea, eb = a.embed(m), b.embed(m)
+    assert ea == a and a == ea and ea.conductor == m
+    assert (ea == eb) == (a == b)
+    assert (a + b).embed(m) == ea + eb
+    assert (a * b).embed(m) == ea * eb
+
+
+@bounded
+@given(cycnums(), cycnums(), st.integers(-30, 30))
+def test_galois_is_a_ring_automorphism(a, b, k):
+    b = b.embed(a.conductor * b.conductor)
+    a = a.embed(b.conductor)
+    n = a.conductor
+    if gcd(k, n) != 1:
+        return
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert a.galois(1) == a
+    assert a.galois(k).galois(pow(k, -1, n) if n > 1 else 1) == a
+    assert a.conjugate() == a.galois(-1)
+    assert a.conjugate().conjugate() == a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    if a.is_rational():
+        assert a.galois(k) == a
+
+
+@bounded
+@given(cycnums())
+def test_json_round_trip(a):
+    back = CycNum.from_json(json.loads(json.dumps(a.to_json())))
+    assert back.key() == a.key()
+    assert back.coeffs == a.coeffs
+
+
+@bounded
+@given(cycnums(), cycnums(), st.one_of(rationals, st.integers(-9, 9)))
+def test_results_are_canonical(a, b, s):
+    results = [a, -a, a + b, a - b, a * b, a + s, s - a, a * s, s * a,
+               a.conjugate(), a.embed(2 * a.conductor), a ** 3]
+    if not b.is_zero():
+        results += [a / b, b.inverse()]
+    for x in results:
+        assert canonical(x), x.key()
+    assert (a - a).key() == (a.conductor, (0,) * euler_phi(a.conductor), 1)

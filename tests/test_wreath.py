@@ -385,3 +385,14 @@ def test_weighted_form_symmetry():
             f = WreathClassFunction(G, n, {t: rng.randint(-2, 2) for t in types})
             g = WreathClassFunction(G, n, {t: rng.randint(-2, 2) for t in types})
             assert weighted_form(G, n, f, g, xi) == weighted_form(G, n, g, f, xi)
+
+
+def test_budget_applies_to_cached_class_orbit():
+    from wfk.budget import BudgetExceeded, budget_override
+
+    G = cyclic_group(2)
+    lvl = wreath_level(G, 2)
+    rho = enumerate_types(G, 2)[0]
+    assert lvl.class_elements(rho)  # computed and cached
+    with budget_override(7), pytest.raises(BudgetExceeded, match="class orbit in level 2"):
+        lvl.class_elements(rho)
