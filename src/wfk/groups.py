@@ -19,7 +19,6 @@ import numpy as np
 
 from .budget import CONVOLUTION_PAIR_BUDGET, BudgetExceeded, check_budget
 from .exact import CycNum, cyc
-from . import linalg
 
 _ASSOC_FULL_LIMIT = 512
 _SAMPLE_TRIPLES = 4096
@@ -405,10 +404,18 @@ class CharacterTable:
 
 
 def _canonical_key(values, exponent: int):
+    """Each value at conductor `exponent` as (numerator, denominator) pairs in
+    lowest terms, the pairs `CycNum.coeffs` would give, without building
+    Fractions."""
     out = []
     for v in values:
         emb = v.embed(exponent)
-        out.append(tuple((c.numerator, c.denominator) for c in emb.coeffs))
+        den = emb.den
+        pairs = []
+        for x in emb.nums:
+            g = gcd(x, den)
+            pairs.append((x // g, den // g))
+        out.append(tuple(pairs))
     return tuple(out)
 
 
@@ -420,20 +427,21 @@ def _as_int(x: CycNum) -> int:
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """Exact character table.
+    """Exact character table, rows sorted by (degree, canonical key).
 
-    Abelian groups are handled by simultaneous eigenspace splitting of the
-    regular representation (class sums are the elements, eigenvalues are
-    roots of unity).  Nonabelian groups are handled by exact tensor
-    decomposition: a pool of known characters (trivial, conjugation,
-    permutation actions, matrix-model trace, linear characters lifted from
-    the abelianization) is closed under products, Adams operations and
-    Sym^2/Lambda^2 while norm-1 remainders are split off.
+    Direct products built by `direct_product` tensor the factor tables.  The
+    irreducibles of an abelian group are its linear characters, built on
+    integer exponents of zeta_e (`_linear_characters`).  Nonabelian groups are
+    handled by exact tensor decomposition: a pool of known characters
+    (trivial, conjugation, permutation actions, matrix-model trace, linear
+    characters of G/[G,G]) is closed under products, Adams operations and
+    Sym^2/Lambda^2 while norm-1 remainders are split off.  Every table passes
+    the degree-sum and orthonormality check before it is returned.
     """
     if G.product_factors is not None:
         return _product_table(G)
     if G.is_abelian():
-        rows = _abelian_table(G)
+        rows = _linear_characters(G)
     else:
         rows = _peel_table(G)
     e = G.exponent()
@@ -455,83 +463,6 @@ def _check_table(G: FiniteGroup, table: CharacterTable) -> None:
             expected = 1 if i == j else 0
             if inner_product(a, table.irreducibles[j]) != expected:
                 raise DiagonalizationFailure(f"rows {i},{j} not orthonormal")
-
-
-def _abelian_generators(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    reached = {G.identity}
-    for x in range(G.order):
-        if x in reached:
-            continue
-        gens.append(x)
-        grown = True
-        while grown:
-            grown = False
-            for a in list(reached):
-                for b in (G.rows[x][a], *[G.rows[g][a] for g in gens]):
-                    if b not in reached:
-                        reached.add(b)
-                        grown = True
-        if len(reached) == G.order:
-            break
-    return gens
-
-
-def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
-    """Simultaneous eigensplitting of the regular representation.
-
-    Eigenvalues of multiplication by an order-o element are o-th roots of
-    unity, so the candidate set is finite and the split is fully exact.
-    """
-    n = G.order
-    e = G.exponent()
-    one, zero = cyc(1), cyc(0)
-    spaces = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
-    for g in _abelian_generators(G):
-        o = G.element_order(g)
-        roots = [CycNum.zeta(e, (e // o) * k) for k in range(o)]
-        perm = [G.rows[g][j] for j in range(n)]  # e_j -> e_{g j}
-        new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            found = 0
-            for lam in roots:
-                # kernel of (rho(g) - lam) restricted to span(basis)
-                cols = []
-                for w in basis:
-                    img = [zero] * n
-                    for j, c in enumerate(w):
-                        if not (c == 0):
-                            img[perm[j]] = img[perm[j]] + c
-                    cols.append([img[i] - lam * w[i] for i in range(n)])
-                mat = [[cols[k][i] for k in range(len(basis))] for i in range(n)]
-                eigvecs = []
-                for coeffs in linalg.nullspace(mat, one, zero):
-                    vec = [zero] * n
-                    for k, ck in enumerate(coeffs):
-                        if not (ck == 0):
-                            for i in range(n):
-                                vec[i] = vec[i] + ck * basis[k][i]
-                    eigvecs.append(vec)
-                if eigvecs:
-                    new_spaces.append(eigvecs)
-                    found += len(eigvecs)
-            if found != len(basis):
-                raise DiagonalizationFailure("abelian eigensplit lost dimensions")
-        spaces = new_spaces
-    rows = []
-    cd = G.conjugacy()
-    for basis in spaces:
-        if len(basis) != 1:
-            raise DiagonalizationFailure("abelian splitting did not reach lines")
-        v = basis[0]
-        j0 = next(j for j, c in enumerate(v) if not (c == 0))
-        # (rho(g)v)_i = v_{g^{-1} i}, so the eigenvalue is read off at i = j0
-        values = [v[G.rows[G.inverse[rep]][j0]] / v[j0] for rep in cd.class_reps]
-        rows.append(ClassFunction(G, values))
-    return rows
 
 
 def _conjugation_character(G: FiniteGroup) -> ClassFunction:
@@ -569,30 +500,42 @@ def _commutator_subgroup(G: FiniteGroup) -> list[int]:
 
 
 def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
-    """Lift the characters of G/[G,G]."""
-    N = _commutator_subgroup(G)
-    nset = set(N)
-    coset_of = {}
-    cosets = []
-    for x in range(G.order):
-        if x in coset_of:
+    """Every homomorphism G -> mu_e, e the exponent: the characters of G/[G,G].
+
+    A character is kept as integer exponents, chi(x) = zeta_e^a[x], and built
+    along a chain of subgroups from N = [G,G] up to G.  To adjoin g to H, let
+    k >= 1 be least with g^k in H; each character of H then extends in k ways,
+    by a[g^j h] = j w + a[h] with k w = a[g^k] (mod e).  The values are
+    returned at conductor e // d, d the gcd of e and every exponent, which is
+    the exponent of G/N.
+    """
+    e = G.exponent()
+    rows = G.rows
+    members = [G.identity] if G.is_abelian() else _commutator_subgroup(G)
+    pos = {x: i for i, x in enumerate(members)}
+    chars = [[0] * len(members)]
+    for g in range(G.order):
+        if g in pos:
             continue
-        idx = len(cosets)
-        members = sorted(G.rows[x][h] for h in N)
-        for y in members:
-            coset_of[y] = idx
-        cosets.append(members[0])
-    q = len(cosets)
-    mult = [[coset_of[G.rows[cosets[i]][cosets[j]]] for j in range(q)] for i in range(q)]
-    Q = FiniteGroup(mult, name=f"{G.name}/derived", validate=False)
-    rows = _abelian_table(Q)
-    cdQ = Q.conjugacy()
-    cd = G.conjugacy()
-    out = []
-    for row in rows:
-        vals = [row.values[cdQ.class_of[coset_of[rep]]] for rep in cd.class_reps]
-        out.append(ClassFunction(G, vals))
-    return out
+        powers, x = [G.identity], g
+        while x not in pos:
+            powers.append(x)
+            x = rows[x][g]
+        k, at_gk, step = len(powers), pos[x], e // len(powers)
+        extended = []
+        for chi in chars:
+            c = chi[at_gk]
+            if c % k:
+                raise DiagonalizationFailure(f"character does not extend to element {g}")
+            for w in range(c // k, e, step):
+                extended.append([(j * w + a) % e for j in range(k) for a in chi])
+        chars = extended
+        members = [rows[p][h] for p in powers for h in members]
+        pos = {x: i for i, x in enumerate(members)}
+    d = gcd(e, *(a for chi in chars for a in chi))
+    roots = [CycNum.zeta(e // d, a) for a in range(e // d)]
+    at_reps = [pos[rep] for rep in G.conjugacy().class_reps]
+    return [ClassFunction(G, [roots[chi[i] // d] for i in at_reps]) for chi in chars]
 
 
 def _peel_table(G: FiniteGroup) -> list[ClassFunction]:
@@ -665,8 +608,6 @@ def _peel_table(G: FiniteGroup) -> list[ClassFunction]:
                 raise DiagonalizationFailure("missing degree is not a perfect square")
             add_irreducible(ClassFunction(G, [v / d for v in t.values]))
             continue
-        if _two_unknown_completion(G, irr, stash, done):
-            continue
         rounds += 1
         if rounds > 12:
             raise DiagonalizationFailure(f"peeling stalled with {len(irr)} of {r}")
@@ -692,49 +633,6 @@ def _peel_table(G: FiniteGroup) -> list[ClassFunction]:
     if len(irr) != r:
         raise DiagonalizationFailure(f"found {len(irr)} of {r} irreducibles")
     return irr
-
-
-def _two_unknown_completion(G, irr, stash, done) -> bool:
-    """Resolve a stall with exactly two missing irreducibles of distinct degree."""
-    cd = G.conjugacy()
-    r = len(cd)
-    if len(irr) != r - 2:
-        return False
-    sums = [s for s in stash if _as_int(inner_product(s, s)) == 2]
-    if not sums:
-        return False
-    s = sums[0]
-    big_d = G.order - done
-    s_e = _as_int(s.at_identity())
-    # degrees da + db = +-s(e), da^2 + db^2 = big_d
-    for sign in (1, -1):
-        tot = sign * s_e
-        disc = 2 * big_d - tot * tot
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc or (tot + root) % 2:
-            continue
-        da, db = (tot + root) // 2, (tot - root) // 2
-        if da <= 0 or db <= 0 or da == db:
-            continue
-        t = s if sign == 1 else -s
-        from_reg = None
-        reg = regular_character(G)
-        rem = reg
-        for g in irr:
-            rem = rem - g.scale(_as_int(inner_product(reg, g)))
-        from_reg = rem  # = da*alpha + db*beta
-        alpha = ClassFunction(G, [(x - db * y) * Fraction(1, da - db)
-                                  for x, y in zip(from_reg.values, t.values)])
-        if _as_int(inner_product(alpha, alpha)) == 1 and _as_int(alpha.at_identity()) > 0:
-            beta = t - alpha
-            if _as_int(inner_product(beta, beta)) == 1:
-                irr.append(alpha)
-                irr.append(beta)
-                stash.remove(s)
-                return True
-    return False
 
 
 def _product_table(G: FiniteGroup) -> CharacterTable:

@@ -49,24 +49,6 @@ def rank(matrix: list[list]) -> int:
     return r
 
 
-def nullspace(matrix: list[list], one, zero) -> list[list]:
-    """Basis of the right kernel; `one`/`zero` are the field constants."""
-    if not matrix:
-        return []
-    work = [list(row) for row in matrix]
-    cols = len(work[0])
-    _, pivots = row_reduce(work)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [zero] * cols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -work[r][f]
-        basis.append(vec)
-    return basis
-
-
 def det(matrix: list[list], one):
     """Determinant by exact Gaussian elimination with row swaps."""
     n = len(matrix)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,3 +162,42 @@ def test_orbifold_series_cli(capsys):
     data = json.loads(out)
     assert data["pass"] is True
     assert [p["lhs"] for p in data["probes"]] == ["1", "2", "5", "10"]
+
+
+# sha256 of `wfk chartable --group G` stdout, recorded before linear characters
+# moved from the regular-representation eigensplitter to integer exponents.
+# Each value is written at the conductor its engine produced, so these digests
+# pin the conductors as well as the values.
+CHARTABLE_SHA256 = {
+    "cyclic:1": "ffff38e2c0433b90c87d5b0c2b7804dfab27873fbe5da182d95852731a5943ea",
+    "cyclic:2": "fc829ab0b93ad5907248331161dddee38644645d1eef342c02862f2e9072c716",
+    "cyclic:3": "0ac89325edbac250741f93bc04f0b3fe8247a7776ff3444cf0c73f40a72ee7f2",
+    "cyclic:4": "c668f3aa97928cce860c4f7e6a31b5434d7a198d2c07d4e1d69f5b3d53be7764",
+    "cyclic:5": "3373e196373ab857fb94d8cc36c3063cfdcacf9221ac6f5c20eac4bcb07163c0",
+    "cyclic:6": "09fee9dd0451686854795906ff950bc7a2ac37f720ed73581ad73ec4160a2d10",
+    "cyclic:7": "6868b4afe28d41aa959ea279e562671832bfe0cc024c95b9f9c8b453e28f3bbc",
+    "cyclic:8": "665b9451e7d076e6a3b584befec32af54fa2bb897737b99bbb7caa5fa5a2187c",
+    "cyclic:9": "d69e4a059cf511cafe5fba97bef36ce1a32ab6a537a22f467428804fc3c1057e",
+    "cyclic:10": "5712de80ab55ce877fe996abdf6000b02adfbb8054971664c51398096f25c3bf",
+    "cyclic:11": "261415f189c6f655a50ee7bd05b3a976339dc384456418d17273df1976c93ec1",
+    "cyclic:12": "5faf75fa54afcd5e8c197e2b3de4dffe33253bdcbefb479b6cefed1fe7470bb5",
+    "binary-dihedral:2": "5dbd7d3e91722b03d68cb0d6cd18a9666a31d4344c4f390d0f02332f8696a73b",
+    "binary-dihedral:3": "47af2373750f00f979f231f8d99a41a84227ffc6819641a60a4f332e101e01ad",
+    "binary-dihedral:4": "eaf68b3b1774c374d98f2a68db40cdde52934bc1abb5a938daaa546fe98d7472",
+    "binary-dihedral:5": "6984efedb26fb5b4e2a82d4a8d1a2d75033a4de545ab2660239b87b3d204ede7",
+    "binary-tetrahedral": "e8faa015709b9bfe1f7d5b1679299f8590bf4bce47221eac976454869af0c7d3",
+    "binary-octahedral": "bdce5267368584a4864ebdeb517b403bceff40cbc5d3817b092b6852a4f3f597",
+    "binary-icosahedral": "b65417d3b617241e8fc2c75543139f29134bd7feee76807f84e51bb832305de8",
+    "symmetric:1": "ffff38e2c0433b90c87d5b0c2b7804dfab27873fbe5da182d95852731a5943ea",
+    "symmetric:2": "fc829ab0b93ad5907248331161dddee38644645d1eef342c02862f2e9072c716",
+    "symmetric:3": "0900b760974f27aa57ff7b167acaadfa1fc1306b1d237e2c00648d0d37566e4a",
+    "symmetric:4": "7c0dbff74d80e4c15265d42021973ea4eaa3cd782d815adfc571b9a606820996",
+    "symmetric:5": "7fd73948c24af0fdfda21773d9c003d1828dbe16fc95feb5d7de09120e9552ee",
+}
+
+
+@pytest.mark.parametrize("group", CHARTABLE_SHA256)
+def test_chartable_output_is_pinned(capsys, group):
+    code, out = capture(capsys, ["chartable", "--group", group])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[group]
