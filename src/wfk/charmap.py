@@ -312,7 +312,7 @@ class _GroupOp:
         self._columns: dict = {}
 
     def _column(self, group, level, rho):
-        key = (id(group), level, rho)
+        key = (group, level, rho)
         if key not in self._columns:
             self._columns[key] = self.fn(wcf_indicator(group, level, rho))
         return self._columns[key]

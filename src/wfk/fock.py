@@ -278,6 +278,7 @@ class ColorSpace:
         self.parities = list(parities)
         self.kappa = kappa  # matrix, kappa[a][b] scalar
         self.name = name
+        self.q_modes: dict = {}  # (alg, mode, alpha) -> q_mode operator on this space
 
     @staticmethod
     def of_algebra(alg: FrobeniusAlgebra) -> "ColorSpace":
@@ -502,15 +503,12 @@ def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None
     return FockOperator(fn_ann, None, f"q{n}")
 
 
-_QMODE_CACHE: dict = {}
-
-
 def _q_cached(alg, mode, alpha, space) -> FockOperator:
-    key = (id(alg), id(space), mode, tuple(alpha))
-    op = _QMODE_CACHE.get(key)
+    key = (alg, mode, tuple(alpha))
+    op = space.q_modes.get(key)
     if op is None:
         op = q_mode(alg, mode, alpha, space)
-        _QMODE_CACHE[key] = op
+        space.q_modes[key] = op
     return op
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .budget import BudgetExceeded, check_budget
+from .budget import check_budget
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, inner_product
 
@@ -272,31 +272,27 @@ class WreathLevel:
         return out
 
 
-_LEVEL_CACHE: dict[tuple[int, int], WreathLevel] = {}
-_GROUP_REFS: list[FiniteGroup] = []
-
-
 def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
-    key = (id(G), n)
-    if key not in _LEVEL_CACHE:
-        _GROUP_REFS.append(G)
-        _LEVEL_CACHE[key] = WreathLevel(G, n)
-    return _LEVEL_CACHE[key]
+    """The level-n view of Gamma_n, kept on G (as `G.wreath_levels`)."""
+    levels = vars(G).setdefault("wreath_levels", {})
+    if n not in levels:
+        levels[n] = WreathLevel(G, n)
+    return levels[n]
 
 
 _EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
-_BUILD_CACHE: dict[tuple[int, int], FiniteGroup] = {}
 
 
 def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     """Explicit multiplication-table model of Gamma_n, with the natural
-    permutation actions attached and the element list stored on the result."""
+    permutation actions attached and the element list stored on the result;
+    kept on G (as `G.wreath_builds`)."""
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
     check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
-    key = (id(G), n)
-    if key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
+    builds = vars(G).setdefault("wreath_builds", {})
+    if n in builds:
+        return builds[n]
     perms = list(itertools.permutations(range(n)))
     gparts = list(itertools.product(range(G.order), repeat=n))
     nP, nG = len(perms), len(gparts)
@@ -344,7 +340,7 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     W.wreath_elements = elem_list
     W.wreath_base = G
     W.wreath_n = n
-    _BUILD_CACHE[key] = W
+    builds[n] = W
     return W
 
 
@@ -477,27 +473,11 @@ def sigma_n(G: FiniteGroup, n: int, gamma: ClassFunction) -> WreathClassFunction
     return WreathClassFunction(G, n, vals)
 
 
-def _splits(rho: TypeFunction, n: int, G: FiniteGroup):
-    """All (alpha, beta) with alpha u beta = rho and |alpha| = n."""
-    per_class = []
-    for c, parts in rho.classes:
-        mults = sorted(partition_multiplicities(parts).items())
-        choices = []
-        ranges = [range(m + 1) for _, m in mults]
-        for takes in itertools.product(*ranges):
-            alpha = []
-            beta = []
-            for (r, m), k in zip(mults, takes):
-                alpha.extend([r] * k)
-                beta.extend([r] * (m - k))
-            choices.append((c, tuple(alpha), tuple(beta)))
-        per_class.append(choices)
-    for combo in itertools.product(*per_class):
-        alpha = TypeFunction((c, a) for c, a, _ in combo)
-        if alpha.size() != n:
-            continue
-        beta = TypeFunction((c, b) for c, _, b in combo)
-        yield alpha, beta
+def _in_level_order(G: FiniteGroup, n: int, acc: dict) -> WreathClassFunction:
+    """The class function with values `acc`, keyed in the order of the types
+    of level n (reports print `values`, so the key order reaches stdout)."""
+    index = wreath_level(G, n).type_index
+    return WreathClassFunction(G, n, {rho: acc[rho] for rho in sorted(acc, key=index.__getitem__)})
 
 
 def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
@@ -506,26 +486,23 @@ def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
 
     (Ind h)(x) = (1/|H|) sum_{y : y^-1 x y in H} h(y^-1 x y), evaluated
     class-by-class: classes of H are pairs of types fusing into their union,
-    with exact weight Z_rho / (Z_alpha Z_beta).
+    so the sum runs over the supports,
+
+        Ind(f (x) g) = sum_{alpha in supp f, beta in supp g}
+                       f(alpha) g(beta) Z_{alpha u beta} / (Z_alpha Z_beta) 1_{alpha u beta}.
     """
+    if f.group is not G or g.group is not G:
+        raise GroupMismatch("induction arguments on a different base group")
     if f.n != n or g.n != m:
         raise GroupMismatch("levels do not match the stated degrees")
-    out: dict[TypeFunction, CycNum] = {}
-    for rho in wreath_level(G, n + m).types:
-        z_rho = centralizer_order(G, rho)
-        acc = cyc(0)
-        for alpha, beta in _splits(rho, n, G):
-            fv = f.value(alpha)
-            if fv.is_zero():
-                continue
-            gv = g.value(beta)
-            if gv.is_zero():
-                continue
-            w = Fraction(z_rho, centralizer_order(G, alpha) * centralizer_order(G, beta))
-            acc = acc + fv * gv * w
-        if not acc.is_zero():
-            out[rho] = acc
-    return WreathClassFunction(G, n + m, out)
+    acc: dict[TypeFunction, CycNum] = {}
+    for alpha, fv in f.values.items():
+        z_alpha = centralizer_order(G, alpha)
+        for beta, gv in g.values.items():
+            rho = alpha.union(beta)
+            w = Fraction(centralizer_order(G, rho), z_alpha * centralizer_order(G, beta))
+            acc[rho] = acc.get(rho, cyc(0)) + fv * gv * w
+    return _in_level_order(G, n + m, acc)
 
 
 def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
@@ -559,6 +536,8 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
 def restrict(G: FiniteGroup, n: int, m: int,
              h: WreathClassFunction) -> dict[tuple[TypeFunction, TypeFunction], CycNum]:
     """Restriction to Gamma_n x Gamma_m as a function on pairs of types."""
+    if h.group is not G:
+        raise GroupMismatch("restriction argument on a different base group")
     if h.n != n + m:
         raise GroupMismatch("level mismatch in restriction")
     out = {}
@@ -591,21 +570,21 @@ class HeisenbergOperator:
         npos = -k
         if f.n < npos:
             return wcf_zero(G, 0)
-        out: dict[TypeFunction, CycNum] = {}
-        for beta in wreath_level(G, f.n - npos).types:
-            acc = cyc(0)
-            for c in range(len(cd)):
+        # rho = {c': (npos,)} u beta for each class c' of rho with a part npos
+        acc: dict[TypeFunction, CycNum] = {}
+        for rho, v in f.values.items():
+            for c_inv, parts in rho.classes:
+                if npos not in parts:
+                    continue
+                c = cd.inverse_class[c_inv]
                 gc = self.gamma.values[c]
                 if gc.is_zero():
                     continue
-                cyc_type = TypeFunction([(cd.inverse_class[c], (npos,))])
-                v = f.value(cyc_type.union(beta))
-                if v.is_zero():
-                    continue
-                acc = acc + gc * v * Fraction(1, cd.centralizer_orders[c])
-            if not acc.is_zero():
-                out[beta] = acc
-        return WreathClassFunction(G, f.n - npos, out)
+                rest = list(parts)
+                rest.remove(npos)
+                beta = TypeFunction((ci, rest if ci == c_inv else p) for ci, p in rho.classes)
+                acc[beta] = acc.get(beta, cyc(0)) + gc * v * Fraction(1, cd.centralizer_orders[c])
+        return _in_level_order(G, f.n - npos, acc)
 
 
 def heisenberg_p(G: FiniteGroup, k: int, gamma: ClassFunction) -> HeisenbergOperator:

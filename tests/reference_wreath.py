@@ -1,0 +1,103 @@
+"""Reference copy of the symbolic induction and annihilation that
+`wfk.wreath` replaced.
+
+`induce` sweeps every type rho of the target level and enumerates the
+sub-multiset splits rho = alpha u beta (`_splits`), keeping those with
+|alpha| = n; the k < 0 branch of `HeisenbergOperator.apply` sweeps every
+type beta of the target level and every class c.  The bodies below are kept
+as they were, so that `tests/test_wreath_reference.py` can check the support
+sums of `wfk.wreath` against them, value by value and in key order.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from wfk import wreath
+from wfk.exact import CycNum, cyc
+from wfk.groups import FiniteGroup, GroupMismatch
+from wfk.wreath import (TypeFunction, WreathClassFunction, centralizer_order,
+                        partition_multiplicities, sigma_n, wcf_zero, wreath_level)
+
+
+def _splits(rho: TypeFunction, n: int, G: FiniteGroup):
+    """All (alpha, beta) with alpha u beta = rho and |alpha| = n."""
+    per_class = []
+    for c, parts in rho.classes:
+        mults = sorted(partition_multiplicities(parts).items())
+        choices = []
+        ranges = [range(m + 1) for _, m in mults]
+        for takes in itertools.product(*ranges):
+            alpha = []
+            beta = []
+            for (r, m), k in zip(mults, takes):
+                alpha.extend([r] * k)
+                beta.extend([r] * (m - k))
+            choices.append((c, tuple(alpha), tuple(beta)))
+        per_class.append(choices)
+    for combo in itertools.product(*per_class):
+        alpha = TypeFunction((c, a) for c, a, _ in combo)
+        if alpha.size() != n:
+            continue
+        beta = TypeFunction((c, b) for c, _, b in combo)
+        yield alpha, beta
+
+
+def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
+           g: WreathClassFunction) -> WreathClassFunction:
+    """Frobenius induction of f (x) g from Gamma_n x Gamma_m to Gamma_{n+m}.
+
+    (Ind h)(x) = (1/|H|) sum_{y : y^-1 x y in H} h(y^-1 x y), evaluated
+    class-by-class: classes of H are pairs of types fusing into their union,
+    with exact weight Z_rho / (Z_alpha Z_beta).
+    """
+    if f.n != n or g.n != m:
+        raise GroupMismatch("levels do not match the stated degrees")
+    out: dict[TypeFunction, CycNum] = {}
+    for rho in wreath_level(G, n + m).types:
+        z_rho = centralizer_order(G, rho)
+        acc = cyc(0)
+        for alpha, beta in _splits(rho, n, G):
+            fv = f.value(alpha)
+            if fv.is_zero():
+                continue
+            gv = g.value(beta)
+            if gv.is_zero():
+                continue
+            w = Fraction(z_rho, centralizer_order(G, alpha) * centralizer_order(G, beta))
+            acc = acc + fv * gv * w
+        if not acc.is_zero():
+            out[rho] = acc
+    return WreathClassFunction(G, n + m, out)
+
+
+class HeisenbergOperator(wreath.HeisenbergOperator):
+    """p_k(gamma) with the level-sweep `apply`; creation goes through the
+    `induce` above."""
+
+    def apply(self, f: WreathClassFunction) -> WreathClassFunction:
+        G, k = self.group, self.k
+        if f.group is not G:
+            raise GroupMismatch("operator and argument on different base groups")
+        cd = G.conjugacy()
+        if k > 0:
+            return induce(G, k, f.n, sigma_n(G, k, self.gamma), f)
+        npos = -k
+        if f.n < npos:
+            return wcf_zero(G, 0)
+        out: dict[TypeFunction, CycNum] = {}
+        for beta in wreath_level(G, f.n - npos).types:
+            acc = cyc(0)
+            for c in range(len(cd)):
+                gc = self.gamma.values[c]
+                if gc.is_zero():
+                    continue
+                cyc_type = TypeFunction([(cd.inverse_class[c], (npos,))])
+                v = f.value(cyc_type.union(beta))
+                if v.is_zero():
+                    continue
+                acc = acc + gc * v * Fraction(1, cd.centralizer_orders[c])
+            if not acc.is_zero():
+                out[beta] = acc
+        return WreathClassFunction(G, f.n - npos, out)

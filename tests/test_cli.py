@@ -201,3 +201,27 @@ def test_chartable_output_is_pinned(capsys, group):
     code, out = capture(capsys, ["chartable", "--group", group])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[group]
+
+
+# sha256 of `wfk verify ...` stdout, recorded before induction and p_{-k}
+# became sums over the support: reports print `WreathClassFunction.values`,
+# so these pin the values and their key order as well as the verdicts.
+VERIFY_SHA256 = {
+    "heisenberg --group builtin:cyclic:3 --modes 2 --levels 2":
+        "132d55b1f83dd816256e9c9bef3ddf3f3ca2f48b7e83256e1fa49deff94769fa",
+    "heisenberg --group builtin:binary-dihedral:2 --modes 1 --levels 2":
+        "c37b5b3110aa277fbed36d89e554316240f00955fa0f78518d953052644c7012",
+    "heisenberg --group builtin:binary-tetrahedral --modes 1 --levels 1":
+        "e4e598645dc1ee13e56bd11888a0b00d1492c8e08e90d5576e1487d6510fae8d",
+    "heisenberg-transport --group builtin:binary-dihedral:2 --modes 3":
+        "db23f0eeb5e5c53cd5a1fe5f1b83c91d631c1083d66d23a855c29ad80aa4bbd8",
+    "fw-virasoro --group builtin:cyclic:2 --levels 3":
+        "bd3e5a67d24a692d072728d07be0708f86a7e2cb3d8fb00d93413d06edef3fb9",
+}
+
+
+@pytest.mark.parametrize("query", VERIFY_SHA256)
+def test_verify_output_is_pinned(capsys, query):
+    code, out = capture(capsys, ["verify", *query.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[query]

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -383,6 +385,18 @@ def test_fock_inner_normalization():
     wsq = mono(space, (1, 2), (1, 2))
     assert fock_inner(alg, vsq, wsq) == 2
     assert fock_inner(alg, vacuum(space), vacuum(space)) == 1
+
+
+def test_caller_built_model_is_freed():
+    # the q_mode operators of W_operator live on the space, not in a module cache
+    alg = p2_model()
+    space = ColorSpace.of_algebra(alg)
+    v = mono(space, (1, 1), (1, 1))
+    assert not W_operator(alg, 2, 0, alg.unit, 2, space).apply(v).is_zero()
+    refs = [weakref.ref(alg), weakref.ref(space)]
+    del alg, space, v
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_builtin_model_lookup():

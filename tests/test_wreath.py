@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from wfk.exact import cyc
-from wfk.groups import ClassFunction, cyclic_group, inner_product, symmetric_group, trivial_group
+from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, cyclic_group, inner_product,
+                        symmetric_group, trivial_group)
 from wfk.wreath import (
     TypeFunction,
     WreathElement,
@@ -210,6 +213,31 @@ def test_frobenius_reciprocity():
             rhs = rhs + w * v * Fraction(
                 1, centralizer_order(G, alpha) * centralizer_order(G, beta))
         assert lhs == rhs
+
+
+def test_induce_and_restrict_reject_another_base_group():
+    G2, G3 = cyclic_group(2), cyclic_group(3)
+    f2 = wcf_indicator(G2, 1, enumerate_types(G2, 1)[0])
+    f3 = wcf_indicator(G3, 1, enumerate_types(G3, 1)[0])
+    for f, g in ((f3, f3), (f2, f3), (f3, f2)):
+        with pytest.raises(GroupMismatch):
+            induce(G2, 1, 1, f, g)
+    with pytest.raises(GroupMismatch):
+        restrict(G2, 1, 1, induce(G3, 1, 1, f3, f3))
+
+
+def test_caller_built_group_is_freed():
+    # level views and explicit builds live on the group, not in module caches
+    G = FiniteGroup(cyclic_group(3).mult, name="C3")
+    gamma = irreducibles(G)[1]
+    f = heisenberg_p(G, 2, gamma).apply(wcf_indicator(G, 0, TypeFunction([])))
+    assert not heisenberg_p(G, -2, gamma).apply(f).is_zero()
+    assert build_wreath(G, 2) is build_wreath(G, 2)
+    assert wreath_level(G, 3) is wreath_level(G, 3)
+    ref = weakref.ref(G)
+    del G, gamma, f
+    gc.collect()
+    assert ref() is None
 
 
 def test_heisenberg_p1_on_vacuum():

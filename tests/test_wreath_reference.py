@@ -1,0 +1,115 @@
+"""The support sums of `wfk.wreath.induce` and of p_{-k} against the split
+enumeration and the level sweeps they replaced (`reference_wreath.py`), on
+seeded random class functions up to total level 4, where the element-loop
+oracle `induce_bruteforce` cannot go.  Values, conductors and key order must
+all agree, because reports print `WreathClassFunction.values` as they are."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import reference_wreath as ref
+
+from wfk.exact import CycNum
+from wfk.groups import ClassFunction, binary_dihedral, cyclic_group
+from wfk.wreath import WreathClassFunction, enumerate_types, heisenberg_p, induce
+
+GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
+          "BD2": lambda: binary_dihedral(2)}
+MAX_LEVEL = 4
+
+
+def same(a: WreathClassFunction, b: WreathClassFunction) -> bool:
+    """Equal values at equal conductors, keyed in the same order."""
+    return (a.group is b.group and a.n == b.n and a.values == b.values
+            and [(k, v.to_json()) for k, v in a.values.items()]
+            == [(k, v.to_json()) for k, v in b.values.items()])
+
+
+def random_value(rng: random.Random, e: int):
+    """A small value in Q(zeta_e), zero about a third of the time."""
+    if rng.random() < 1 / 3:
+        return 0
+    v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return v + rng.randint(-2, 2) * CycNum.zeta(e, rng.randrange(e)) if e > 1 else v
+
+
+def random_wcf(G, n: int, rng: random.Random) -> WreathClassFunction:
+    e = G.exponent()
+    types = enumerate_types(G, n)
+    support = rng.sample(types, rng.randint(1, len(types)))
+    return WreathClassFunction(G, n, {t: random_value(rng, e) for t in support})
+
+
+def unions(u: WreathClassFunction, v: WreathClassFunction) -> set:
+    return {a.union(b) for a in u.values for b in v.values}
+
+
+def levels():
+    return [(n, m) for n in range(MAX_LEVEL + 1) for m in range(MAX_LEVEL + 1 - n)]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_induce_matches_split_enumeration(name):
+    G = GROUPS[name]()
+    rng = random.Random(sum(map(ord, name)))
+    for n, m in levels():
+        f, g = random_wcf(G, n, rng), random_wcf(G, m, rng)
+        assert same(induce(G, n, m, f, g), ref.induce(G, n, m, f, g))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_induce_with_cancelling_terms(name):
+    # x and y on disjoint supports: Ind((x+y) (x) (x-y)) = Ind(x (x) x) -
+    # Ind(y (x) y), so the sum at a type alpha u beta with alpha in supp x and
+    # beta in supp y, and no other split within x or within y, passes through
+    # zero and must be pruned.
+    G = GROUPS[name]()
+    e = G.exponent()
+    rng = random.Random(7 + sum(map(ord, name)))
+    pruned = 0
+    for n in (1, 2):
+        types = enumerate_types(G, n)
+        rng.shuffle(types)
+        half = len(types) // 2
+        x, y = (WreathClassFunction(G, n, {t: random_value(rng, e) or 1 for t in part})
+                for part in (types[:half], types[half:]))
+        got = induce(G, n, n, x + y, x - y)
+        assert same(got, ref.induce(G, n, n, x + y, x - y))
+        assert got == induce(G, n, n, x, x) - induce(G, n, n, y, y)
+        cancelled = unions(x, y) - unions(x, x) - unions(y, y)
+        assert not cancelled & set(got.values)
+        pruned += len(cancelled)
+    assert pruned
+
+
+def gammas(G, rng: random.Random):
+    """The irreducibles and one random class function with a zero value."""
+    e = G.exponent()
+    values = [random_value(rng, e) for _ in G.conjugacy().class_reps]
+    values[rng.randrange(len(values))] = 0
+    return list(G.character_table().irreducibles) + [ClassFunction(G, values)]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_annihilation_matches_level_sweep(name):
+    G = GROUPS[name]()
+    rng = random.Random(13 + sum(map(ord, name)))
+    for gamma in gammas(G, rng):
+        for k in (1, 2, 3):
+            new, old = heisenberg_p(G, -k, gamma), ref.HeisenbergOperator(G, -k, gamma)
+            for level in range(MAX_LEVEL + 1):
+                f = random_wcf(G, level, rng)
+                assert same(new.apply(f), old.apply(f))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_creation_matches_split_enumeration(name):
+    G = GROUPS[name]()
+    rng = random.Random(17 + sum(map(ord, name)))
+    for gamma in gammas(G, rng):
+        for k in (1, 2, 3):
+            new, old = heisenberg_p(G, k, gamma), ref.HeisenbergOperator(G, k, gamma)
+            for level in range(MAX_LEVEL + 1 - k):
+                f = random_wcf(G, level, rng)
+                assert same(new.apply(f), old.apply(f))
