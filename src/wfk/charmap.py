@@ -320,12 +320,28 @@ class _GroupOp:
     def __call__(self, f: WreathClassFunction) -> WreathClassFunction:
         if f.is_zero():
             return f
-        out = wcf_zero(f.group, f.n)
+        level, acc = f.n, {}
         for rho, v in f.values.items():
-            col = self._column(f.group, f.n, rho)
-            if not col.is_zero():
-                out = out + col.scale(v)
-        return out
+            col_f = self._column(f.group, f.n, rho)
+            if col_f.is_zero():
+                continue
+            level, col = col_f.n, col_f.values
+            if not acc:
+                acc = {k: c * v for k, c in col.items()}
+                continue
+            # reports print `values`: keep the key order of WreathClassFunction.__add__,
+            # a set union, and drop a type whose sum cancels as it does
+            merged = {}
+            for k in set(acc) | set(col):
+                x = acc.get(k)
+                c = col.get(k)
+                if c is not None:
+                    x = c * v if x is None else x + c * v
+                    if x.is_zero():
+                        continue
+                merged[k] = x
+            acc = merged
+        return WreathClassFunction(f.group, level, acc)
 
     def bracket(self, other):
         return _GroupOp(lambda f: self(other(f)) - other(self(f)))

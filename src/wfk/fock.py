@@ -312,12 +312,15 @@ class FockVector:
 
     def __init__(self, space: ColorSpace, terms: dict):
         self.space = space
-        clean = {}
-        for mono, coeff in terms.items():
-            if coeff == 0:
-                continue
-            clean[mono] = clean.get(mono, 0) + coeff if mono in clean else coeff
-        self.terms = {m: c for m, c in clean.items() if not _scalar_is_zero(c)}
+        self.terms = {m: c for m, c in terms.items() if not _scalar_is_zero(c)}
+
+    @classmethod
+    def _of(cls, space: ColorSpace, terms: dict) -> "FockVector":
+        """The vector with `terms`, taken as given: no coefficient may be zero."""
+        v = object.__new__(cls)
+        v.space = space
+        v.terms = terms
+        return v
 
     def weight(self) -> int:
         return max((sum(n for n, _ in m) for m in self.terms), default=0)
@@ -327,20 +330,20 @@ class FockVector:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return FockVector(self.space, out)
+        _add_into(out, other.terms)
+        return FockVector._of(self.space, out)
 
     def __neg__(self):
-        return FockVector(self.space, {m: -c for m, c in self.terms.items()})
+        return FockVector._of(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
         if _scalar_is_zero(s):
-            return FockVector(self.space, {})
-        return FockVector(self.space, {m: c * s for m, c in self.terms.items()})
+            return FockVector._of(self.space, {})
+        # the scalars form a field: a product of nonzero factors is nonzero
+        return FockVector._of(self.space, {m: c * s for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -362,6 +365,26 @@ def _scalar_is_zero(c) -> bool:
     if isinstance(c, CycNum):
         return c.is_zero()
     return c == 0
+
+
+def _add_into(acc: dict, terms: dict, s=None) -> None:
+    """acc += s * terms in place (s = None adds `terms` as they are).
+
+    A monomial whose sum cancels leaves `acc`, so `acc` never holds a zero and
+    a monomial that comes back is appended at the end, as `FockVector.__add__`
+    rebuilding the whole sum would place it."""
+    for m, c in terms.items():
+        if s is not None:
+            c = c * s
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = c
+        else:
+            c = prev + c
+            if _scalar_is_zero(c):
+                del acc[m]
+            else:
+                acc[m] = c
 
 
 def _scalar_eq(a, b) -> bool:
@@ -427,15 +450,14 @@ class FockOperator:
         if self.max_weight is not None and v.weight() > self.max_weight:
             raise CutoffTooSmall(
                 f"{self.name}: input weight {v.weight()} above cutoff {self.max_weight}")
-        out = FockVector(v.space, {})
+        acc: dict = {}
+        columns = self._columns
         for mono, coeff in v.terms.items():
-            col = self._columns.get(mono)
+            col = columns.get(mono)
             if col is None:
-                col = self.fn(FockVector(v.space, {mono: 1}))
-                self._columns[mono] = col
-            if not col.is_zero():
-                out = out + col.scale(coeff)
-        return out
+                col = columns[mono] = self.fn(FockVector._of(v.space, {mono: 1}))
+            _add_into(acc, col.terms, coeff)
+        return FockVector._of(v.space, acc)
 
     def __call__(self, v):
         return self.apply(v)
@@ -512,33 +534,49 @@ def _q_cached(alg, mode, alpha, space) -> FockOperator:
     return op
 
 
-def _nop_apply(alg: FrobeniusAlgebra, space: ColorSpace, fields: list, mode: int,
-               v: FockVector) -> FockVector:
+class _Field:
+    """A weight-one field alpha(z): its parity and its modes q_n(alpha), each
+    taken from the space's q_mode cache once and then kept by mode."""
+
+    __slots__ = ("alg", "space", "alpha", "parity", "modes")
+
+    def __init__(self, alg: FrobeniusAlgebra, space: ColorSpace, alpha):
+        self.alg = alg
+        self.space = space
+        self.alpha = alpha
+        self.parity = alg.parity_of(alpha)
+        self.modes: dict[int, FockOperator] = {}
+
+    def mode(self, n: int) -> FockOperator:
+        op = self.modes.get(n)
+        if op is None:
+            op = self.modes[n] = _q_cached(self.alg, n, self.alpha, self.space)
+        return op
+
+
+def _nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVector:
     """Coefficient of z^(-mode - k) of the right-to-left normally ordered
     product of the k weight-one fields, applied to v."""
     if v.is_zero():
         return v
+    first = fields[0]
     if len(fields) == 1:
-        return _q_cached(alg, mode, fields[0], space).apply(v)
-    alpha, rest = fields[0], fields[1:]
-    par_alpha = alg.parity_of(alpha)
-    par_rest = sum(alg.parity_of(f) for f in rest) % 2
-    sign = -1 if (par_alpha and par_rest) else 1
+        return first.mode(mode).apply(v)
+    rest = fields[1:]
+    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
     w = v.weight()
-    out = FockVector(space, {})
+    acc: dict = {}
     # creation part of the first field stays on the left
     for m in range(mode - w, 0):
-        u = _nop_apply(alg, space, rest, mode - m, v)
+        u = _nop_apply(rest, mode - m, v)
         if not u.is_zero():
-            out = out + _q_cached(alg, m, alpha, space).apply(u)
+            _add_into(acc, first.mode(m).apply(u).terms)
     # annihilation part moves to the right (with the parity sign)
     for m in range(1, w + 1):
-        u0 = _q_cached(alg, m, alpha, space).apply(v)
+        u0 = first.mode(m).apply(v)
         if not u0.is_zero():
-            u = _nop_apply(alg, space, rest, mode - m, u0)
-            if not u.is_zero():
-                out = out + u.scale(sign)
-    return out
+            _add_into(acc, _nop_apply(rest, mode - m, u0).terms, sign)
+    return FockVector._of(first.space, acc)
 
 
 def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
@@ -546,7 +584,8 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     """Finite operator: the z^(-mode - k) coefficient of :f1(z)...fk(z):,
     valid on vectors of weight <= `weight`."""
     space = space or ColorSpace.of_algebra(alg)
-    return FockOperator(lambda v: _nop_apply(alg, space, list(fields), mode, v),
+    resolved = [_Field(alg, space, f) for f in fields]
+    return FockOperator(lambda v: _nop_apply(resolved, mode, v),
                         max_weight=weight, name=f"nop{mode}")
 
 
@@ -590,18 +629,17 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
     space = space or ColorSpace.of_algebra(alg)
-    terms = coproduct_power(alg, alpha, k)
+    terms = [(coeff, [_Field(alg, space, f) for f in factors])
+             for coeff, factors in coproduct_power(alg, alpha, k)]
     factorial = 1
     for i in range(2, k + 1):
         factorial *= i
 
     def fn(v: FockVector) -> FockVector:
-        out = FockVector(space, {})
-        for coeff, factors in terms:
-            piece = _nop_apply(alg, space, factors, n, v)
-            if not piece.is_zero():
-                out = out + piece.scale(coeff)
-        return out.scale(Fraction(1, factorial))
+        acc: dict = {}
+        for coeff, fields in terms:
+            _add_into(acc, _nop_apply(fields, n, v).terms, coeff)
+        return FockVector._of(space, acc).scale(Fraction(1, factorial))
 
     return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
 
@@ -773,7 +811,7 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     a, b = alg.basis(i), alg.basis(j)
-                    qa, qb = q_mode(alg, n, a), q_mode(alg, m, b)
+                    qa, qb = _q_cached(alg, n, a, space), _q_cached(alg, m, b, space)
                     if alg.parity_of(a) and alg.parity_of(b):
                         br = qa.compose(qb) + qb.compose(qa)  # supercommutator
                     else:

@@ -18,7 +18,6 @@ class Probe:
 class VerificationReport:
     suite: str
     probes: list[Probe] = field(default_factory=list)
-    wall_time_ms: float | None = None  # never serialized: output stays byte-stable
 
     def add(self, probe: str, lhs, rhs, equal: bool, note: str = "") -> None:
         self.probes.append(Probe(probe, str(lhs), str(rhs), bool(equal), note))

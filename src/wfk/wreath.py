@@ -76,11 +76,33 @@ class TypeFunction:
                 return p
         return ()
 
+    @classmethod
+    def _of(cls, classes: tuple) -> "TypeFunction":
+        """The type with `classes`, taken as given: sorted by class, no empty
+        partition, each partition in decreasing order."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "classes", classes)
+        return t
+
     def union(self, other: "TypeFunction") -> "TypeFunction":
-        merged: dict[int, list[int]] = {}
-        for c, p in self.classes + other.classes:
-            merged.setdefault(c, []).extend(p)
-        return TypeFunction(merged.items())
+        """Merge of the two sorted class tuples; a class in both gets the
+        merged partition."""
+        a, b = self.classes, other.classes
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ca, pa), (cb, pb) = a[i], b[j]
+            if ca < cb:
+                out.append(a[i])
+                i += 1
+            elif cb < ca:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((ca, tuple(sorted(pa + pb, reverse=True))))
+                i += 1
+                j += 1
+        return TypeFunction._of(tuple(out) + a[i:] + b[j:])
 
     def inverse(self, inverse_class) -> "TypeFunction":
         """Type of a^-1: relabel each class by its inverse class."""
@@ -238,9 +260,13 @@ class WreathLevel:
         self.types = enumerate_types(G, n)
         self.type_index = {t: i for i, t in enumerate(self.types)}
         self._class_elements: dict[TypeFunction, list[WreathElement]] = {}
+        self._z: dict[TypeFunction, int] = {}
 
     def z(self, rho: TypeFunction) -> int:
-        return centralizer_order(self.group, rho)
+        z = self._z.get(rho)
+        if z is None:
+            z = self._z[rho] = centralizer_order(self.group, rho)
+        return z
 
     def class_size(self, rho: TypeFunction) -> int:
         z = self.z(rho)
@@ -495,12 +521,13 @@ def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
         raise GroupMismatch("induction arguments on a different base group")
     if f.n != n or g.n != m:
         raise GroupMismatch("levels do not match the stated degrees")
+    z_f, z_g, z_h = wreath_level(G, n).z, wreath_level(G, m).z, wreath_level(G, n + m).z
     acc: dict[TypeFunction, CycNum] = {}
     for alpha, fv in f.values.items():
-        z_alpha = centralizer_order(G, alpha)
+        z_alpha = z_f(alpha)
         for beta, gv in g.values.items():
             rho = alpha.union(beta)
-            w = Fraction(centralizer_order(G, rho), z_alpha * centralizer_order(G, beta))
+            w = Fraction(z_h(rho), z_alpha * z_g(beta))
             acc[rho] = acc.get(rho, cyc(0)) + fv * gv * w
     return _in_level_order(G, n + m, acc)
 

@@ -225,3 +225,24 @@ def test_verify_output_is_pinned(capsys, query):
     code, out = capture(capsys, ["verify", *query.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[query]
+
+
+# sha256 of Fock-side `wfk` stdout, recorded before Fock operators accumulated
+# their applications in place; the exterior2 suite has no benchmark digest.
+FOCK_SHA256 = {
+    "fock verify --model builtin:p2 --suite heisenberg --modes 2 --cutoff 3":
+        "4ae88b7de2eef3afd155c5e2aa4e1be2130c6b5998943442bb4b08aa8262a9fc",
+    "fock verify --model builtin:p2 --suite virasoro --modes 2 --cutoff 4":
+        "5ee0cc33986a9122a584741e2b0895d9a2c5ddc2858b5ce11261b36334308d98",
+    "fock verify --model builtin:exterior2 --suite heisenberg --modes 2 --cutoff 4":
+        "964000b258a4834853bed74424db70bcb8ad931bf049d20869272346108a0050",
+    "series gottsche --betti 1,2,1,2,1 --order 10":
+        "8e866407caa058302a665b4cd2e41255c6d3ff9b631e093640301b48edd795f5",
+}
+
+
+@pytest.mark.parametrize("query", FOCK_SHA256)
+def test_fock_output_is_pinned(capsys, query):
+    code, out = capture(capsys, query.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FOCK_SHA256[query]

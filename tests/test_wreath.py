@@ -50,6 +50,20 @@ def test_enumerate_types_counts():
     assert [len(enumerate_types(z2, n)) for n in range(5)] == [1, 2, 5, 10, 20]
 
 
+def test_union_equals_the_sorted_construction():
+    # union merges two sorted class tuples; the result must be the type the
+    # constructor builds from the pooled parts, down to its stored tuple
+    types = [t for n in range(4) for t in enumerate_types(cyclic_group(3), n)]
+    for a in types:
+        for b in types:
+            pooled: dict[int, list[int]] = {}
+            for c, p in a.classes + b.classes:
+                pooled.setdefault(c, []).extend(p)
+            expected = TypeFunction(pooled.items())
+            assert a.union(b).classes == expected.classes
+            assert hash(a.union(b)) == hash(expected)
+
+
 def test_type_of_identity():
     G = cyclic_group(2)
     a = wreath_identity(G, 3)
