@@ -15,13 +15,16 @@ from math import factorial
 
 from .budget import check_budget
 from .exact import CycNum, cyc
-from .groups import ClassFunction, FiniteGroup, GroupMismatch, convolution, trivial_group
-from .fock import ColorSpace, FockOperator, FockVector, annihilate, create, vacuum
+from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
+from .fock import (ColorSpace, FockOperator, FockVector, annihilate, create,
+                   creation_op, exponential_series, join_boundary)
+from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
     TypeFunction,
     WreathClassFunction,
     centralizer_order,
+    heisenberg_p,
     representative_of_type,
     type_of,
     wcf_indicator,
@@ -98,15 +101,7 @@ def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOpe
     space = colored_space(G)
     coeffs = [gamma.values[c] * Fraction(1, cd.centralizer_orders[c])
               for c in range(len(cd))]
-
-    def fn(v: FockVector) -> FockVector:
-        out = FockVector(space, {})
-        for c, cf in enumerate(coeffs):
-            if not cf.is_zero():
-                out = out + create(space, k, c, v).scale(cf)
-        return out
-
-    return FockOperator(fn, None, f"p[-{k}]")
+    return creation_op(space, k, coeffs, f"p[-{k}]")
 
 
 def colored_annihilation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
@@ -130,33 +125,15 @@ def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
                         cutoff: int) -> list[FockVector]:
     """Weight coefficients of exp(sum_k c_k p_{-k}(gamma) z^k)|0> with
     c_k = (-1)^(k-1)/k when signed, else 1/k."""
-    space = colored_space(G)
     coeffs = {k: (Fraction((-1) ** (k - 1), k) if signed else Fraction(1, k))
               for k in range(1, cutoff + 1)}
-    ops = {k: colored_creation_op(G, k, gamma) for k in coeffs}
-    by_weight = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
-    term = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
-    for j in range(1, cutoff + 1):
-        new = [FockVector(space, {}) for _ in range(cutoff + 1)]
-        for w0 in range(cutoff):
-            if term[w0].is_zero():
-                continue
-            for k, ck in coeffs.items():
-                if w0 + k > cutoff:
-                    continue
-                piece = ops[k].apply(term[w0]).scale(Fraction(ck, j))
-                new[w0 + k] = new[w0 + k] + piece
-        term = new
-        for w in range(cutoff + 1):
-            by_weight[w] = by_weight[w] + term[w]
-    return by_weight
+    return exponential_series(colored_space(G), coeffs,
+                              lambda k: colored_creation_op(G, k, gamma), cutoff)
 
 
 def verify_heisenberg_transport(G: FiniteGroup, n_cutoff: int) -> VerificationReport:
     """ch(p_k(gamma) f) = (Fock action) ch(f) over indicator bases with all
     levels kept within n_cutoff."""
-    from .wreath import heisenberg_p
-
     report = VerificationReport(f"heisenberg-transport({G.name}, cutoff={n_cutoff})")
     gammas = G.character_table().irreducibles
     for k in range(1, n_cutoff + 1):
@@ -256,6 +233,9 @@ def cubic_formula(cutoff: int) -> FockOperator:
     creation-positive labels, on the one-color space with kappa = 1."""
     T = trivial_group()
     space = colored_space(T)
+    # the join half is minus the join boundary operator; its column function
+    # is called directly, since the cubic operator caches its own columns
+    join = join_boundary(space).fn
 
     def fn(v: FockVector) -> FockVector:
         w = v.weight()
@@ -271,15 +251,7 @@ def cubic_formula(cutoff: int) -> FockOperator:
                 # ordered double sum: (n,m) and (m,n) both occur unless n = m
                 factor = Fraction(1, 2) * (1 if n == m else 2)
                 out = out + piece.scale(factor)
-        # join: annihilate parts n and m, create n+m
-        for mono, coeff in v.terms.items():
-            parts = [r for r, _ in mono]
-            for a in range(len(parts)):
-                for b in range(a + 1, len(parts)):
-                    rest = [parts[t] for t in range(len(parts)) if t not in (a, b)]
-                    joined = tuple(sorted((p, 0) for p in rest + [parts[a] + parts[b]]))
-                    out = out + FockVector(space, {joined: coeff * parts[a] * parts[b]})
-        return out
+        return out - join(v)
 
     return FockOperator(fn, max_weight=cutoff, name="cubic")
 
@@ -303,76 +275,21 @@ def verify_conv_cubic(n_max: int) -> VerificationReport:
 # the convolution Virasoro bracket
 # ---------------------------------------------------------------------------
 
-class _GroupOp:
-    """Linear operator on wreath class functions; applications are resolved
-    through a per-indicator cache so nested brackets stay affordable."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._columns: dict = {}
-
-    def _column(self, group, level, rho):
-        key = (group, level, rho)
-        if key not in self._columns:
-            self._columns[key] = self.fn(wcf_indicator(group, level, rho))
-        return self._columns[key]
-
-    def __call__(self, f: WreathClassFunction) -> WreathClassFunction:
-        if f.is_zero():
-            return f
-        level, acc = f.n, {}
-        for rho, v in f.values.items():
-            col_f = self._column(f.group, f.n, rho)
-            if col_f.is_zero():
-                continue
-            level, col = col_f.n, col_f.values
-            if not acc:
-                acc = {k: c * v for k, c in col.items()}
-                continue
-            # reports print `values`: keep the key order of WreathClassFunction.__add__,
-            # a set union, and drop a type whose sum cancels as it does
-            merged = {}
-            for k in set(acc) | set(col):
-                x = acc.get(k)
-                c = col.get(k)
-                if c is not None:
-                    x = c * v if x is None else x + c * v
-                    if x.is_zero():
-                        continue
-                merged[k] = x
-            acc = merged
-        return WreathClassFunction(f.group, level, acc)
-
-    def bracket(self, other):
-        return _GroupOp(lambda f: self(other(f)) - other(self(f)))
-
-    def scale(self, s):
-        return _GroupOp(lambda f: self(f).scale(s))
-
-    def __sub__(self, other):
-        return _GroupOp(lambda f: self(f) - other(f))
-
-    def __add__(self, other):
-        return _GroupOp(lambda f: self(f) + other(f))
-
-
-def _delta1_any_level(G: FiniteGroup, c: int) -> _GroupOp:
+def _delta1_any_level(G: FiniteGroup, c: int) -> LinearOperator:
     def fn(f: WreathClassFunction) -> WreathClassFunction:
         if f.is_zero():
             return f
         return delta1(G, f.n, c)(f)
 
-    return _GroupOp(fn)
+    return LinearOperator(fn)
 
 
-def _p_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> _GroupOp:
-    from .wreath import heisenberg_p
-    op = heisenberg_p(G, k, gamma)
-    return _GroupOp(op.apply)
+def _p_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> LinearOperator:
+    return LinearOperator(heisenberg_p(G, k, gamma).apply)
 
 
 def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
-                  degree: int, dop: _GroupOp | None = None) -> _GroupOp:
+                  degree: int, dop: LinearOperator | None = None) -> LinearOperator:
     """L_n(gamma) extracted from [Delta_1(K_c), p_n(gamma)] by the exact
     prefactor n |Gamma|^2 gamma(c^-1) / (zeta_c d_gamma^2)."""
     cd = G.conjugacy()
@@ -385,7 +302,7 @@ def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
         dop = _delta1_any_level(G, c)
     pop = _p_op(G, n, gamma)
     inv = pref.inverse()
-    return dop.bracket(pop).scale(inv)
+    return dop.commutator(pop).scale(inv)
 
 
 def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
@@ -409,7 +326,7 @@ def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
                 skipped.append((gi, n))
     for gi, _ in enumerate(table.irreducibles):
         if (gi, 1) in ls and (gi, -1) in ls:
-            ls[(gi, 0)] = ls[(gi, 1)].bracket(ls[(gi, -1)]).scale(Fraction(1, 2))
+            ls[(gi, 0)] = ls[(gi, 1)].commutator(ls[(gi, -1)]).scale(Fraction(1, 2))
     for (gi, n) in skipped:
         report.add(f"mode {n} gamma{gi}", "skipped", "skipped", True,
                    note="zero prefactor; probe skipped")
@@ -433,16 +350,16 @@ def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
                     continue
                 if (n, m) == (1, -1) and gi == gj:
                     continue  # definitional for L_0
-                br = ls[(gi, n)].bracket(ls[(gj, m)])
+                br = ls[(gi, n)].commutator(ls[(gj, m)])
                 if gi != gj or n == m:
-                    expected = _GroupOp(lambda f: f.scale(0))
+                    expected = LinearOperator(lambda f: f.scale(0))
                 elif (gi, n + m) in ls:
                     target = ls[(gi, n + m)]
-                    expected = _GroupOp(
+                    expected = LinearOperator(
                         lambda f, t=target, nn=n, mm=m: t(f).scale(nn - mm))
                 elif n + m == 0:
                     central = -Fraction(n ** 3 - n, 12)
-                    expected = _GroupOp(lambda f, s=central: f.scale(s))
+                    expected = LinearOperator(lambda f, s=central: f.scale(s))
                 else:
                     continue
                 check(br, expected, f"[L_{n}(g{gi}), L_{m}(g{gj})]")
@@ -453,20 +370,17 @@ def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int,
                      b: ClassFunction, level: int):
     """[Delta_1(a), p_n(b)] on level `level`, with Delta_1 extended linearly
     over the class-sum coefficients of a."""
-    cd = G.conjugacy()
-    ops = []
-    for c in range(len(cd)):
-        if not a.values[c].is_zero():
-            ops.append((a.values[c], _delta1_any_level(G, c)))
     pop = _p_op(G, n, b)
+    brackets = [(coeff, _delta1_any_level(G, c).commutator(pop))
+                for c, coeff in enumerate(a.values) if not coeff.is_zero()]
 
     def fn(f):
         out = wcf_zero(G, f.n)
-        for coeff, dop in ops:
-            out = out + dop.bracket(pop)(f).scale(coeff)
+        for coeff, br in brackets:
+            out = out + br(f).scale(coeff)
         return out
 
-    return _GroupOp(fn)
+    return LinearOperator(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +448,6 @@ LEHN_SORGER_SIGN = -1  # fixed by the n = 2 case, then tested for all n
 def lehn_sorger_check(n_max: int) -> VerificationReport:
     """The filtered convolution by the transposition class, transported by ch,
     equals the join-form boundary operator up to the recorded global sign."""
-    from .fock import join_boundary
-
     T = trivial_group()
     report = VerificationReport(f"lehn-sorger(n<={n_max})")
     space = colored_space(T)

@@ -14,11 +14,11 @@ with e the Euler element sum_i b_i b^i of the algebra.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
 from .exact import CycNum, cyc
+from .linop import LinearOperator
 from . import linalg
 
 
@@ -325,6 +325,16 @@ class FockVector:
     def weight(self) -> int:
         return max((sum(n for n, _ in m) for m in self.terms), default=0)
 
+    def basis_vector(self, mono: tuple) -> "FockVector":
+        return FockVector._of(self.space, {mono: 1})
+
+    def sum_scaled(self, scaled) -> "FockVector":
+        """sum of col * coeff over the (col, coeff) pairs, keyed as `+` keys it."""
+        acc: dict = {}
+        for col, coeff in scaled:
+            _add_into(acc, col.terms, coeff)
+        return FockVector._of(self.space, acc)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -433,88 +443,56 @@ def annihilate(space: ColorSpace, n: int, color_weights, parity: int,
 # operators
 # ---------------------------------------------------------------------------
 
-class FockOperator:
-    """Linear operator on Fock vectors with a validity weight bound.
+class FockOperator(LinearOperator):
+    """Linear operator on Fock vectors, valid on monomials of weight at most
+    `max_weight` (any weight when it is None).
 
-    Applications are resolved monomial-by-monomial through a column cache,
-    so repeated use inside commutators costs one evaluation per monomial.
+    The bound is checked once per monomial, when its column is computed.
+    Operators combined from this one carry no bound of their own: they raise
+    `CutoffTooSmall` through it.
     """
 
     def __init__(self, fn, max_weight=None, name="op"):
-        self.fn = fn
+        super().__init__(fn)
         self.max_weight = max_weight
         self.name = name
-        self._columns: dict = {}
 
-    def apply(self, v: FockVector) -> FockVector:
-        if self.max_weight is not None and v.weight() > self.max_weight:
-            raise CutoffTooSmall(
-                f"{self.name}: input weight {v.weight()} above cutoff {self.max_weight}")
+    # a method of this class itself, so that wrapping `FockOperator.apply`
+    # (as perfbench/tracer.py does) reaches Fock operators only
+    apply = LinearOperator.apply
+
+    def _column(self, v: FockVector, mono: tuple) -> FockVector:
+        if self.max_weight is not None:
+            weight = sum(n for n, _ in mono)
+            if weight > self.max_weight:
+                raise CutoffTooSmall(
+                    f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
+        return super()._column(v, mono)
+
+
+def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FockOperator:
+    """Multiplication by sum_b coeffs[b] a_{-k}(b), k >= 1."""
+
+    def fn(v: FockVector) -> FockVector:
         acc: dict = {}
-        columns = self._columns
-        for mono, coeff in v.terms.items():
-            col = columns.get(mono)
-            if col is None:
-                col = columns[mono] = self.fn(FockVector._of(v.space, {mono: 1}))
-            _add_into(acc, col.terms, coeff)
-        return FockVector._of(v.space, acc)
+        for b, c in enumerate(coeffs):
+            if not _scalar_is_zero(c):
+                _add_into(acc, create(space, k, b, v).terms, c)
+        return FockVector._of(space, acc)
 
-    def __call__(self, v):
-        return self.apply(v)
-
-    def _meet(self, other_max):
-        if self.max_weight is None:
-            return other_max
-        if other_max is None:
-            return self.max_weight
-        return min(self.max_weight, other_max)
-
-    def __add__(self, other):
-        return FockOperator(lambda v: self.apply(v) + other.apply(v),
-                            self._meet(other.max_weight), f"({self.name}+{other.name})")
-
-    def __sub__(self, other):
-        return FockOperator(lambda v: self.apply(v) - other.apply(v),
-                            self._meet(other.max_weight), f"({self.name}-{other.name})")
-
-    def scale(self, s):
-        return FockOperator(lambda v: self.apply(v).scale(s), self.max_weight, self.name)
-
-    def compose(self, other):
-        return FockOperator(lambda v: self.apply(other.apply(v)), None,
-                            f"{self.name}.{other.name}")
-
-    def commutator(self, other):
-        return FockOperator(
-            lambda v: self.apply(other.apply(v)) - other.apply(self.apply(v)),
-            None, f"[{self.name},{other.name}]")
-
-
-def _element_fields(alg: FrobeniusAlgebra, alpha):
-    """(coefficients per color, parity) for a homogeneous element."""
-    par = alg.parity_of(alpha)
-    return list(alpha), par
+    return FockOperator(fn, None, name)
 
 
 def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
     """Heisenberg mode q_n(alpha): creation for n < 0, super-derivation for
     n > 0, zero for n = 0; satisfies [q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id."""
     space = space or ColorSpace.of_algebra(alg)
-    coeffs, par = _element_fields(alg, alpha)
+    coeffs, par = list(alpha), alg.parity_of(alpha)
 
     if n == 0:
         return FockOperator(lambda v: FockVector(space, {}), None, "q0")
     if n < 0:
-        k = -n
-
-        def fn_create(v: FockVector) -> FockVector:
-            out = FockVector(space, {})
-            for b, c in enumerate(coeffs):
-                if c != 0:
-                    out = out + create(space, k, b, v).scale(c)
-            return out
-
-        return FockOperator(fn_create, None, f"q{n}")
+        return creation_op(space, -n, coeffs, f"q{n}")
 
     weights = [sum((coeffs[a] * space.kappa[a][b] for a in range(len(coeffs))),
                    Fraction(0)) for b in range(len(space.labels))]
@@ -705,31 +683,28 @@ def chern_series(alg: FrobeniusAlgebra, gamma, cutoff: int,
     """Weight-n coefficients of exp(sum_{k>=1} (-1)^(k-1)/k a_{-k}(gamma) z^k)|0>."""
     space = space or ColorSpace.of_algebra(alg)
     return exponential_series(
-        alg, {k: Fraction((-1) ** (k - 1), k) for k in range(1, cutoff + 1)},
-        gamma, cutoff, space)
+        space, {k: Fraction((-1) ** (k - 1), k) for k in range(1, cutoff + 1)},
+        lambda k: q_mode(alg, -k, gamma, space), cutoff)
 
 
-def exponential_series(alg: FrobeniusAlgebra, mode_coeffs: dict, gamma,
-                       cutoff: int, space: ColorSpace | None = None) -> list[FockVector]:
-    """Weight coefficients of exp(sum_k c_k a_{-k}(gamma) z^k)|0> up to cutoff."""
-    space = space or ColorSpace.of_algebra(alg)
+def exponential_series(space: ColorSpace, mode_coeffs: dict, creation,
+                       cutoff: int) -> list[FockVector]:
+    """Weight coefficients of exp(sum_k c_k A_k z^k)|0> up to cutoff, where
+    A_k = creation(k) raises weight by k and c_k = mode_coeffs[k]."""
+    ops = {k: creation(k) for k in mode_coeffs}
     # A^j/j! accumulated degree by degree; A raises weight by >= 1
     by_weight = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
     term = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
-    j = 0
-    while True:
-        j += 1
-        if j > cutoff:
-            break
+    for j in range(1, cutoff + 1):
         new_term = [FockVector(space, {}) for _ in range(cutoff + 1)]
-        for w0 in range(cutoff + 1 - 1):
+        for w0 in range(cutoff):
             src = term[w0]
             if src.is_zero():
                 continue
             for k, ck in mode_coeffs.items():
                 if w0 + k > cutoff:
                     continue
-                piece = q_mode(alg, -k, gamma, space).apply(src).scale(Fraction(ck, j))
+                piece = ops[k].apply(src).scale(Fraction(ck, j))
                 new_term[w0 + k] = new_term[w0 + k] + piece
         term = new_term
         if all(t.is_zero() for t in term):

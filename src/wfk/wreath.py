@@ -399,6 +399,40 @@ class WreathClassFunction:
     def value(self, rho: TypeFunction) -> CycNum:
         return self.values.get(rho, cyc(0))
 
+    @property
+    def terms(self) -> dict:
+        """`values`, under the name `linop.LinearOperator` reads."""
+        return self.values
+
+    def basis_vector(self, rho: TypeFunction) -> "WreathClassFunction":
+        return wcf_indicator(self.group, self.n, rho)
+
+    def sum_scaled(self, scaled) -> "WreathClassFunction":
+        """sum of col * coeff over the (col, coeff) pairs, at the level of the
+        columns.  Reports print `values`, so the keys come in the order of
+        `__add__`, a set union, and a type whose sum cancels is dropped."""
+        level, acc = self.n, {}
+        for col_f, v in scaled:
+            if col_f.group is not self.group:
+                raise GroupMismatch("operator column on a different base group")
+            if col_f.is_zero():
+                continue
+            level, col = col_f.n, col_f.values
+            if not acc:
+                acc = {k: c * v for k, c in col.items()}
+                continue
+            merged = {}
+            for k in set(acc) | set(col):
+                x = acc.get(k)
+                c = col.get(k)
+                if c is not None:
+                    x = c * v if x is None else x + c * v
+                    if x.is_zero():
+                        continue
+                merged[k] = x
+            acc = merged
+        return WreathClassFunction(self.group, level, acc)
+
     def _check(self, other: "WreathClassFunction"):
         # an identically-zero function is a universal zero across levels
         if self.group is not other.group or (

@@ -229,7 +229,7 @@ def test_fw_prefactor_reduction_trivial_group():
     L1 = fw_l_operator(T, 0, 1, one, 1)
     # [Delta_1, p_1] f = 1 * |G|^2 * 1 / (1 * 1) L_1 f with |G| = 1
     from wfk.charmap import _delta1_any_level, _p_op
-    raw = _delta1_any_level(T, 0).bracket(_p_op(T, 1, one))
+    raw = _delta1_any_level(T, 0).commutator(_p_op(T, 1, one))
     for m in (0, 1, 2, 3):
         for rho in enumerate_types(T, m):
             f = wcf_indicator(T, m, rho)

@@ -246,3 +246,29 @@ def test_fock_output_is_pinned(capsys, query):
     code, out = capture(capsys, query.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FOCK_SHA256[query]
+
+
+# sha256 of `wfk verify ...` stdout, recorded before the Fock-side and the
+# group-side operator classes became one column-cached `LinearOperator`:
+# fw-virasoro prints `WreathClassFunction.values` in the key order the
+# operators sum into, and eq-sign, conv-cubic and lehn-sorger print the Fock
+# vectors of the creation, cubic and join operators.
+OPERATOR_SHA256 = {
+    "eq-sign --group builtin:cyclic:3 --n 4":
+        "7bacec35d554ada094aa6ce310e47f22ab1ab83a8138a100a3ec55238ae1c357",
+    "eq-sign --group builtin:binary-dihedral:2 --n 3":
+        "908aa973e0463320a895c2d0c76e3d64b45a91a51b0d471d57fc01dacb43a260",
+    "conv-cubic --n 5":
+        "69285a4f3deec8d805b7ca1f936472693cc20f420d6728296c4d36acc1f6395a",
+    "lehn-sorger --n 4":
+        "0534ff058a2ab5eb47cc00b3c9d60ff7a5aa08e647ec385fd5fc346494ee75a6",
+    "fw-virasoro --group builtin:cyclic:3 --levels 2":
+        "a2dca79379327533608d97ab13ebda358ff0188fbe67d2f40c289d0de9fe0ebd",
+}
+
+
+@pytest.mark.parametrize("query", OPERATOR_SHA256)
+def test_operator_output_is_pinned(capsys, query):
+    code, out = capture(capsys, ["verify", *query.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OPERATOR_SHA256[query]

@@ -171,6 +171,25 @@ def test_cutoff_enforced():
         nop.apply(big)
 
 
+@pytest.mark.parametrize("leaf", ["W", "nop"])
+def test_combined_operators_raise_through_their_bounded_leaf(leaf):
+    alg = p2_model()
+    space = ColorSpace.of_algebra(alg)
+    bound = 2
+    a = (W_operator(alg, 2, 0, alg.unit, bound, space) if leaf == "W"
+         else normal_order(alg, [alg.unit, alg.unit], bound, 0, space))
+    b = q_mode(alg, -1, alg.unit, space)  # unbounded
+    small, big = mono(space, (1, 0)), mono(space, (3, 0))
+    for combined in (a + b, a.scale(3), a.commutator(b)):
+        assert combined.max_weight is None
+        combined.apply(small)
+        with pytest.raises(CutoffTooSmall, match=f"above cutoff {bound}"):
+            combined.apply(small + big)
+        for op in (a, combined):
+            assert all(sum(n for n, _ in m) <= bound for m in op._columns)
+        assert list(combined._columns) == list(small.terms)
+
+
 def test_coproduct_k1_identity():
     alg = p2_model()
     h = alg.element({"h": 1})
