@@ -16,8 +16,8 @@ from math import factorial
 from .budget import check_budget
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
-from .fock import (ColorSpace, FockOperator, FockVector, annihilate, create,
-                   creation_op, exponential_series, join_boundary)
+from .fock import (ColorSpace, FockOperator, FockVector, W_operator, annihilate,
+                   creation_op, exponential_series, join_boundary, point_model)
 from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
@@ -173,44 +173,50 @@ def k_class_type(G: FiniteGroup, c: int, i: int, n: int) -> TypeFunction | None:
     return TypeFunction(pairs.items())
 
 
-def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,
-                      f: WreathClassFunction) -> WreathClassFunction:
-    """(K * f)(x) = sum_{y in K} f(x y^-1), evaluated per class of Gamma_n."""
+def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
+                       types) -> WreathClassFunction:
+    """sum_sigma g(sigma) sum_{y in K_sigma} f(z y^-1) at the representative z
+    of each type in `types`, as a class function of Gamma_n."""
+    if not types:
+        return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    members = lvl.class_elements(kappa)
+    classes = [(lvl.class_elements(sigma), gv) for sigma, gv in g.items()]
     out = {}
-    for rho in lvl.types:
+    for rho in types:
         z = representative_of_type(G, n, rho)
         acc = cyc(0)
-        for y in members:
-            v = f.value(type_of(G, n, wreath_mult(G, z, wreath_inverse(G, y))))
-            if not v.is_zero():
-                acc = acc + v
+        for members, gv in classes:
+            s = cyc(0)
+            for y in members:
+                v = f.value(type_of(G, n, wreath_mult(G, z, wreath_inverse(G, y))))
+                if not v.is_zero():
+                    s = s + v
+            if not s.is_zero():
+                acc = acc + s * gv
         if not acc.is_zero():
             out[rho] = acc
     return WreathClassFunction(G, n, out)
 
 
-def delta_op(G: FiniteGroup, n: int, c: int, i: int = 1):
-    """Delta_i(K_c) on class functions of Gamma_n: convolution with K_i(c,n)."""
+def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,
+                      f: WreathClassFunction) -> WreathClassFunction:
+    """(K * f)(x) = sum_{y in K} f(x y^-1), evaluated per class of Gamma_n."""
+    return _class_convolution(G, n, {kappa: 1}, f, wreath_level(G, n).types)
+
+
+def delta_op(G: FiniteGroup, c: int, i: int = 1) -> LinearOperator:
+    """Delta_i(K_c): convolution with K_i(c, n) on class functions of every
+    level n; zero on the levels n < i + 1, where the class is empty."""
     if i not in (0, 1, 2):
         raise ValueError("only i = 0, 1, 2 are exposed")
-    kappa = k_class_type(G, c, i, n)
 
     def fn(f: WreathClassFunction) -> WreathClassFunction:
-        if f.is_zero():
-            return f
-        if f.n != n:
-            raise GroupMismatch(f"operator built for level {n}, got {f.n}")
+        kappa = k_class_type(G, c, i, f.n)
         if kappa is None:
-            return wcf_zero(G, n)
-        return convolve_by_class(G, n, kappa, f)
+            return wcf_zero(G, f.n)
+        return convolve_by_class(G, f.n, kappa, f)
 
-    return fn
-
-
-def delta1(G: FiniteGroup, n: int, c: int):
-    return delta_op(G, n, c, 1)
+    return LinearOperator(fn)
 
 
 def delta1_explicit_group(W: FiniteGroup, c: int, i: int = 1) -> ClassFunction:
@@ -229,39 +235,19 @@ def delta1_explicit_group(W: FiniteGroup, c: int, i: int = 1) -> ClassFunction:
 # ---------------------------------------------------------------------------
 
 def cubic_formula(cutoff: int) -> FockOperator:
-    """(1/2) sum_{n,m>0} (p_n p_m p_{-n-m} + p_{n+m} p_{-n} p_{-m}) in
-    creation-positive labels, on the one-color space with kappa = 1."""
-    T = trivial_group()
-    space = colored_space(T)
-    # the join half is minus the join boundary operator; its column function
-    # is called directly, since the cubic operator caches its own columns
-    join = join_boundary(space).fn
-
-    def fn(v: FockVector) -> FockVector:
-        w = v.weight()
-        out = FockVector(space, {})
-        # split: annihilate a part n+m, create n and m
-        for total in range(2, w + 1):
-            killed = annihilate(space, total, [1], 0, v)
-            if killed.is_zero():
-                continue
-            for n in range(1, total // 2 + 1):
-                m = total - n
-                piece = create(space, n, 0, create(space, m, 0, killed))
-                # ordered double sum: (n,m) and (m,n) both occur unless n = m
-                factor = Fraction(1, 2) * (1 if n == m else 2)
-                out = out + piece.scale(factor)
-        return out - join(v)
-
-    return FockOperator(fn, max_weight=cutoff, name="cubic")
+    """W^3_0(1) of the point model on the one-color space of the trivial group:
+    (1/2) sum_{n,m>0} (p_n p_m p_{-n-m} + p_{n+m} p_{-n} p_{-m}) in
+    creation-positive labels, valid up to weight `cutoff`."""
+    alg = point_model()
+    return W_operator(alg, 3, 0, alg.unit, cutoff, colored_space(trivial_group()))
 
 
 def verify_conv_cubic(n_max: int) -> VerificationReport:
     """ch-transported Delta_1 equals the cubic operator on every class of S_n."""
     T = trivial_group()
     report = VerificationReport(f"conv-cubic(n<={n_max})")
+    op = delta_op(T, 0)
     for n in range(1, n_max + 1):
-        op = delta1(T, n, 0)
         cubic = cubic_formula(n)
         for rho in wreath_level(T, n).types:
             f = wcf_indicator(T, n, rho)
@@ -274,15 +260,6 @@ def verify_conv_cubic(n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # the convolution Virasoro bracket
 # ---------------------------------------------------------------------------
-
-def _delta1_any_level(G: FiniteGroup, c: int) -> LinearOperator:
-    def fn(f: WreathClassFunction) -> WreathClassFunction:
-        if f.is_zero():
-            return f
-        return delta1(G, f.n, c)(f)
-
-    return LinearOperator(fn)
-
 
 def _p_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> LinearOperator:
     return LinearOperator(heisenberg_p(G, k, gamma).apply)
@@ -299,7 +276,7 @@ def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
     pref = (cyc(n) * (G.order ** 2) * gval
             / (cd.centralizer_orders[c] * degree ** 2))
     if dop is None:
-        dop = _delta1_any_level(G, c)
+        dop = delta_op(G, c)
     pop = _p_op(G, n, gamma)
     inv = pref.inverse()
     return dop.commutator(pop).scale(inv)
@@ -312,7 +289,7 @@ def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
     report = VerificationReport(
         f"fw-virasoro({G.name}, class {c}, modes<={n_modes}, levels<={m_levels})")
     table = G.character_table()
-    dop = _delta1_any_level(G, c)
+    dop = delta_op(G, c)
     ls = {}
     skipped = []
     for gi, gamma in enumerate(table.irreducibles):
@@ -366,12 +343,11 @@ def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
     return report
 
 
-def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int,
-                     b: ClassFunction, level: int):
-    """[Delta_1(a), p_n(b)] on level `level`, with Delta_1 extended linearly
+def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int, b: ClassFunction):
+    """[Delta_1(a), p_n(b)] on every level, with Delta_1 extended linearly
     over the class-sum coefficients of a."""
     pop = _p_op(G, n, b)
-    brackets = [(coeff, _delta1_any_level(G, c).commutator(pop))
+    brackets = [(coeff, delta_op(G, c).commutator(pop))
                 for c, coeff in enumerate(a.values) if not coeff.is_zero()]
 
     def fn(f):
@@ -419,22 +395,9 @@ def filtered_convolution(f: GradedClassFunction,
     if g.wcf.n != n:
         raise GroupMismatch("filtered convolution needs equal symmetric groups")
     check_budget(factorial(n), "filtered convolution", limit=5100)
-    lvl = wreath_level(T, n)
     target = f.degree + g.degree
-    out = {}
-    for rho in lvl.types:
-        if n - rho.total_length() != target:
-            continue
-        z = representative_of_type(T, n, rho)
-        acc = cyc(0)
-        for sigma, gv in g.wcf.values.items():
-            for y in lvl.class_elements(sigma):
-                fv = f.wcf.value(type_of(T, n, wreath_mult(T, z, wreath_inverse(T, y))))
-                if not fv.is_zero():
-                    acc = acc + fv * gv
-        if not acc.is_zero():
-            out[rho] = acc
-    return GradedClassFunction(WreathClassFunction(T, n, out), target)
+    types = [rho for rho in wreath_level(T, n).types if n - rho.total_length() == target]
+    return GradedClassFunction(_class_convolution(T, n, g.wcf.values, f.wcf, types), target)
 
 
 def transposition_type(n: int) -> TypeFunction | None:

@@ -774,6 +774,12 @@ def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
     return True
 
 
+def _basis_vectors(space: ColorSpace, weight: int) -> list[list[FockVector]]:
+    """The monomials of each weight up to `weight`, as basis vectors."""
+    return [[FockVector(space, {mono: 1}) for mono in monomial_basis(space, w)]
+            for w in range(weight + 1)]
+
+
 def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
     """[q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id on the weight truncation; the
     bracket is the supercommutator (an anticommutator for two odd elements)."""
@@ -781,6 +787,7 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
 
     space = ColorSpace.of_algebra(alg)
     report = VerificationReport(f"fock-heisenberg({alg.name}, modes<={modes})")
+    basis = _basis_vectors(space, weight)
     for n in range(-modes, modes + 1):
         for m in range(-modes, modes + 1):
             for i in range(alg.dim):
@@ -794,8 +801,7 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
                     scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
                     ok = True
                     for w in range(max(weight - max(abs(n), abs(m)), 0) + 1):
-                        for mono in monomial_basis(space, w):
-                            v = FockVector(space, {mono: 1})
+                        for v in basis[w]:
                             if br.apply(v) != v.scale(scal):
                                 ok = False
                     report.add(f"[q_{n}({alg.labels[i]}), q_{m}({alg.labels[j]})]",
@@ -812,6 +818,7 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
     report = VerificationReport(f"virasoro({alg.name}, modes<={modes}, weight<={weight})")
     cap = weight + 2 * modes + 2
     ops: dict = {}
+    basis = _basis_vectors(space, weight)
 
     def L(n, elem):
         key = (n, tuple(elem))
@@ -831,9 +838,8 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
                                * alg.trace(alg.mul(alg.euler, ab))
                                if n + m == 0 else Fraction(0))
                     ok = True
-                    for w in range(weight + 1):
-                        for mono in monomial_basis(space, w):
-                            v = FockVector(space, {mono: 1})
+                    for vs in basis:
+                        for v in vs:
                             lhs = ln.apply(lm.apply(v)) - lm.apply(ln.apply(v))
                             rhs = lnm.apply(v).scale(n - m) + v.scale(central)
                             if lhs != rhs:

@@ -439,8 +439,8 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     the degree-sum and orthonormality check before it is returned.
     """
     if G.product_factors is not None:
-        return _product_table(G)
-    if G.is_abelian():
+        rows = _product_table(G)
+    elif G.is_abelian():
         rows = _linear_characters(G)
     else:
         rows = _peel_table(G)
@@ -635,8 +635,8 @@ def _peel_table(G: FiniteGroup) -> list[ClassFunction]:
     return irr
 
 
-def _product_table(G: FiniteGroup) -> CharacterTable:
-    """Character table of a direct product as the tensor of the factor tables."""
+def _product_table(G: FiniteGroup) -> list[ClassFunction]:
+    """Irreducibles of a direct product: the tensors of the factor tables' rows."""
     A, B = G.product_factors
     ta, tb = A.character_table(), B.character_table()
     cd = G.conjugacy()
@@ -650,12 +650,7 @@ def _product_table(G: FiniteGroup) -> CharacterTable:
                 a, b = divmod(rep, nb)
                 vals.append(fa.values[cda.class_of[a]] * fb.values[cdb.class_of[b]])
             rows.append(ClassFunction(G, vals))
-    e = G.exponent()
-    rows.sort(key=lambda cf: (int(cf.at_identity().as_rational()),
-                              _canonical_key(cf.values, e)))
-    table = CharacterTable(G, rows)
-    _check_table(G, table)
-    return table
+    return rows
 
 
 # ---------------------------------------------------------------------------

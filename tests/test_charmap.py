@@ -11,8 +11,8 @@ from wfk.charmap import (
     colored_pairing,
     colored_space,
     cubic_formula,
-    delta1,
     delta1_explicit_group,
+    delta_op,
     filtered_convolution,
     fw_virasoro_check,
     k_class_type,
@@ -140,7 +140,7 @@ def test_delta1_s2_frozen():
     # Delta_1 maps the transposition indicator to the identity indicator
     T = trivial_group()
     e = T.conjugacy().class_of[0]
-    op = delta1(T, 2, e)
+    op = delta_op(T, e)
     f = wcf_indicator(T, 2, TypeFunction([(e, (2,))]))
     out = op(f)
     assert out == wcf_indicator(T, 2, TypeFunction([(e, (1, 1))]))
@@ -149,7 +149,7 @@ def test_delta1_s2_frozen():
 def test_delta1_level_one_is_zero():
     T = trivial_group()
     e = T.conjugacy().class_of[0]
-    op = delta1(T, 1, e)
+    op = delta_op(T, e)
     f = wcf_indicator(T, 1, TypeFunction([(e, (1,))]))
     assert op(f).is_zero()
 
@@ -158,7 +158,7 @@ def test_delta1_closure_on_z2_level3():
     G = cyclic_group(2)
     cd = G.conjugacy()
     tau = 1 - G.identity
-    op = delta1(G, 3, cd.class_of[tau])
+    op = delta_op(G, cd.class_of[tau])
     for rho in enumerate_types(G, 3):
         out = op(wcf_indicator(G, 3, rho))
         # output is a class function: keys are valid level-3 types
@@ -173,7 +173,7 @@ def test_delta1_matches_explicit_group_convolution():
         from wfk.wreath import wcf_to_class_function, wreath_class_types
         e_cls = G.conjugacy().class_of[G.identity]
         for c in range(len(G.conjugacy())):
-            op = delta1(G, n, c)
+            op = delta_op(G, c)
             k_ind = delta1_explicit_group(W, c)
             for rho in enumerate_types(G, n):
                 f = wcf_indicator(G, n, rho)
@@ -213,8 +213,8 @@ def test_transfer_property():
                     # a * (u * v) = (a * u) * v gives a valid transfer pair
                     b = convolution(u, v)
                     au = convolution(a, u)
-                    lhs_op = transfer_bracket(G, a, n, b, 1)
-                    rhs_op = transfer_bracket(G, au, n, v, 1)
+                    lhs_op = transfer_bracket(G, a, n, b)
+                    rhs_op = transfer_bracket(G, au, n, v)
                     for m in (0, 1, 2):
                         for rho in enumerate_types(G, m):
                             f = wcf_indicator(G, m, rho)
@@ -228,8 +228,8 @@ def test_fw_prefactor_reduction_trivial_group():
     one = T.character_table().irreducibles[0]
     L1 = fw_l_operator(T, 0, 1, one, 1)
     # [Delta_1, p_1] f = 1 * |G|^2 * 1 / (1 * 1) L_1 f with |G| = 1
-    from wfk.charmap import _delta1_any_level, _p_op
-    raw = _delta1_any_level(T, 0).commutator(_p_op(T, 1, one))
+    from wfk.charmap import _p_op
+    raw = delta_op(T, 0).commutator(_p_op(T, 1, one))
     for m in (0, 1, 2, 3):
         for rho in enumerate_types(T, m):
             f = wcf_indicator(T, m, rho)

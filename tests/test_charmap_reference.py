@@ -1,0 +1,67 @@
+"""The folded convolution operators of `wfk.charmap` against the separate
+ones they replaced (`reference_charmap.py`): Delta_i(K_c) on every level,
+`filtered_convolution` through the one class-convolution loop, and the cubic
+as W^3_0(1).  Reports print `WreathClassFunction.values` as they are, so the
+group-side results must agree in value, conductor, level and key order."""
+
+import pytest
+import reference_charmap as ref
+
+from wfk.charmap import (GradedClassFunction, colored_space, cubic_formula, delta_op,
+                         filtered_convolution, transposition_type)
+from wfk.fock import FockVector, monomial_basis
+from wfk.groups import cyclic_group, trivial_group
+from wfk.wreath import WreathClassFunction, wcf_indicator, wreath_level
+
+# (name, base group, top level): every indicator up to the top level
+DELTA_CASES = [("trivial", trivial_group, 6), ("Z2", lambda: cyclic_group(2), 3),
+               ("Z3", lambda: cyclic_group(3), 2)]
+
+
+def exact(f: WreathClassFunction) -> tuple:
+    return f.group, f.n, [(rho, v.to_json()) for rho, v in f.values.items()]
+
+
+def graded_exact(g: GradedClassFunction) -> tuple:
+    return g.degree, exact(g.wcf)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("name,make,top", DELTA_CASES, ids=[c[0] for c in DELTA_CASES])
+def test_delta_op_matches_reference(name, make, top, i):
+    G = make()
+    for c in range(len(G.conjugacy())):
+        op = delta_op(G, c, i)
+        for n in range(top + 1):
+            ref_op = ref.delta_op(G, n, c, i)
+            for rho in wreath_level(G, n).types:
+                f = wcf_indicator(G, n, rho)
+                assert exact(op(f)) == exact(ref_op(f)), (c, rho)
+
+
+def test_filtered_convolution_matches_reference_s4_pairs():
+    fns = [GradedClassFunction.indicator(4, rho) for rho in wreath_level(trivial_group(), 4).types]
+    for a in fns:
+        for b in fns:
+            assert graded_exact(filtered_convolution(a, b)) == \
+                graded_exact(ref.filtered_convolution(a, b))
+
+
+def test_filtered_convolution_matches_reference_transposition_s6():
+    t = GradedClassFunction.indicator(6, transposition_type(6))
+    for rho in wreath_level(trivial_group(), 6).types:
+        f = GradedClassFunction.indicator(6, rho)
+        assert graded_exact(filtered_convolution(t, f)) == \
+            graded_exact(ref.filtered_convolution(t, f))
+
+
+def test_cubic_is_the_reference_split_join_loop():
+    top = 8
+    space = colored_space(trivial_group())
+    op, ref_op = cubic_formula(top), ref.cubic_formula(top)
+    for w in range(top + 1):
+        for mono in monomial_basis(space, w):
+            v = FockVector(space, {mono: 1})
+            out, ref_out = op.apply(v), ref_op.apply(v)
+            # reports print str(): W^3_0 gives Fraction(1) where the loop gave 1
+            assert out == ref_out and str(out) == str(ref_out), mono

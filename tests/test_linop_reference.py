@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import reference_linop as ref
 
-from wfk.charmap import ZeroPrefactor, _delta1_any_level, fw_l_operator
+from wfk.charmap import ZeroPrefactor, delta_op, fw_l_operator
 from wfk.groups import GroupMismatch, binary_dihedral, cyclic_group
 from wfk.linop import LinearOperator
 from wfk.wreath import WreathClassFunction, wcf_indicator, wreath_level
@@ -34,7 +34,7 @@ def probe_class(G) -> int:
 
 def shared_delta1(G, c: int):
     """Delta_1(K_c) on indicators, each computed once for both classes."""
-    fn, memo = _delta1_any_level(G, c).fn, {}
+    fn, memo = delta_op(G, c).fn, {}
 
     def cached(f):
         key = (f.n, *f.values)
@@ -88,7 +88,7 @@ def test_cached_column_is_not_reused_on_another_base_group():
     # columns are cached by type alone, and Z2 and Z3 share the type of the
     # identity at level 1
     Z2, Z3 = cyclic_group(2), cyclic_group(3)
-    op = _delta1_any_level(Z2, 0)
+    op = delta_op(Z2, 0)
     rho = wreath_level(Z2, 1).types[0]
     assert rho in wreath_level(Z3, 1).types
     op(wcf_indicator(Z2, 1, rho))
