@@ -247,8 +247,8 @@ def verify_conv_cubic(n_max: int) -> VerificationReport:
     T = trivial_group()
     report = VerificationReport(f"conv-cubic(n<={n_max})")
     op = delta_op(T, 0)
+    cubic = cubic_formula(n_max)
     for n in range(1, n_max + 1):
-        cubic = cubic_formula(n)
         for rho in wreath_level(T, n).types:
             f = wcf_indicator(T, n, rho)
             lhs = ch(T, n, op(f))

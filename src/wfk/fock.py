@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exact import CycNum, cyc
+from .exact import CycNum
 from .linop import LinearOperator
 from . import linalg
 
@@ -359,7 +359,7 @@ class FockVector:
         if not isinstance(other, FockVector):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        return all(_scalar_eq(self.terms.get(k, 0), other.terms.get(k, 0)) for k in keys)
+        return all(self.terms.get(k, 0) == other.terms.get(k, 0) for k in keys)
 
     def __repr__(self):
         if not self.terms:
@@ -395,12 +395,6 @@ def _add_into(acc: dict, terms: dict, s=None) -> None:
                 del acc[m]
             else:
                 acc[m] = c
-
-
-def _scalar_eq(a, b) -> bool:
-    if isinstance(a, CycNum) or isinstance(b, CycNum):
-        return cyc(a) == cyc(b)
-    return a == b
 
 
 def vacuum(space: ColorSpace) -> FockVector:

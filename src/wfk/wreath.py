@@ -143,8 +143,6 @@ def enumerate_types(G: FiniteGroup, n: int) -> list[TypeFunction]:
             for p in partitions_of(k):
                 rec(c + 1, remaining - k, acc + [(c, p)])
 
-    if r == 0:
-        return [TypeFunction([])] if n == 0 else []
     rec(0, n, [])
     return out
 
@@ -281,17 +279,13 @@ class WreathLevel:
                 yield WreathElement(g, s)
 
     def class_elements(self, rho: TypeFunction) -> list[WreathElement]:
-        """Conjugation orbit of the canonical representative."""
+        """The conjugacy class of type rho: the elements whose `type_of` is
+        rho, in the order of `elements()`."""
         check_budget(self.order, f"class orbit in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
-        G = self.group
-        rep = representative_of_type(G, self.n, rho)
-        seen = {rep}
-        for y in self.elements():
-            x = wreath_mult(G, wreath_mult(G, y, rep), wreath_inverse(G, y))
-            seen.add(x)
-        out = sorted(seen)
+        G, n = self.group, self.n
+        out = [a for a in self.elements() if type_of(G, n, a) == rho]
         if len(out) != self.class_size(rho):
             raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
@@ -602,8 +596,8 @@ def restrict(G: FiniteGroup, n: int, m: int,
     if h.n != n + m:
         raise GroupMismatch("level mismatch in restriction")
     out = {}
-    for alpha in enumerate_types(G, n):
-        for beta in enumerate_types(G, m):
+    for alpha in wreath_level(G, n).types:
+        for beta in wreath_level(G, m).types:
             v = h.value(alpha.union(beta))
             if not v.is_zero():
                 out[(alpha, beta)] = v

@@ -1,12 +1,14 @@
-"""Reference copy of the symbolic induction and annihilation that
-`wfk.wreath` replaced.
+"""Reference copy of the symbolic induction and annihilation and of the
+class-member search that `wfk.wreath` replaced.
 
 `induce` sweeps every type rho of the target level and enumerates the
 sub-multiset splits rho = alpha u beta (`_splits`), keeping those with
 |alpha| = n; the k < 0 branch of `HeisenbergOperator.apply` sweeps every
-type beta of the target level and every class c.  The bodies below are kept
-as they were, so that `tests/test_wreath_reference.py` can check the support
-sums of `wfk.wreath` against them, value by value and in key order.
+type beta of the target level and every class c.  `class_elements` is the
+conjugation orbit of the canonical representative of a type.  The bodies
+below are kept as they were, so that `tests/test_wreath_reference.py` can
+check the support sums of `wfk.wreath` against them, value by value and in
+key order, and the members of each class as a set.
 """
 
 from __future__ import annotations
@@ -15,10 +17,31 @@ import itertools
 from fractions import Fraction
 
 from wfk import wreath
+from wfk.budget import check_budget
 from wfk.exact import CycNum, cyc
 from wfk.groups import FiniteGroup, GroupMismatch
-from wfk.wreath import (TypeFunction, WreathClassFunction, centralizer_order,
-                        partition_multiplicities, sigma_n, wcf_zero, wreath_level)
+from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
+                        centralizer_order, partition_multiplicities,
+                        representative_of_type, sigma_n, wcf_zero, wreath_inverse,
+                        wreath_level, wreath_mult)
+
+
+def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
+    """Conjugation orbit of the canonical representative."""
+    check_budget(self.order, f"class orbit in level {self.n}")
+    if rho in self._class_elements:
+        return self._class_elements[rho]
+    G = self.group
+    rep = representative_of_type(G, self.n, rho)
+    seen = {rep}
+    for y in self.elements():
+        x = wreath_mult(G, wreath_mult(G, y, rep), wreath_inverse(G, y))
+        seen.add(x)
+    out = sorted(seen)
+    if len(out) != self.class_size(rho):
+        raise ValueError(f"{rho} is not a type of level {self.n}")
+    self._class_elements[rho] = out
+    return out
 
 
 def _splits(rho: TypeFunction, n: int, G: FiniteGroup):

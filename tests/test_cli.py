@@ -264,6 +264,10 @@ OPERATOR_SHA256 = {
         "0534ff058a2ab5eb47cc00b3c9d60ff7a5aa08e647ec385fd5fc346494ee75a6",
     "fw-virasoro --group builtin:cyclic:3 --levels 2":
         "a2dca79379327533608d97ab13ebda358ff0188fbe67d2f40c289d0de9fe0ebd",
+    # class 1 of Z/3 is not its own inverse, so its convolution sums run over
+    # a class other than the one its inverse names
+    "fw-virasoro --group builtin:cyclic:3 --class 1 --levels 2":
+        "2f427ebded8d125d5f9f7373aa9a23dd31744ecb16ed2d95968b25188a87b7df",
 }
 
 

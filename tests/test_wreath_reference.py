@@ -2,7 +2,9 @@
 enumeration and the level sweeps they replaced (`reference_wreath.py`), on
 seeded random class functions up to total level 4, where the element-loop
 oracle `induce_bruteforce` cannot go.  Values, conductors and key order must
-all agree, because reports print `WreathClassFunction.values` as they are."""
+all agree, because reports print `WreathClassFunction.values` as they are.
+The members of each class found by `type_of` must be the conjugation orbit
+the reference finds; their order is free, as every sum over them is exact."""
 
 import random
 from fractions import Fraction
@@ -11,12 +13,15 @@ import pytest
 import reference_wreath as ref
 
 from wfk.exact import CycNum
-from wfk.groups import ClassFunction, binary_dihedral, cyclic_group
-from wfk.wreath import WreathClassFunction, enumerate_types, heisenberg_p, induce
+from wfk.groups import ClassFunction, binary_dihedral, cyclic_group, trivial_group
+from wfk.wreath import (TypeFunction, WreathClassFunction, WreathLevel, enumerate_types,
+                        heisenberg_p, induce)
 
 GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
           "BD2": lambda: binary_dihedral(2)}
 MAX_LEVEL = 4
+CLASS_LEVELS = {"trivial": (trivial_group, 5), "Z2": (GROUPS["Z2"], 3),
+                "Z3": (GROUPS["Z3"], 3), "BD2": (GROUPS["BD2"], 2)}
 
 
 def same(a: WreathClassFunction, b: WreathClassFunction) -> bool:
@@ -113,3 +118,35 @@ def test_creation_matches_split_enumeration(name):
             for level in range(MAX_LEVEL + 1 - k):
                 f = random_wcf(G, level, rng)
                 assert same(new.apply(f), old.apply(f))
+
+
+@pytest.mark.parametrize("name", CLASS_LEVELS)
+def test_class_members_match_conjugation_orbit(name):
+    make, top = CLASS_LEVELS[name]
+    G = make()
+    for n in range(top + 1):
+        # separate levels, so that neither path reads the other's cache
+        new, old = WreathLevel(G, n), WreathLevel(G, n)
+        for rho in new.types:
+            members = new.class_elements(rho)
+            assert len(set(members)) == len(members)
+            assert sorted(members) == ref.class_elements(old, rho)
+
+
+@pytest.mark.parametrize("name", CLASS_LEVELS)
+def test_class_members_reject_a_type_of_another_size(name):
+    # The orbit scan finds the class of rho u (1) for a type rho of size n - 1,
+    # and accepts it when that class happens to have the size of rho's (the
+    # transpositions of S_3 for the type (2)), so both paths are asked only
+    # for the identity type 1^(n-1), and the new path for every other one.
+    make, top = CLASS_LEVELS[name]
+    G = make()
+    for n in range(1, top + 1):
+        others = enumerate_types(G, n - 1) + enumerate_types(G, n + 1)
+        for rho in others:
+            with pytest.raises(ValueError):
+                WreathLevel(G, n).class_elements(rho)
+        both = [others[-1]] + ([TypeFunction([(0, (1,) * (n - 1))])] if n > 1 else [])
+        for rho in both:
+            with pytest.raises(ValueError):
+                ref.class_elements(WreathLevel(G, n), rho)
