@@ -16,8 +16,8 @@ from math import factorial
 from .budget import check_budget
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
-from .fock import (ColorSpace, FockOperator, FockVector, W_operator, annihilate,
-                   creation_op, exponential_series, join_boundary, point_model)
+from .fock import (ColorSpace, FockOperator, FockVector, W_operator, exponential_series,
+                   join_boundary, point_model)
 from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
@@ -95,30 +95,20 @@ def colored_pairing(G: FiniteGroup, u: FockVector, v: FockVector) -> CycNum:
     return total
 
 
-def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
-    """Multiplication by p_{-k}(gamma) = sum_c (gamma(c)/zeta_c) a_{-k}(c)."""
+def _p_field(G: FiniteGroup, gamma: ClassFunction) -> list:
+    """sum_c (gamma(c)/zeta_c) c: the element of the colored space whose
+    Heisenberg modes are the Fock images of the p_k(gamma)."""
     cd = G.conjugacy()
-    space = colored_space(G)
-    coeffs = [gamma.values[c] * Fraction(1, cd.centralizer_orders[c])
-              for c in range(len(cd))]
-    return creation_op(space, k, coeffs, f"p[-{k}]")
-
-
-def colored_annihilation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
-    """Contraction of the generator (k, c') with weight k * gamma(c'^-1)."""
-    cd = G.conjugacy()
-    space = colored_space(G)
-    weights = [gamma.values[cd.inverse_class[b]] for b in range(len(cd))]
-    return FockOperator(lambda v: annihilate(space, k, weights, 0, v), None, f"p[{k}]")
+    return [gamma.values[c] * Fraction(1, cd.centralizer_orders[c]) for c in range(len(cd))]
 
 
 def fock_side_p(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
-    """The Fock image of the wreath Heisenberg operator p_k(gamma)."""
-    if k > 0:
-        return colored_creation_op(G, k, gamma)
-    if k < 0:
-        return colored_annihilation_op(G, -k, gamma)
-    raise ValueError("mode 0")
+    """The Fock image of the wreath Heisenberg operator p_k(gamma): for k > 0
+    multiplication by sum_c (gamma(c)/zeta_c) a_{-k}(c), for k < 0 the
+    contraction of each generator (|k|, c') with weight |k| gamma(c'^-1)."""
+    if k == 0:
+        raise ValueError("mode 0")
+    return colored_space(G).mode(-k, _p_field(G, gamma))
 
 
 def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
@@ -127,8 +117,7 @@ def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
     c_k = (-1)^(k-1)/k when signed, else 1/k."""
     coeffs = {k: (Fraction((-1) ** (k - 1), k) if signed else Fraction(1, k))
               for k in range(1, cutoff + 1)}
-    return exponential_series(colored_space(G), coeffs,
-                              lambda k: colored_creation_op(G, k, gamma), cutoff)
+    return exponential_series(colored_space(G), coeffs, _p_field(G, gamma), cutoff)
 
 
 def verify_heisenberg_transport(G: FiniteGroup, n_cutoff: int) -> VerificationReport:
@@ -180,15 +169,16 @@ def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    classes = [(lvl.class_elements(sigma), gv) for sigma, gv in g.items()]
+    classes = [([wreath_inverse(G, y) for y in lvl.class_elements(sigma)], gv)
+               for sigma, gv in g.items()]
     out = {}
     for rho in types:
         z = representative_of_type(G, n, rho)
         acc = cyc(0)
-        for members, gv in classes:
+        for inverses, gv in classes:
             s = cyc(0)
-            for y in members:
-                v = f.value(type_of(G, n, wreath_mult(G, z, wreath_inverse(G, y))))
+            for y_inv in inverses:
+                v = f.value(type_of(G, n, wreath_mult(G, z, y_inv)))
                 if not v.is_zero():
                     s = s + v
             if not s.is_zero():

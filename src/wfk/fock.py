@@ -125,14 +125,7 @@ class FrobeniusAlgebra:
         return sum((a * t for a, t in zip(u, self.trace_vec)), Fraction(0))
 
     def parity_of(self, u) -> int:
-        par = None
-        for i, a in enumerate(u):
-            if a != 0:
-                if par is None:
-                    par = self.parities[i]
-                elif par != self.parities[i]:
-                    raise ValueError("element is not parity-homogeneous")
-        return 0 if par is None else par
+        return _parity(self.parities, u)
 
     def dual_basis(self, i: int) -> tuple:
         if not self.nondegenerate:
@@ -208,6 +201,19 @@ class FrobeniusAlgebra:
         )
 
 
+def _parity(parities, coeffs) -> int:
+    """The parity of the element with these coefficients over basis elements
+    of these parities (0 for zero)."""
+    par = None
+    for p, a in zip(parities, coeffs):
+        if a != 0:
+            if par is None:
+                par = p
+            elif par != p:
+                raise ValueError("element is not parity-homogeneous")
+    return 0 if par is None else par
+
+
 def point_model() -> FrobeniusAlgebra:
     """One even class with unit trace; the one-boson model."""
     return FrobeniusAlgebra(["pt"], [0], [0], "pt", {("pt", "pt"): {"pt": 1}},
@@ -278,7 +284,42 @@ class ColorSpace:
         self.parities = list(parities)
         self.kappa = kappa  # matrix, kappa[a][b] scalar
         self.name = name
-        self.q_modes: dict = {}  # (alg, mode, alpha) -> q_mode operator on this space
+        self.fields: dict = {}  # tuple(alpha) -> _Field of alpha on this space
+
+    def mode(self, n: int, coeffs) -> "FockOperator":
+        """Heisenberg mode n of the field sum_b coeffs[b] b: multiplication by
+        sum_b coeffs[b] a_{n}(b) for n < 0, the super-derivation contracting
+        a_{-n}(b) with weight sum_a coeffs[a] kappa(a, b) for n > 0, zero for
+        n = 0; [mode(n, x), mode(m, y)] = n d_{n+m} kappa(x, y) Id."""
+        coeffs, par = list(coeffs), _parity(self.parities, coeffs)
+        if n == 0:
+            return FockOperator(lambda v: FockVector(self, {}), None, "q0")
+        if n < 0:
+            def fn(v: FockVector) -> FockVector:
+                acc: dict = {}
+                for b, c in enumerate(coeffs):
+                    if not _scalar_is_zero(c):
+                        _add_into(acc, create(self, -n, b, v).terms, c)
+                return FockVector._of(self, acc)
+        else:
+            # over the nonzero kappa entries only, so that a weight keeps the
+            # conductor of the coefficients it is made of
+            weights = [sum((c * row[b] for c, row in zip(coeffs, self.kappa)
+                            if row[b] != 0), Fraction(0))
+                       for b in range(len(self.labels))]
+
+            def fn(v: FockVector) -> FockVector:
+                return annihilate(self, n, weights, par, v)
+
+        return FockOperator(fn, None, f"q{n}")
+
+    def field(self, alpha) -> "_Field":
+        """The field of the element alpha, kept on this space with its modes."""
+        key = tuple(alpha)
+        f = self.fields.get(key)
+        if f is None:
+            f = self.fields[key] = _Field(self, alpha)
+        return f
 
     @staticmethod
     def of_algebra(alg: FrobeniusAlgebra) -> "ColorSpace":
@@ -383,6 +424,8 @@ def _add_into(acc: dict, terms: dict, s=None) -> None:
     A monomial whose sum cancels leaves `acc`, so `acc` never holds a zero and
     a monomial that comes back is appended at the end, as `FockVector.__add__`
     rebuilding the whole sum would place it."""
+    if type(s) is int and s == 1:
+        s = None  # c * 1 has the type and conductor of c
     for m, c in terms.items():
         if s is not None:
             c = c * s
@@ -464,65 +507,28 @@ class FockOperator(LinearOperator):
         return super()._column(v, mono)
 
 
-def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FockOperator:
-    """Multiplication by sum_b coeffs[b] a_{-k}(b), k >= 1."""
-
-    def fn(v: FockVector) -> FockVector:
-        acc: dict = {}
-        for b, c in enumerate(coeffs):
-            if not _scalar_is_zero(c):
-                _add_into(acc, create(space, k, b, v).terms, c)
-        return FockVector._of(space, acc)
-
-    return FockOperator(fn, None, name)
-
-
 def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
     """Heisenberg mode q_n(alpha): creation for n < 0, super-derivation for
     n > 0, zero for n = 0; satisfies [q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id."""
-    space = space or ColorSpace.of_algebra(alg)
-    coeffs, par = list(alpha), alg.parity_of(alpha)
-
-    if n == 0:
-        return FockOperator(lambda v: FockVector(space, {}), None, "q0")
-    if n < 0:
-        return creation_op(space, -n, coeffs, f"q{n}")
-
-    weights = [sum((coeffs[a] * space.kappa[a][b] for a in range(len(coeffs))),
-                   Fraction(0)) for b in range(len(space.labels))]
-
-    def fn_ann(v: FockVector) -> FockVector:
-        return annihilate(space, n, weights, par, v)
-
-    return FockOperator(fn_ann, None, f"q{n}")
-
-
-def _q_cached(alg, mode, alpha, space) -> FockOperator:
-    key = (alg, mode, tuple(alpha))
-    op = space.q_modes.get(key)
-    if op is None:
-        op = q_mode(alg, mode, alpha, space)
-        space.q_modes[key] = op
-    return op
+    return (space or ColorSpace.of_algebra(alg)).mode(n, alpha)
 
 
 class _Field:
     """A weight-one field alpha(z): its parity and its modes q_n(alpha), each
-    taken from the space's q_mode cache once and then kept by mode."""
+    built once by the space and then kept by mode."""
 
-    __slots__ = ("alg", "space", "alpha", "parity", "modes")
+    __slots__ = ("space", "alpha", "parity", "modes")
 
-    def __init__(self, alg: FrobeniusAlgebra, space: ColorSpace, alpha):
-        self.alg = alg
+    def __init__(self, space: ColorSpace, alpha):
         self.space = space
         self.alpha = alpha
-        self.parity = alg.parity_of(alpha)
+        self.parity = _parity(space.parities, alpha)
         self.modes: dict[int, FockOperator] = {}
 
     def mode(self, n: int) -> FockOperator:
         op = self.modes.get(n)
         if op is None:
-            op = self.modes[n] = _q_cached(self.alg, n, self.alpha, self.space)
+            op = self.modes[n] = self.space.mode(n, self.alpha)
         return op
 
 
@@ -556,7 +562,7 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     """Finite operator: the z^(-mode - k) coefficient of :f1(z)...fk(z):,
     valid on vectors of weight <= `weight`."""
     space = space or ColorSpace.of_algebra(alg)
-    resolved = [_Field(alg, space, f) for f in fields]
+    resolved = [space.field(f) for f in fields]
     return FockOperator(lambda v: _nop_apply(resolved, mode, v),
                         max_weight=weight, name=f"nop{mode}")
 
@@ -601,7 +607,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
     space = space or ColorSpace.of_algebra(alg)
-    terms = [(coeff, [_Field(alg, space, f) for f in factors])
+    terms = [(coeff, [space.field(f) for f in factors])
              for coeff, factors in coproduct_power(alg, alpha, k)]
     factorial = 1
     for i in range(2, k + 1):
@@ -678,14 +684,14 @@ def chern_series(alg: FrobeniusAlgebra, gamma, cutoff: int,
     space = space or ColorSpace.of_algebra(alg)
     return exponential_series(
         space, {k: Fraction((-1) ** (k - 1), k) for k in range(1, cutoff + 1)},
-        lambda k: q_mode(alg, -k, gamma, space), cutoff)
+        gamma, cutoff)
 
 
-def exponential_series(space: ColorSpace, mode_coeffs: dict, creation,
+def exponential_series(space: ColorSpace, mode_coeffs: dict, alpha,
                        cutoff: int) -> list[FockVector]:
     """Weight coefficients of exp(sum_k c_k A_k z^k)|0> up to cutoff, where
-    A_k = creation(k) raises weight by k and c_k = mode_coeffs[k]."""
-    ops = {k: creation(k) for k in mode_coeffs}
+    A_k = space.mode(-k, alpha) raises weight by k and c_k = mode_coeffs[k]."""
+    ops = {k: space.mode(-k, alpha) for k in mode_coeffs}
     # A^j/j! accumulated degree by degree; A raises weight by >= 1
     by_weight = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
     term = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
@@ -787,8 +793,9 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     a, b = alg.basis(i), alg.basis(j)
-                    qa, qb = _q_cached(alg, n, a, space), _q_cached(alg, m, b, space)
-                    if alg.parity_of(a) and alg.parity_of(b):
+                    fa, fb = space.field(a), space.field(b)
+                    qa, qb = fa.mode(n), fb.mode(m)
+                    if fa.parity and fb.parity:
                         br = qa.compose(qb) + qb.compose(qa)  # supercommutator
                     else:
                         br = qa.commutator(qb)

@@ -1,27 +1,38 @@
-"""Reference copy of the Fock operator application that `wfk.fock` replaced.
+"""Reference copies of the Fock operator code that `wfk.fock` and
+`wfk.charmap` replaced.
 
 `FockOperator.apply`, `_nop_apply` and `W_operator` rebuilt the whole output
 vector for every column or piece they added (`out = out + col.scale(coeff)`),
-and `_nop_apply` looked every mode up in the space's q_mode cache by the
-value of its element.  The bodies below are kept as they were, so that
-`tests/test_fock_reference.py` can check the in-place accumulation of
-`wfk.fock` against them, coefficient by coefficient and in key order.
-`reference_add` is the `FockVector.__add__` of that time.
+and `_nop_apply` looked every mode up in a q_mode cache on the space by the
+value of its element.  The Heisenberg modes were built in three places:
+`creation_op` with `q_mode`, and `colored_creation_op` with
+`colored_annihilation_op` for the p_k(gamma) of the characteristic map;
+`exponential_series` took a creation callable.  The bodies below are kept as
+they were, so that `tests/test_fock_reference.py` can check the in-place
+accumulation and `ColorSpace.mode` of `wfk.fock` against them, coefficient by
+coefficient and in key order.  `reference_add` is the `FockVector.__add__` of
+that time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from wfk.charmap import colored_space
 from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
     FockOperator,
     FockVector,
     FrobeniusAlgebra,
+    _add_into,
+    _scalar_is_zero,
+    annihilate,
     coproduct_power,
-    q_mode,
+    create,
+    vacuum,
 )
+from wfk.groups import ClassFunction, FiniteGroup
 
 
 class ReferenceFockOperator(FockOperator):
@@ -55,13 +66,47 @@ def reference_add(u: FockVector, v: FockVector) -> FockVector:
     return FockVector(u.space, out)
 
 
+def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FockOperator:
+    """Multiplication by sum_b coeffs[b] a_{-k}(b), k >= 1."""
+
+    def fn(v: FockVector) -> FockVector:
+        acc: dict = {}
+        for b, c in enumerate(coeffs):
+            if not _scalar_is_zero(c):
+                _add_into(acc, create(space, k, b, v).terms, c)
+        return FockVector._of(space, acc)
+
+    return FockOperator(fn, None, name)
+
+
+def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
+    """Heisenberg mode q_n(alpha): creation for n < 0, super-derivation for
+    n > 0, zero for n = 0; satisfies [q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id."""
+    space = space or ColorSpace.of_algebra(alg)
+    coeffs, par = list(alpha), alg.parity_of(alpha)
+
+    if n == 0:
+        return FockOperator(lambda v: FockVector(space, {}), None, "q0")
+    if n < 0:
+        return creation_op(space, -n, coeffs, f"q{n}")
+
+    weights = [sum((coeffs[a] * space.kappa[a][b] for a in range(len(coeffs))),
+                   Fraction(0)) for b in range(len(space.labels))]
+
+    def fn_ann(v: FockVector) -> FockVector:
+        return annihilate(space, n, weights, par, v)
+
+    return FockOperator(fn_ann, None, f"q{n}")
+
+
 def _q_cached(alg, mode, alpha, space) -> FockOperator:
-    # kept apart from the library's entries by the leading tag
-    key = ("reference", alg, mode, tuple(alpha))
-    op = space.q_modes.get(key)
+    # a dict of its own on the space, apart from the library's field cache
+    q_modes = space.__dict__.setdefault("reference_q_modes", {})
+    key = (alg, mode, tuple(alpha))
+    op = q_modes.get(key)
     if op is None:
         op = reference_op(q_mode(alg, mode, alpha, space))
-        space.q_modes[key] = op
+        q_modes[key] = op
     return op
 
 
@@ -113,3 +158,66 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
         return out.scale(Fraction(1, factorial))
 
     return ReferenceFockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
+
+
+def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
+    """Multiplication by p_{-k}(gamma) = sum_c (gamma(c)/zeta_c) a_{-k}(c)."""
+    cd = G.conjugacy()
+    space = colored_space(G)
+    coeffs = [gamma.values[c] * Fraction(1, cd.centralizer_orders[c])
+              for c in range(len(cd))]
+    return creation_op(space, k, coeffs, f"p[-{k}]")
+
+
+def colored_annihilation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
+    """Contraction of the generator (k, c') with weight k * gamma(c'^-1)."""
+    cd = G.conjugacy()
+    space = colored_space(G)
+    weights = [gamma.values[cd.inverse_class[b]] for b in range(len(cd))]
+    return FockOperator(lambda v: annihilate(space, k, weights, 0, v), None, f"p[{k}]")
+
+
+def exponential_series(space: ColorSpace, mode_coeffs: dict, creation,
+                       cutoff: int) -> list[FockVector]:
+    """Weight coefficients of exp(sum_k c_k A_k z^k)|0> up to cutoff, where
+    A_k = creation(k) raises weight by k and c_k = mode_coeffs[k]."""
+    ops = {k: creation(k) for k in mode_coeffs}
+    # A^j/j! accumulated degree by degree; A raises weight by >= 1
+    by_weight = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
+    term = [vacuum(space)] + [FockVector(space, {}) for _ in range(cutoff)]
+    for j in range(1, cutoff + 1):
+        new_term = [FockVector(space, {}) for _ in range(cutoff + 1)]
+        for w0 in range(cutoff):
+            src = term[w0]
+            if src.is_zero():
+                continue
+            for k, ck in mode_coeffs.items():
+                if w0 + k > cutoff:
+                    continue
+                piece = ops[k].apply(src).scale(Fraction(ck, j))
+                new_term[w0 + k] = new_term[w0 + k] + piece
+        term = new_term
+        if all(t.is_zero() for t in term):
+            break
+        for w in range(cutoff + 1):
+            by_weight[w] = by_weight[w] + term[w]
+    return by_weight
+
+
+def chern_series(alg: FrobeniusAlgebra, gamma, cutoff: int,
+                 space: ColorSpace | None = None) -> list[FockVector]:
+    """Weight-n coefficients of exp(sum_{k>=1} (-1)^(k-1)/k a_{-k}(gamma) z^k)|0>."""
+    space = space or ColorSpace.of_algebra(alg)
+    return exponential_series(
+        space, {k: Fraction((-1) ** (k - 1), k) for k in range(1, cutoff + 1)},
+        lambda k: q_mode(alg, -k, gamma, space), cutoff)
+
+
+def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
+                        cutoff: int) -> list[FockVector]:
+    """Weight coefficients of exp(sum_k c_k p_{-k}(gamma) z^k)|0> with
+    c_k = (-1)^(k-1)/k when signed, else 1/k."""
+    coeffs = {k: (Fraction((-1) ** (k - 1), k) if signed else Fraction(1, k))
+              for k in range(1, cutoff + 1)}
+    return exponential_series(colored_space(G), coeffs,
+                              lambda k: colored_creation_op(G, k, gamma), cutoff)

@@ -268,6 +268,11 @@ OPERATOR_SHA256 = {
     # a class other than the one its inverse names
     "fw-virasoro --group builtin:cyclic:3 --class 1 --levels 2":
         "2f427ebded8d125d5f9f7373aa9a23dd31744ecb16ed2d95968b25188a87b7df",
+    # the colored modes p_k(gamma) on a third and a fourth group
+    "heisenberg-transport --group builtin:binary-tetrahedral --modes 2":
+        "5b603778beb7beea771229b2df7552b1878312fce8ca6b9865a863713cd59ba5",
+    "eq-sign --group builtin:binary-dihedral:3 --n 3":
+        "093b659378a0470fc3042116b3b5d6e32b4847bbe2f27c5c53b72998b5f270d6",
 }
 
 

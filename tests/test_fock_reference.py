@@ -1,8 +1,9 @@
 """The in-place accumulation of `wfk.fock` against the column-by-column
-application it replaced (`reference_fock.py`).  Every coefficient, its type
+application it replaced, and `ColorSpace.mode` against the three mode
+builders it replaced (`reference_fock.py`).  Every coefficient, its type
 and conductor, and the key order of the terms must agree, on every monomial
-up to weight 4 and on seeded random vectors with Fraction and CycNum
-coefficients."""
+up to weight 4 (weight 3 for the modes) and on seeded random vectors with
+Fraction and CycNum coefficients."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ import reference_fock as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfk.charmap import colored_annihilation_op, colored_creation_op, colored_space
+from wfk.charmap import colored_space, exponential_classes, fock_side_p
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
@@ -20,10 +21,12 @@ from wfk.fock import (
     FockVector,
     W_operator,
     builtin_model,
+    chern_series,
     monomial_basis,
+    q_mode,
     vacuum,
 )
-from wfk.groups import binary_dihedral, cyclic_group
+from wfk.groups import ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group
 
 MAX_WEIGHT = 4
 MODES = range(-2, 3)
@@ -105,9 +108,104 @@ def test_colored_modes_match_reference(group):
                + random_vectors(space, rng, rational, wmax=3))
     for gamma in group.character_table().irreducibles:
         for k in (1, 2):
-            for op in (colored_creation_op(group, k, gamma),
-                       colored_annihilation_op(group, k, gamma)):
+            for op in (fock_side_p(group, k, gamma), fock_side_p(group, -k, gamma)):
                 assert_same(op, ref.reference_op(op), vectors)
+
+
+# ---------------------------------------------------------------------------
+# ColorSpace.mode against creation_op / q_mode and the colored p-mode builders
+# ---------------------------------------------------------------------------
+
+MODE_WEIGHT = 3
+
+
+def mode_vectors(space: ColorSpace, rng: random.Random, e: int) -> list[FockVector]:
+    """Every monomial up to weight 3, then seeded random vectors with Fraction
+    and with CycNum coefficients of conductor e."""
+    return (unit_vectors(space, MODE_WEIGHT)
+            + random_vectors(space, rng, rational, wmax=MODE_WEIGHT)
+            + random_vectors(space, rng, cyclotomic(e), wmax=MODE_WEIGHT))
+
+
+def homogeneous_elements(alg, rng: random.Random) -> list:
+    """The basis, and two random Fraction elements of each parity present."""
+    out = [alg.basis(i) for i in range(alg.dim)]
+    for parity in sorted(set(alg.parities)):
+        for _ in range(2):
+            out.append(alg.element({lab: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for lab, p in zip(alg.labels, alg.parities)
+                                    if p == parity}))
+    return out
+
+
+@pytest.mark.parametrize("model", ["point", "p2", "exterior2"])
+def test_q_mode_matches_reference(model):
+    rng = random.Random(f"q-{model}")
+    alg = builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    vectors = mode_vectors(space, rng, 4)
+    for alpha in homogeneous_elements(alg, rng):
+        for n in range(-3, 4):
+            assert_same(q_mode(alg, n, alpha, space), ref.q_mode(alg, n, alpha, space),
+                        vectors)
+            assert_same(q_mode(alg, n, alpha), ref.q_mode(alg, n, alpha), vectors[:20])
+
+
+def test_mixed_parity_mode_raises_as_before():
+    alg = builtin_model("exterior2")
+    mixed = alg.element({"1": 1, "a": 1})
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="parity-homogeneous"):
+            ref.q_mode(alg, n, mixed)
+        with pytest.raises(ValueError, match="parity-homogeneous"):
+            q_mode(alg, n, mixed)
+
+
+GROUPS = [cyclic_group(3), binary_dihedral(2), binary_tetrahedral()]
+
+
+def mixed_conductors(group) -> ClassFunction:
+    """A class function whose values lie at conductors 1 and e: a weight
+    summed over the zero kappa entries too would move to conductor e."""
+    e = group.exponent()
+    return ClassFunction(group, [c + 1 if c % 2 == 0 else CycNum.zeta(e, c)
+                                 for c in range(len(group.conjugacy()))])
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=["Z3", "BD2", "BT"])
+def test_fock_side_p_matches_colored_builders(group):
+    rng = random.Random(f"p-{group.name}")
+    space = colored_space(group)
+    vectors = mode_vectors(space, rng, group.exponent())
+    for gamma in [*group.character_table().irreducibles, mixed_conductors(group)]:
+        for k in (1, 2, 3):
+            assert_same(fock_side_p(group, k, gamma),
+                        ref.colored_creation_op(group, k, gamma), vectors)
+            assert_same(fock_side_p(group, -k, gamma),
+                        ref.colored_annihilation_op(group, k, gamma), vectors)
+        with pytest.raises(ValueError, match="mode 0"):
+            fock_side_p(group, 0, gamma)
+
+
+def assert_same_series(series, ref_series) -> None:
+    assert len(series) == len(ref_series)
+    for v, w in zip(series, ref_series):
+        assert exact(v) == exact(w)
+
+
+@pytest.mark.parametrize("group", GROUPS[:2], ids=["Z3", "BD2"])
+@pytest.mark.parametrize("signed", [True, False])
+def test_exponential_classes_match_reference(group, signed):
+    for gamma in group.character_table().irreducibles:
+        assert_same_series(exponential_classes(group, gamma, signed, 4),
+                           ref.exponential_classes(group, gamma, signed, 4))
+
+
+def test_chern_series_matches_reference():
+    rng = random.Random("chern-p2")
+    alg = builtin_model("p2")
+    for gamma in homogeneous_elements(alg, rng):
+        assert_same_series(chern_series(alg, gamma, 4), ref.chern_series(alg, gamma, 4))
 
 
 def test_cancelled_monomial_returns_at_the_end():

@@ -1,18 +1,21 @@
 """The benchmark tracer (`perfbench/tracer.py`) wraps charmap, fock and wreath
 functions by name and reads their arguments in its hooks.  A rename or a new
-signature there breaks a traced run, not the untraced tests, so a traced
-conv-cubic and lehn-sorger run is checked here, in a fresh process as the
-benchmark worker runs it."""
+signature there breaks a traced run, not the untraced tests, so traced
+conv-cubic and lehn-sorger runs, and traced runs of the Fock modes on both
+sides of `ch`, are checked here, in a fresh process as the benchmark worker
+runs them."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import contextlib, importlib, io, pkgutil
+import contextlib, importlib, io, pkgutil, sys
 import wfk
 for module in pkgutil.iter_modules(wfk.__path__):
     importlib.import_module(f"wfk.{module.name}")
@@ -21,17 +24,33 @@ tracer = Tracer()
 install(tracer)
 from wfk import cli
 codes = []
-for argv in (["verify", "conv-cubic", "--n", "3"], ["verify", "lehn-sorger", "--n", "3"]):
+for query in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.run(argv))
-print(codes, tracer.counts["charmap.convolve_by_class.calls"] > 0)
+        codes.append(cli.run(query.split()))
+print(codes, tracer.counts[sys.argv[1]] > 0)
 """
 
 
-def test_traced_conv_cubic_and_lehn_sorger_exit_zero():
+def run_traced(counter: str, *queries: str) -> str:
+    """The first stdout line of the traced queries: their exit codes, and
+    whether `counter` moved."""
     env = {k: v for k, v in os.environ.items() if k != "WFK_BUDGET"}
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}"
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, counter, *queries],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "[0, 0] True"
+    return proc.stdout.split("\n")[0]
+
+
+def test_traced_conv_cubic_and_lehn_sorger_exit_zero():
+    assert run_traced("charmap.convolve_by_class.calls", "verify conv-cubic --n 3",
+                      "verify lehn-sorger --n 3") == "[0, 0] True"
+
+
+# the modes of an algebra's space, and the p_k(gamma) of the colored space
+@pytest.mark.parametrize("query", [
+    "fock verify --model builtin:p2 --suite heisenberg --modes 1 --cutoff 2",
+    "verify heisenberg-transport --group builtin:cyclic:2 --modes 1",
+])
+def test_traced_fock_modes_exit_zero(query):
+    assert run_traced("fock.FockOperator_apply.calls", query) == "[0] True"
