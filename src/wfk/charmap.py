@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from .budget import check_budget
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
@@ -22,16 +24,17 @@ from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
     TypeFunction,
+    WreathBatch,
     WreathClassFunction,
+    batch_inverse,
+    batch_mult,
     centralizer_order,
     heisenberg_p,
+    pair_batches,
     representative_of_type,
-    type_of,
     wcf_indicator,
     wcf_zero,
-    wreath_inverse,
     wreath_level,
-    wreath_mult,
 )
 
 
@@ -165,22 +168,36 @@ def k_class_type(G: FiniteGroup, c: int, i: int, n: int) -> TypeFunction | None:
 def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
                        types) -> WreathClassFunction:
     """sum_sigma g(sigma) sum_{y in K_sigma} f(z y^-1) at the representative z
-    of each type in `types`, as a class function of Gamma_n."""
+    of each type in `types`, as a class function of Gamma_n.
+
+    The products z y^-1 of each sigma are labelled in batches; counting
+    their types turns the inner sum into sum_t count_t f(t), which has the
+    value and the conductor (the lcm of the nonzero summands') of the
+    running sum."""
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    classes = [([wreath_inverse(G, y) for y in lvl.class_elements(sigma)], gv)
-               for sigma, gv in g.items()]
+    reps = WreathBatch.of([representative_of_type(G, n, rho) for rho in types], n)
+    support = [(lvl.type_index[t], v) for t, v in f.values.items() if t in lvl.type_index]
+    width = len(lvl.types)
+    sums = []
+    for sigma, gv in g.items():
+        inverses = batch_inverse(G, lvl.class_batch(sigma))
+        k = len(inverses.g)
+        counts = np.zeros(len(types) * width, dtype=np.int64)
+        for i, j in pair_batches(len(types), k):
+            zy = batch_mult(G, reps.take(i), inverses.take(j))
+            counts += np.bincount(i * width + lvl.label(zy), minlength=len(counts))
+        counts = counts.reshape(len(types), width)
+        sums.append((counts[:, [t for t, _ in support]].tolist(), gv))
     out = {}
-    for rho in types:
-        z = representative_of_type(G, n, rho)
+    for i, rho in enumerate(types):
         acc = cyc(0)
-        for inverses, gv in classes:
+        for counts, gv in sums:
             s = cyc(0)
-            for y_inv in inverses:
-                v = f.value(type_of(G, n, wreath_mult(G, z, y_inv)))
-                if not v.is_zero():
-                    s = s + v
+            for count, (_, v) in zip(counts[i], support):
+                if count:
+                    s = s + v * count
             if not s.is_zero():
                 acc = acc + s * gv
         if not acc.is_zero():

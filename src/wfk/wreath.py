@@ -6,10 +6,17 @@ permutation tuple (s[i] is the image of i).  Conjugacy classes are indexed by
 partition-valued functions on the conjugacy classes of Gamma ("types").
 Class-function operators evaluate Frobenius sums class-by-class with exact
 centralizer weights; literal element loops are kept as oracles.
+
+The element loops (class members, class convolution in `charmap`, the
+induction oracle) run on numpy batches: a `WreathBatch` holds B elements as
+two (B, n) int arrays, `batch_mult` and `batch_inverse` act on all rows at
+once, and `WreathLevel.label` gives each row the index of its type.  The
+tuple loops they replaced stay in `tests/reference_*.py` as their gate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -225,6 +232,45 @@ def type_of(G: FiniteGroup, n: int, a: WreathElement) -> TypeFunction:
     return TypeFunction(acc.items())
 
 
+class WreathBatch(NamedTuple):
+    """B elements of Gamma_n: row b is the element (g[b], s[b]), both (B, n)
+    int arrays."""
+    g: np.ndarray
+    s: np.ndarray
+
+    @staticmethod
+    def of(elements, n: int) -> "WreathBatch":
+        parts = np.array([tuple(a.g) + tuple(a.s) for a in elements],
+                         dtype=np.intp).reshape(len(elements), 2 * n)
+        return WreathBatch(parts[:, :n], parts[:, n:])
+
+    def elements(self) -> list[WreathElement]:
+        return [WreathElement(tuple(g), tuple(s))
+                for g, s in zip(self.g.tolist(), self.s.tolist())]
+
+    def take(self, rows) -> "WreathBatch":
+        """The rows picked by an index array or a boolean mask."""
+        return WreathBatch(self.g[rows], self.s[rows])
+
+
+def _perm_inverse_rows(s: np.ndarray) -> np.ndarray:
+    inv = np.empty(s.shape, dtype=np.intp)
+    np.put_along_axis(inv, s, np.broadcast_to(np.arange(s.shape[1]), s.shape), axis=1)
+    return inv
+
+
+def batch_mult(G: FiniteGroup, a: WreathBatch, b: WreathBatch) -> WreathBatch:
+    """`wreath_mult` row by row: (g,s)(h,t) = (g . s(h), st)."""
+    h = np.take_along_axis(b.g, _perm_inverse_rows(a.s), axis=1)
+    return WreathBatch(G.mult[a.g, h], np.take_along_axis(a.s, b.s, axis=1))
+
+
+def batch_inverse(G: FiniteGroup, a: WreathBatch) -> WreathBatch:
+    """`wreath_inverse` row by row: (g,s)^-1 has parts g_{s(i)}^-1 and s^-1."""
+    inverse = np.asarray(G.inverse, dtype=np.intp)
+    return WreathBatch(inverse[np.take_along_axis(a.g, a.s, axis=1)], _perm_inverse_rows(a.s))
+
+
 def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathElement:
     """Canonical element: consecutive cycles, class representative on the
     first letter of each cycle."""
@@ -248,8 +294,43 @@ def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathE
 # symbolic level view and the explicit group
 # ---------------------------------------------------------------------------
 
+BATCH_ROWS = 2048  # rows per batch when a whole level or a set of pairs is walked
+_CODE_LIMIT = 2 ** 63  # type labels use mixed-radix codes below this bound
+
+
+def pair_batches(rows: int, cols: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) indices of a rows x cols grid in row-major order,
+    as two arrays of at most BATCH_ROWS entries at a time."""
+    for lo in range(0, rows * cols, BATCH_ROWS):
+        pair = np.arange(lo, min(lo + BATCH_ROWS, rows * cols))
+        yield pair // cols, pair % cols
+
+
+def _permutations(n: int) -> np.ndarray:
+    """The rows of `itertools.permutations(range(n))`, in its lexicographic
+    order: those of range(k) are the first letter f, then the rows of
+    range(k - 1) with every letter >= f moved up by one."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    return perms
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class WreathLevel:
-    """Symbolic view of Gamma_n: types, sizes and on-demand element loops."""
+    """Symbolic view of Gamma_n: types, sizes and on-demand element loops.
+
+    Element i of `elements()` is (g, s) with s the (i // |Gamma|^n)-th
+    permutation in lexicographic order and g the base-|Gamma| digits of
+    i % |Gamma|^n.  The level keeps the permutations and, once a class is
+    asked for, the type label of every element, both as read-only arrays of
+    the smallest int dtype that holds them."""
 
     def __init__(self, G: FiniteGroup, n: int):
         self.group = G
@@ -278,18 +359,100 @@ class WreathLevel:
             for g in itertools.product(range(G.order), repeat=self.n):
                 yield WreathElement(g, s)
 
+    @functools.cached_property
+    def _perms(self) -> np.ndarray:
+        return _readonly(_permutations(self.n))
+
+    def batch(self, index: np.ndarray) -> WreathBatch:
+        """The elements at positions `index` of `elements()`."""
+        G, n = self.group, self.n
+        n_g = G.order ** n
+        digits = G.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        g = index[:, None] % n_g // digits % G.order
+        return WreathBatch(g, self._perms[index // n_g])
+
+    def label(self, x: WreathBatch) -> np.ndarray:
+        """The index in `types` of the type of each row of x.
+
+        Every letter walks its cycle, multiplying the parts on the left as
+        `type_of` does, to the class c of the cycle product and the cycle
+        length r; a cycle of length r thus gives r equal keys c*n + r - 1,
+        and the sorted keys of a row determine its type.  The walk runs on
+        the flattened rows: letter i of row b is position b*n + i."""
+        G, n = self.group, self.n
+        class_of, radix, index = self._type_codes
+        rows = len(x.g)
+        letters = np.arange(rows * n)
+        g = np.asarray(x.g, dtype=np.intp).reshape(-1)
+        image = (x.s + (letters.reshape(rows, n) - np.arange(n))).reshape(-1)
+        mult = G.mult.reshape(-1)
+        cur, prod = letters, g
+        length = np.ones(rows * n, dtype=np.intp)
+        for _ in range(n - 1):
+            nxt = image[cur]
+            live = nxt != letters
+            if not live.any():
+                break
+            cur = np.where(live, nxt, cur)
+            prod = np.where(live, mult[g[cur] * G.order + prod], prod)
+            length += live
+        keys = (class_of[prod] * n + length - 1).reshape(rows, n)
+        keys.sort(axis=1)
+        if radix is not None:
+            seen, where = np.unique(keys @ radix, return_inverse=True)
+            found = [index[code] for code in seen.tolist()]
+        else:
+            seen, where = np.unique(keys, axis=0, return_inverse=True)
+            found = [index[tuple(row)] for row in seen.tolist()]
+        return np.array(found, dtype=np.intp)[where.reshape(-1)]
+
+    @functools.cached_property
+    def _type_codes(self):
+        """`class_of` as an array, and the map from the sorted letter keys of
+        each type to its index: keyed by their mixed-radix code when every
+        code fits in int64 (radix not None), else by the key tuple."""
+        G, n = self.group, self.n
+        cd = G.conjugacy()
+        base = len(cd) * n
+        radix = None
+        if base ** n < _CODE_LIMIT:
+            radix = _readonly(base ** np.arange(n - 1, -1, -1, dtype=np.int64))
+        index = {}
+        for i, t in enumerate(self.types):
+            keys = sorted(c * n + r - 1 for c, parts in t.classes for r in parts for _ in range(r))
+            index[sum(k * base ** (n - 1 - j) for j, k in enumerate(keys))
+                  if radix is not None else tuple(keys)] = i
+        return _readonly(np.array(cd.class_of, dtype=np.intp)), radix, index
+
+    @functools.cached_property
+    def _labels(self) -> np.ndarray:
+        """The label of every element, in the order of `elements()`."""
+        labels = np.empty(self.order, dtype=np.min_scalar_type(len(self.types)))
+        for _, index in pair_batches(1, self.order):
+            labels[index] = self.label(self.batch(index))
+        return _readonly(labels)
+
     def class_elements(self, rho: TypeFunction) -> list[WreathElement]:
-        """The conjugacy class of type rho: the elements whose `type_of` is
-        rho, in the order of `elements()`."""
+        """The conjugacy class of type rho: the elements whose type is rho,
+        in the order of `elements()`."""
         check_budget(self.order, f"class orbit in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
-        G, n = self.group, self.n
-        out = [a for a in self.elements() if type_of(G, n, a) == rho]
+        out = self._class_batch(rho).elements()
         if len(out) != self.class_size(rho):
             raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
         return out
+
+    def class_batch(self, rho: TypeFunction) -> WreathBatch:
+        """`class_elements(rho)` as one batch, in the same order."""
+        self.class_elements(rho)
+        return self._class_batch(rho)
+
+    def _class_batch(self, rho: TypeFunction) -> WreathBatch:
+        t = self.type_index.get(rho)
+        return self.batch(np.flatnonzero(self._labels == t) if t is not None
+                          else np.arange(0))
 
 
 def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
@@ -412,15 +575,19 @@ class WreathClassFunction:
             if col_f.is_zero():
                 continue
             level, col = col_f.n, col_f.values
+            if type(v) is int and v == 1:
+                v = None  # c * 1 has the conductor of c
             if not acc:
-                acc = {k: c * v for k, c in col.items()}
+                acc = dict(col) if v is None else {k: c * v for k, c in col.items()}
                 continue
             merged = {}
             for k in set(acc) | set(col):
                 x = acc.get(k)
                 c = col.get(k)
                 if c is not None:
-                    x = c * v if x is None else x + c * v
+                    if v is not None:
+                        c = c * v
+                    x = c if x is None else x + c
                     if x.is_zero():
                         continue
                 merged[k] = x
@@ -562,27 +729,41 @@ def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
 
 def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
                       g: WreathClassFunction) -> WreathClassFunction:
-    """Literal element-loop Frobenius sum; the oracle for `induce`."""
+    """Literal element-loop Frobenius sum; the oracle for `induce`.  Every
+    representative x is conjugated by every y of the level, a batch of
+    (x, y) pairs at a time; the y^-1 x y that lie in Gamma_n x Gamma_m are
+    split into their two halves, and each pair of half types is counted."""
     N = n + m
     lvl = wreath_level(G, N)
     check_budget(lvl.order, "brute-force induction")
     h_order = (G.order ** n) * factorial(n) * (G.order ** m) * factorial(m)
+    left, right = wreath_level(G, n), wreath_level(G, m)
+    width = len(left.types) * len(right.types)
+    reps = WreathBatch.of([representative_of_type(G, N, rho) for rho in lvl.types], N)
+    counts = np.zeros(len(lvl.types) * width, dtype=np.int64)
+    for i, j in pair_batches(len(lvl.types), lvl.order):
+        y = lvl.batch(j)
+        z = batch_mult(G, batch_mult(G, batch_inverse(G, y), reps.take(i)), y)
+        inside = (z.s[:, :n] < n).all(axis=1)
+        z = z.take(inside)
+        codes = (i[inside] * width
+                 + left.label(WreathBatch(z.g[:, :n], z.s[:, :n])) * len(right.types)
+                 + right.label(WreathBatch(z.g[:, n:], z.s[:, n:] - n)))
+        counts += np.bincount(codes, minlength=len(counts))
     out = {}
-    for rho in lvl.types:
-        x = representative_of_type(G, N, rho)
+    for rho, row in zip(lvl.types, counts.reshape(len(lvl.types), width).tolist()):
         total = cyc(0)
-        for y in lvl.elements():
-            z = wreath_mult(G, wreath_mult(G, wreath_inverse(G, y), x), y)
-            if all(z.s[i] < n for i in range(n)):
-                left = WreathElement(z.g[:n], z.s[:n])
-                right = WreathElement(z.g[n:], tuple(v - n for v in z.s[n:]))
-                fv = f.value(type_of(G, n, left))
-                if fv.is_zero():
-                    continue
-                gv = g.value(type_of(G, m, right))
-                if gv.is_zero():
-                    continue
-                total = total + fv * gv
+        for pair, count in enumerate(row):
+            if not count:
+                continue
+            a, b = divmod(pair, len(right.types))
+            fv = f.value(left.types[a])
+            if fv.is_zero():
+                continue
+            gv = g.value(right.types[b])
+            if gv.is_zero():
+                continue
+            total = total + fv * gv * count
         if not total.is_zero():
             out[rho] = total * Fraction(1, h_order)
     return WreathClassFunction(G, N, out)

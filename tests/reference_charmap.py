@@ -3,10 +3,11 @@
 `convolve_by_class` and `filtered_convolution` each had their own loop over
 class members; `delta_op` was built for one level and `delta1` was its i = 1
 case; `cubic_formula` was a hand-written split loop plus the join boundary.
-The bodies below are kept as they were, so that
-`tests/test_charmap_reference.py` can check the one class-convolution loop,
-the one Delta operator and the cubic as W^3_0(1) against them, value by
-value and in key order.
+`class_convolution` is the one class-convolution loop over element tuples
+that the numpy element batches replaced.  The bodies below are kept as they
+were, so that `tests/test_charmap_reference.py` can check the one
+class-convolution loop, the one Delta operator and the cubic as W^3_0(1)
+against them, value by value and in key order.
 """
 
 from __future__ import annotations
@@ -29,6 +30,32 @@ from wfk.wreath import (
     wreath_level,
     wreath_mult,
 )
+
+
+def class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
+                      types) -> WreathClassFunction:
+    """sum_sigma g(sigma) sum_{y in K_sigma} f(z y^-1) at the representative z
+    of each type in `types`, as a class function of Gamma_n."""
+    if not types:
+        return wcf_zero(G, n)
+    lvl = wreath_level(G, n)
+    classes = [([wreath_inverse(G, y) for y in lvl.class_elements(sigma)], gv)
+               for sigma, gv in g.items()]
+    out = {}
+    for rho in types:
+        z = representative_of_type(G, n, rho)
+        acc = cyc(0)
+        for inverses, gv in classes:
+            s = cyc(0)
+            for y_inv in inverses:
+                v = f.value(type_of(G, n, wreath_mult(G, z, y_inv)))
+                if not v.is_zero():
+                    s = s + v
+            if not s.is_zero():
+                acc = acc + s * gv
+        if not acc.is_zero():
+            out[rho] = acc
+    return WreathClassFunction(G, n, out)
 
 
 def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,

@@ -1,20 +1,26 @@
-"""Reference copy of the symbolic induction and annihilation and of the
-class-member search that `wfk.wreath` replaced.
+"""Reference copy of the symbolic induction and annihilation, of the
+class-member searches and of the element-loop induction oracle that
+`wfk.wreath` replaced.
 
 `induce` sweeps every type rho of the target level and enumerates the
 sub-multiset splits rho = alpha u beta (`_splits`), keeping those with
 |alpha| = n; the k < 0 branch of `HeisenbergOperator.apply` sweeps every
 type beta of the target level and every class c.  `class_elements` is the
-conjugation orbit of the canonical representative of a type.  The bodies
-below are kept as they were, so that `tests/test_wreath_reference.py` can
-check the support sums of `wfk.wreath` against them, value by value and in
-key order, and the members of each class as a set.
+conjugation orbit of the canonical representative of a type;
+`type_scan_class_elements` keeps the elements whose `type_of` is the type,
+one tuple at a time, and `induce_bruteforce` is the tuple-by-tuple
+Frobenius sum.  The bodies below are kept as they were, so that
+`tests/test_wreath_reference.py` can check the support sums and the numpy
+element batches of `wfk.wreath` against them, value by value and in key
+order, and the members of each class as a set or, against the type scan,
+as a list.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from wfk import wreath
 from wfk.budget import check_budget
@@ -22,7 +28,7 @@ from wfk.exact import CycNum, cyc
 from wfk.groups import FiniteGroup, GroupMismatch
 from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
                         centralizer_order, partition_multiplicities,
-                        representative_of_type, sigma_n, wcf_zero, wreath_inverse,
+                        representative_of_type, sigma_n, type_of, wcf_zero, wreath_inverse,
                         wreath_level, wreath_mult)
 
 
@@ -42,6 +48,48 @@ def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
         raise ValueError(f"{rho} is not a type of level {self.n}")
     self._class_elements[rho] = out
     return out
+
+
+def type_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
+    """The conjugacy class of type rho: the elements whose `type_of` is
+    rho, in the order of `elements()`."""
+    check_budget(self.order, f"class orbit in level {self.n}")
+    if rho in self._class_elements:
+        return self._class_elements[rho]
+    G, n = self.group, self.n
+    out = [a for a in self.elements() if type_of(G, n, a) == rho]
+    if len(out) != self.class_size(rho):
+        raise ValueError(f"{rho} is not a type of level {self.n}")
+    self._class_elements[rho] = out
+    return out
+
+
+def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
+                      g: WreathClassFunction) -> WreathClassFunction:
+    """Literal element-loop Frobenius sum; the oracle for `induce`."""
+    N = n + m
+    lvl = wreath_level(G, N)
+    check_budget(lvl.order, "brute-force induction")
+    h_order = (G.order ** n) * factorial(n) * (G.order ** m) * factorial(m)
+    out = {}
+    for rho in lvl.types:
+        x = representative_of_type(G, N, rho)
+        total = cyc(0)
+        for y in lvl.elements():
+            z = wreath_mult(G, wreath_mult(G, wreath_inverse(G, y), x), y)
+            if all(z.s[i] < n for i in range(n)):
+                left = WreathElement(z.g[:n], z.s[:n])
+                right = WreathElement(z.g[n:], tuple(v - n for v in z.s[n:]))
+                fv = f.value(type_of(G, n, left))
+                if fv.is_zero():
+                    continue
+                gv = g.value(type_of(G, m, right))
+                if gv.is_zero():
+                    continue
+                total = total + fv * gv
+        if not total.is_zero():
+            out[rho] = total * Fraction(1, h_order)
+    return WreathClassFunction(G, N, out)
 
 
 def _splits(rho: TypeFunction, n: int, G: FiniteGroup):

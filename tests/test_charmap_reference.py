@@ -1,21 +1,32 @@
 """The folded convolution operators of `wfk.charmap` against the separate
 ones they replaced (`reference_charmap.py`): Delta_i(K_c) on every level,
 `filtered_convolution` through the one class-convolution loop, and the cubic
-as W^3_0(1).  Reports print `WreathClassFunction.values` as they are, so the
-group-side results must agree in value, conductor, level and key order."""
+as W^3_0(1), and the class convolution on numpy element batches against the
+tuple loop it replaced.  Reports print `WreathClassFunction.values` as they
+are, so the group-side results must agree in value, conductor, level and key
+order."""
+
+import random
+from fractions import Fraction
 
 import pytest
 import reference_charmap as ref
 
-from wfk.charmap import (GradedClassFunction, colored_space, cubic_formula, delta_op,
-                         filtered_convolution, transposition_type)
+from wfk.charmap import (GradedClassFunction, _class_convolution, colored_space,
+                         cubic_formula, delta_op, filtered_convolution, transposition_type)
+from wfk.exact import CycNum
 from wfk.fock import FockVector, monomial_basis
-from wfk.groups import cyclic_group, trivial_group
+from wfk.groups import binary_dihedral, cyclic_group, trivial_group
 from wfk.wreath import WreathClassFunction, wcf_indicator, wreath_level
 
 # (name, base group, top level): every indicator up to the top level
 DELTA_CASES = [("trivial", trivial_group, 6), ("Z2", lambda: cyclic_group(2), 3),
                ("Z3", lambda: cyclic_group(3), 2)]
+
+
+# (name, base group, top level) for the class convolution on element batches
+CONVOLUTION_CASES = [("trivial", trivial_group, 5), ("Z2", lambda: cyclic_group(2), 4),
+                     ("Z3", lambda: cyclic_group(3), 4), ("BD2", lambda: binary_dihedral(2), 2)]
 
 
 def exact(f: WreathClassFunction) -> tuple:
@@ -65,3 +76,30 @@ def test_cubic_is_the_reference_split_join_loop():
             out, ref_out = op.apply(v), ref_op.apply(v)
             # reports print str(): W^3_0 gives Fraction(1) where the loop gave 1
             assert out == ref_out and str(out) == str(ref_out), mono
+
+
+def random_value(rng: random.Random, e: int):
+    """A small value in Q(zeta_e), zero about a third of the time."""
+    if rng.random() < 1 / 3:
+        return 0
+    v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return v + rng.randint(-2, 2) * CycNum.zeta(e, rng.randrange(e)) if e > 1 else v
+
+
+@pytest.mark.parametrize("name,make,top", CONVOLUTION_CASES,
+                         ids=[c[0] for c in CONVOLUTION_CASES])
+def test_class_convolution_matches_tuple_loop(name, make, top):
+    # a g on up to three classes (as `filtered_convolution` passes), on every
+    # type, on a random subset of the types and on none of them
+    G = make()
+    e = G.exponent()
+    rng = random.Random(29 + sum(map(ord, name)))
+    for n in range(top + 1):
+        types = wreath_level(G, n).types
+        for _ in range(2):
+            f = WreathClassFunction(G, n, {t: random_value(rng, e)
+                                           for t in rng.sample(types, rng.randint(1, len(types)))})
+            g = {t: random_value(rng, e) or 1 for t in rng.sample(types, min(3, len(types)))}
+            for subset in (types, rng.sample(types, rng.randint(0, len(types))), []):
+                assert exact(_class_convolution(G, n, g, f, subset)) == \
+                    exact(ref.class_convolution(G, n, g, f, subset)), (n, subset)

@@ -3,8 +3,12 @@ enumeration and the level sweeps they replaced (`reference_wreath.py`), on
 seeded random class functions up to total level 4, where the element-loop
 oracle `induce_bruteforce` cannot go.  Values, conductors and key order must
 all agree, because reports print `WreathClassFunction.values` as they are.
-The members of each class found by `type_of` must be the conjugation orbit
-the reference finds; their order is free, as every sum over them is exact."""
+The members of each class found by type must be the conjugation orbit the
+reference finds, as a set.  The numpy element batches are gated against the
+tuple loops they replaced: the class members must be the list the type scan
+finds, in order, and `induce_bruteforce` must agree with the tuple-by-tuple
+Frobenius sum in value, conductor and key order, level 0 and the splits
+with an empty side included."""
 
 import random
 from fractions import Fraction
@@ -15,13 +19,16 @@ import reference_wreath as ref
 from wfk.exact import CycNum
 from wfk.groups import ClassFunction, binary_dihedral, cyclic_group, trivial_group
 from wfk.wreath import (TypeFunction, WreathClassFunction, WreathLevel, enumerate_types,
-                        heisenberg_p, induce)
+                        heisenberg_p, induce, induce_bruteforce)
 
 GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
           "BD2": lambda: binary_dihedral(2)}
 MAX_LEVEL = 4
 CLASS_LEVELS = {"trivial": (trivial_group, 5), "Z2": (GROUPS["Z2"], 3),
                 "Z3": (GROUPS["Z3"], 3), "BD2": (GROUPS["BD2"], 2)}
+# (base group, top level) for the element batches against the tuple loops
+BATCH_LEVELS = {"trivial": (trivial_group, 5), "Z2": (GROUPS["Z2"], 4),
+                "Z3": (GROUPS["Z3"], 4), "BD2": (GROUPS["BD2"], 2)}
 
 
 def same(a: WreathClassFunction, b: WreathClassFunction) -> bool:
@@ -150,3 +157,31 @@ def test_class_members_reject_a_type_of_another_size(name):
         for rho in both:
             with pytest.raises(ValueError):
                 ref.class_elements(WreathLevel(G, n), rho)
+
+
+@pytest.mark.parametrize("name", BATCH_LEVELS)
+def test_class_members_match_type_scan(name):
+    make, top = BATCH_LEVELS[name]
+    G = make()
+    for n in range(top + 1):
+        new, old = WreathLevel(G, n), WreathLevel(G, n)
+        for rho in new.types:
+            assert new.class_elements(rho) == ref.type_scan_class_elements(old, rho)
+
+
+def induction_splits(name: str) -> list:
+    """Every (n, m) with n + m up to the top level of BATCH_LEVELS, but for
+    Z/3 only the split (1, 3) at level 4, where the tuple loop takes seconds."""
+    top = BATCH_LEVELS[name][1]
+    if name == "Z3":
+        return [(n, m) for n in range(top) for m in range(top - n)] + [(1, 3)]
+    return [(n, m) for n in range(top + 1) for m in range(top + 1 - n)]
+
+
+@pytest.mark.parametrize("name", BATCH_LEVELS)
+def test_induce_bruteforce_matches_tuple_loop(name):
+    G = BATCH_LEVELS[name][0]()
+    rng = random.Random(23 + sum(map(ord, name)))
+    for n, m in induction_splits(name):
+        f, g = random_wcf(G, n, rng), random_wcf(G, m, rng)
+        assert same(induce_bruteforce(G, n, m, f, g), ref.induce_bruteforce(G, n, m, f, g)), (n, m)
