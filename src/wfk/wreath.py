@@ -295,7 +295,6 @@ def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathE
 # ---------------------------------------------------------------------------
 
 BATCH_ROWS = 2048  # rows per batch when a whole level or a set of pairs is walked
-_CODE_LIMIT = 2 ** 63  # type labels use mixed-radix codes below this bound
 
 
 def pair_batches(rows: int, cols: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -304,18 +303,6 @@ def pair_batches(rows: int, cols: int) -> Iterator[tuple[np.ndarray, np.ndarray]
     for lo in range(0, rows * cols, BATCH_ROWS):
         pair = np.arange(lo, min(lo + BATCH_ROWS, rows * cols))
         yield pair // cols, pair % cols
-
-
-def _permutations(n: int) -> np.ndarray:
-    """The rows of `itertools.permutations(range(n))`, in its lexicographic
-    order: those of range(k) are the first letter f, then the rows of
-    range(k - 1) with every letter >= f moved up by one."""
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, n + 1):
-        first = np.repeat(np.arange(k, dtype=np.uint8), len(perms))[:, None]
-        rest = np.tile(perms, (k, 1))
-        perms = np.hstack([first, rest + (rest >= first)])
-    return perms
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -361,7 +348,7 @@ class WreathLevel:
 
     @functools.cached_property
     def _perms(self) -> np.ndarray:
-        return _readonly(_permutations(self.n))
+        return _readonly(np.array(list(itertools.permutations(range(self.n))), dtype=np.uint8))
 
     def batch(self, index: np.ndarray) -> WreathBatch:
         """The elements at positions `index` of `elements()`."""
@@ -398,30 +385,24 @@ class WreathLevel:
             length += live
         keys = (class_of[prod] * n + length - 1).reshape(rows, n)
         keys.sort(axis=1)
-        if radix is not None:
-            seen, where = np.unique(keys @ radix, return_inverse=True)
-            found = [index[code] for code in seen.tolist()]
-        else:
-            seen, where = np.unique(keys, axis=0, return_inverse=True)
-            found = [index[tuple(row)] for row in seen.tolist()]
-        return np.array(found, dtype=np.intp)[where.reshape(-1)]
+        seen, where = np.unique(keys @ radix, return_inverse=True)
+        return np.array([index[code] for code in seen.tolist()], dtype=np.intp)[where.reshape(-1)]
 
     @functools.cached_property
     def _type_codes(self):
-        """`class_of` as an array, and the map from the sorted letter keys of
-        each type to its index: keyed by their mixed-radix code when every
-        code fits in int64 (radix not None), else by the key tuple."""
+        """`class_of` as an array, the int64 radix of the mixed-radix code of
+        the sorted letter keys of a row, and the map from the code of each
+        type to its index."""
         G, n = self.group, self.n
         cd = G.conjugacy()
         base = len(cd) * n
-        radix = None
-        if base ** n < _CODE_LIMIT:
-            radix = _readonly(base ** np.arange(n - 1, -1, -1, dtype=np.int64))
+        if base ** n >= 2 ** 63:
+            raise ValueError(f"the type codes of level {n} do not fit in int64")
+        radix = _readonly(base ** np.arange(n - 1, -1, -1, dtype=np.int64))
         index = {}
         for i, t in enumerate(self.types):
             keys = sorted(c * n + r - 1 for c, parts in t.classes for r in parts for _ in range(r))
-            index[sum(k * base ** (n - 1 - j) for j, k in enumerate(keys))
-                  if radix is not None else tuple(keys)] = i
+            index[sum(k * base ** (n - 1 - j) for j, k in enumerate(keys))] = i
         return _readonly(np.array(cd.class_of, dtype=np.intp)), radix, index
 
     @functools.cached_property
@@ -575,19 +556,15 @@ class WreathClassFunction:
             if col_f.is_zero():
                 continue
             level, col = col_f.n, col_f.values
-            if type(v) is int and v == 1:
-                v = None  # c * 1 has the conductor of c
             if not acc:
-                acc = dict(col) if v is None else {k: c * v for k, c in col.items()}
+                acc = {k: c * v for k, c in col.items()}
                 continue
             merged = {}
             for k in set(acc) | set(col):
                 x = acc.get(k)
                 c = col.get(k)
                 if c is not None:
-                    if v is not None:
-                        c = c * v
-                    x = c if x is None else x + c
+                    x = c * v if x is None else x + c * v
                     if x.is_zero():
                         continue
                 merged[k] = x

@@ -1,20 +1,16 @@
 """The numpy element batches of `wfk.wreath` against the tuple functions they
 stand for: a batch product is `wreath_mult` row by row, a batch inverse is
 `wreath_inverse`, and a batch label is the index of `type_of` in the types
-of the level.  Also: the arrays a level keeps are read-only and compact, no
-state carries from one call or one group to the next, and
-`WreathClassFunction.sum_scaled` takes an int-1 column as it is."""
-
-from fractions import Fraction
+of the level.  Also: the arrays a level keeps are read-only and compact, and
+no state carries from one call or one group to the next."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfk import wreath
 from wfk.charmap import convolve_by_class, k_class_type
-from wfk.exact import CycNum, cyc
+from wfk.exact import CycNum
 from wfk.groups import (FiniteGroup, binary_dihedral, binary_tetrahedral, cyclic_group,
                         trivial_group)
 from wfk.wreath import (WreathBatch, WreathClassFunction, WreathElement, WreathLevel,
@@ -88,18 +84,12 @@ def test_whole_level_batch_mixes_every_type(name, n):
     assert labels.tolist() == [lvl.type_index[type_of(G, n, x)] for x in everything]
 
 
-def test_label_without_mixed_radix_codes(monkeypatch):
-    # levels whose codes would overflow int64 key the types by their sorted
-    # rows; force that path on small levels and compare with the codes
-    levels = [(G, n) for G in (GROUPS["Z3"], GROUPS["BD2"], trivial_group())
-              for n in range(3)] + [(trivial_group(), 5)]
-    batches = [WreathLevel(G, n).batch(np.arange(WreathLevel(G, n).order)) for G, n in levels]
-    coded = [WreathLevel(G, n).label(x).tolist() for (G, n), x in zip(levels, batches)]
-    monkeypatch.setattr(wreath, "_CODE_LIMIT", 0)
-    for (G, n), x, labels in zip(levels, batches, coded):
-        level = WreathLevel(G, n)
-        assert level.label(x).tolist() == labels
-        assert level._type_codes[1] is None
+def test_label_refuses_codes_past_int64():
+    # the sorted letter keys of level 16 over the trivial group have 16**16
+    # mixed-radix codes, which int64 cannot hold
+    assert WreathLevel(trivial_group(), 15)._type_codes[1].dtype == np.int64
+    with pytest.raises(ValueError, match="int64"):
+        WreathLevel(trivial_group(), 16).label(WreathBatch.of([], 16))
 
 
 def test_level_arrays_are_read_only_and_compact():
@@ -144,29 +134,3 @@ def test_no_state_carries_between_calls_or_groups():
     first = batch_results(G)
     assert batch_results(G) == first  # now from the levels and classes kept on G
     assert batch_results(H) == first
-
-
-def sum_scaled_cases():
-    """Columns on Z/3 with values at conductors 1 and 3, and the coefficient
-    lists to scale them by."""
-    G = GROUPS["Z3"]
-    types = enumerate_types(G, 2)
-    w = CycNum.zeta(3)
-    cols = [WreathClassFunction(G, 2, {types[0]: 1, types[1]: w, types[2]: Fraction(1, 2)}),
-            WreathClassFunction(G, 2, {types[1]: -w, types[3]: 2}),
-            WreathClassFunction(G, 2, {types[0]: -1, types[4]: w * w})]
-    return G, cols
-
-
-@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 2, 1), (3, 1, Fraction(1, 2))])
-def test_sum_scaled_takes_int_one_as_is(coeffs):
-    # an int 1 skips the multiplication; Fraction(1) and a CycNum one still
-    # multiply, and all three must give the same values, conductors and order
-    G, cols = sum_scaled_cases()
-    zero = WreathClassFunction(G, 2, {})
-    got = zero.sum_scaled(list(zip(cols, coeffs)))
-    for one in (Fraction(1), cyc(1)):
-        multiplied = [one if type(c) is int and c == 1 else c for c in coeffs]
-        want = zero.sum_scaled(list(zip(cols, multiplied)))
-        assert wcf_exact(got) == wcf_exact(want)
-    assert got == sum((col.scale(c) for col, c in zip(cols, coeffs)), zero)
