@@ -348,7 +348,9 @@ class WreathLevel:
 
     @functools.cached_property
     def _perms(self) -> np.ndarray:
-        return _readonly(np.array(list(itertools.permutations(range(self.n))), dtype=np.uint8))
+        n, count = self.n, factorial(self.n)
+        letters = itertools.chain.from_iterable(itertools.permutations(range(n)))
+        return _readonly(np.fromiter(letters, dtype=np.uint8, count=count * n).reshape(count, n))
 
     def batch(self, index: np.ndarray) -> WreathBatch:
         """The elements at positions `index` of `elements()`."""
