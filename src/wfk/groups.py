@@ -54,6 +54,13 @@ class FiniteGroup:
     on first use, for the element loops that read single products.  Instances
     are immutable after construction; conjugacy data, character table and
     convolution structure constants are cached lazily.
+
+    With `validate` (the default) the identity, inverse and, for order up to
+    `_ASSOC_FULL_LIMIT`, associativity laws are checked exactly; above that
+    limit associativity is checked on `_SAMPLE_TRIPLES` random triples.  A
+    matrix model is checked exactly at every order: determinant one and
+    `mats[a] mats[b] == mats[a*b]`.  The exact product checks read the rows
+    of `generators` only (Light's test, see `_validate`).
     """
 
     def __init__(self, mult, identity=None, inverse=None, labels=None,
@@ -88,11 +95,30 @@ class FiniteGroup:
 
     # -- plumbing ------------------------------------------------------------
 
+    @functools.cached_property
+    def generators(self) -> list[int]:
+        """A generating set, chosen greedily: the smallest element not yet
+        reached joins, and {identity} is closed again under right
+        multiplication by the elements chosen so far."""
+        m = self.mult
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        gens: list[int] = []
+        while not reached.all():
+            gens.append(int(reached.argmin()))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                step = np.unique(m[frontier[:, None], gens])
+                frontier = step[~reached[step]]
+                reached[frontier] = True
+        return gens
+
     def _find_identity(self) -> int:
-        left_units = (self.mult == np.arange(self.order)).all(axis=1)
+        candidates = np.flatnonzero(self.mult[:, 0] == 0)
+        left_units = (self.mult[candidates] == np.arange(self.order)).all(axis=1)
         if not left_units.any():
             raise ValueError("multiplication table has no identity")
-        return int(left_units.argmax())
+        return int(candidates[left_units.argmax()])
 
     def _find_inverses(self) -> list[int]:
         hits = self.mult == self.identity
@@ -103,6 +129,14 @@ class FiniteGroup:
         return inv.tolist()
 
     def _validate(self) -> None:
+        """The identity and inverse laws in full; associativity in full up to
+        order `_ASSOC_FULL_LIMIT` and on sampled triples above it.
+
+        The full associativity check is Light's test (Clifford-Preston, The
+        Algebraic Theory of Semigroups I, 1.2): the elements a with
+        (a b) c == a (b c) for every b, c are closed under the product and
+        hold the identity, so the law holds on the whole table once it holds
+        on the rows of a generating set."""
         n = self.order
         e = self.identity
         m = self.mult
@@ -112,7 +146,7 @@ class FiniteGroup:
         if (m[arange, self.inverse] != e).any():
             raise ValueError("inverse law fails")
         if n <= _ASSOC_FULL_LIMIT:
-            for a in range(n):
+            for a in self.generators:
                 if not np.array_equal(m[m[a], :], m[a, m]):
                     raise ValueError(f"associativity fails at element {a}")
         else:
@@ -125,23 +159,22 @@ class FiniteGroup:
             self._validate_matrix_model()
 
     def _validate_matrix_model(self) -> None:
+        """Determinant one for every matrix, and mats[a] mats[b] == mats[a*b]
+        for every generator a (the identity for the trivial group) and every
+        b.  On an associative table the elements a that pass are closed under
+        the product, as in Light's test, and every element is a product of
+        generators, so the check is exact."""
         mats = self.matrix_model
         if len(mats) != self.order:
             raise ValueError("matrix model size mismatch")
         one = CycNum.from_rational(1)
-        for mat in mats if self.order <= 24 else [mats[i] for i in
-                                                  random.Random(1).sample(range(self.order), 24)]:
-            d = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-            if d != one:
+        for mat in mats:
+            if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != one:
                 raise NonInvertibleMatrix("matrix model entry with determinant != 1")
-        rng = random.Random(2)
-        pairs = (itertools.product(range(self.order), repeat=2)
-                 if self.order <= 24
-                 else [(rng.randrange(self.order), rng.randrange(self.order))
-                       for _ in range(256)])
-        for a, b in pairs:
-            if _mat_mul(mats[a], mats[b]) != [list(r) for r in mats[self.mult[a, b]]]:
-                raise ValueError("matrix model does not match the multiplication table")
+        for a in self.generators or [self.identity]:
+            for b in range(self.order):
+                if _mat_mul(mats[a], mats[b]) != [list(r) for r in mats[self.mult[a, b]]]:
+                    raise ValueError("matrix model does not match the multiplication table")
 
     # -- group basics --------------------------------------------------------
 

@@ -310,6 +310,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _permutation_rows(n: int) -> np.ndarray:
+    """The permutations of range(n) in lexicographic order, one per row of a
+    read-only uint8 array."""
+    count = factorial(n)
+    letters = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return _readonly(np.fromiter(letters, dtype=np.uint8, count=count * n).reshape(count, n))
+
+
 class WreathLevel:
     """Symbolic view of Gamma_n: types, sizes and on-demand element loops.
 
@@ -348,9 +356,7 @@ class WreathLevel:
 
     @functools.cached_property
     def _perms(self) -> np.ndarray:
-        n, count = self.n, factorial(self.n)
-        letters = itertools.chain.from_iterable(itertools.permutations(range(n)))
-        return _readonly(np.fromiter(letters, dtype=np.uint8, count=count * n).reshape(count, n))
+        return _permutation_rows(self.n)
 
     def batch(self, index: np.ndarray) -> WreathBatch:
         """The elements at positions `index` of `elements()`."""
@@ -447,67 +453,69 @@ def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
 
 
 _EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
+_BLOCK_ENTRIES = 1 << 20  # base-group products gathered per step of build_wreath
 
 
 def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     """Explicit multiplication-table model of Gamma_n, with the natural
     permutation actions attached and the element list stored on the result;
-    kept on G (as `G.wreath_builds`)."""
+    kept on G (as `G.wreath_builds`).
+
+    Element (g, s) has index s_idx * |Gamma|^n + g_idx, with s_idx the rank of
+    s in lexicographic order and g_idx = sum_i g_i |Gamma|^(n-1-i), the order
+    of `WreathLevel.elements()`.  The table is filled one permutation s at a
+    time: the rows of s are (g, s)(h, t) = (g . s(h), st) for every g, h, t."""
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
     check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
     builds = vars(G).setdefault("wreath_builds", {})
     if n in builds:
         return builds[n]
-    perms = list(itertools.permutations(range(n)))
-    gparts = list(itertools.product(range(G.order), repeat=n))
-    nP, nG = len(perms), len(gparts)
-    # element index layout: elem (g, s) at s_idx * nG + g_idx; itertools.product
-    # varies the last coordinate fastest, so g_idx = sum g_i |Gamma|^(n-1-i)
-    elem_list = [WreathElement(gparts[i % nG], perms[i // nG]) for i in range(order)]
-
+    perms = _permutation_rows(n).astype(np.intp)
+    nP, nG = len(perms), G.order ** n
+    weights = G.order ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    gparts = np.arange(nG)[:, None] // weights % G.order  # (nG, n): the g of each g_idx
+    elem_list, actions = _elements_and_actions(G, perms, gparts)
+    radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    codes = perms @ radix  # ascending, so searchsorted gives the rank of a permutation
     gm = G.mult
-    H = np.array(gparts, dtype=np.int64).reshape(nG, max(n, 1))
-    perm_index = {p: i for i, p in enumerate(perms)}
-    comp = np.array([[perm_index[tuple(p[q[i]] for i in range(n))] for q in perms]
-                     for p in perms], dtype=np.int64)
-    weights = np.array([G.order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-
+    step = max(1, _BLOCK_ENTRIES // (nG * max(n, 1)))
     mult = np.empty((order, order), dtype=np.int32)
-    cols_t = np.arange(nP, dtype=np.int64)
+    blocks = mult.reshape(nP, nG, nP, nG)  # blocks[s_idx, g_idx, t_idx, h_idx]
     for si, s in enumerate(perms):
-        sinv = perm_inverse(s)
-        Hperm = H[:, list(sinv)] if n else H      # s(h) for every h-block
-        res_perm = comp[si]                       # index of s*t for every t
-        for gi, g in enumerate(gparts):
-            row_elem = si * nG + gi
-            if n:
-                garr = np.array(g, dtype=np.int64)
-                prod_g = gm[garr[None, :], Hperm]  # (nG, n)
-                gnums = prod_g.astype(np.int64) @ weights
-            else:
-                gnums = np.zeros(1, dtype=np.int64)
-            block = res_perm[:, None] * nG + gnums[None, :]  # (nP, nG)
-            mult[row_elem] = block.reshape(-1)
-    # natural action on n x |Gamma| points and the lifted S_n action
-    points = [(i, x) for i in range(n) for x in range(G.order)]
-    pt_index = {p: k for k, p in enumerate(points)}
-    rows = G.rows
-    natural = []
-    top = []
-    for a in elem_list:
-        row = [0] * len(points)
-        for (i, x), k in pt_index.items():
-            row[k] = pt_index[(a.s[i], rows[a.g[a.s[i]]][x])]
-        natural.append(row)
-        top.append(list(a.s) + list(range(n, len(points))))
-    W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}",
-                    perm_actions=[natural, top] if n >= 1 else [])
+        # nG times the rank of st for every t, int32 as `mult` so that np.add needs no cast
+        st = (np.searchsorted(codes, s[perms] @ radix) * nG).astype(np.int32)
+        sh = gparts[:, np.argsort(s)]  # s(h)_i = h_{s^-1(i)} for every h
+        for lo in range(0, nG, step):
+            gnums = gm[gparts[lo:lo + step, None, :], sh[None, :, :]] @ weights
+            np.add(st[None, :, None], gnums[:, None, :], out=blocks[si, lo:lo + step])
+    W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}", perm_actions=actions)
     W.wreath_elements = elem_list
     W.wreath_base = G
     W.wreath_n = n
     builds[n] = W
     return W
+
+
+def _elements_and_actions(G: FiniteGroup, perms: np.ndarray, gparts: np.ndarray):
+    """The elements of Gamma_n in table order, and (for n >= 1) its natural
+    action on the n x |Gamma| points (i, x), numbered i |Gamma| + x, where
+    (g, s) sends (i, x) to (s(i), g_{s(i)} x), with the lifted S_n action,
+    which moves the first n points only; all as lists.  The elements share
+    one tuple per g and one per s."""
+    g_parts = [tuple(g) for g in gparts.tolist()]
+    elements = [WreathElement(g, s) for s in map(tuple, perms.tolist()) for g in g_parts]
+    order, n = len(elements), perms.shape[1]
+    if not n:
+        return elements, []
+    points = n * G.order
+    s_all = np.repeat(perms, len(gparts), axis=0)
+    g_all = np.tile(gparts, (len(perms), 1))
+    gs = np.take_along_axis(g_all, s_all, axis=1)
+    natural = (s_all[:, :, None] * G.order + G.mult[gs]).reshape(order, points)
+    top = np.concatenate([s_all, np.broadcast_to(np.arange(n, points), (order, points - n))],
+                         axis=1)
+    return elements, [natural.tolist(), top.tolist()]
 
 
 def wreath_class_types(W: FiniteGroup) -> list[TypeFunction]:
@@ -520,6 +528,13 @@ def wreath_class_types(W: FiniteGroup) -> list[TypeFunction]:
 # ---------------------------------------------------------------------------
 # wreath class functions
 # ---------------------------------------------------------------------------
+
+def _unit_conductor(v) -> int:
+    """The conductor of v if v is a `CycNum` one, else 0."""
+    if isinstance(v, CycNum) and v.den == 1 and v.nums[0] == 1 and not any(v.nums[1:]):
+        return v.conductor
+    return 0
+
 
 class WreathClassFunction:
     """Class function on Gamma_n stored by type; zero values are pruned."""
@@ -550,7 +565,9 @@ class WreathClassFunction:
     def sum_scaled(self, scaled) -> "WreathClassFunction":
         """sum of col * coeff over the (col, coeff) pairs, at the level of the
         columns.  Reports print `values`, so the keys come in the order of
-        `__add__`, a set union, and a type whose sum cancels is dropped."""
+        `__add__`, a set union, and a type whose sum cancels is dropped.
+        A value c is taken as it is when v is a `CycNum` one whose conductor
+        divides c's, since c * v is then c at c's conductor."""
         level, acc = self.n, {}
         for col_f, v in scaled:
             if col_f.group is not self.group:
@@ -558,15 +575,19 @@ class WreathClassFunction:
             if col_f.is_zero():
                 continue
             level, col = col_f.n, col_f.values
+            unit = _unit_conductor(v)
             if not acc:
-                acc = {k: c * v for k, c in col.items()}
+                acc = {k: c if unit and c.conductor % unit == 0 else c * v
+                       for k, c in col.items()}
                 continue
             merged = {}
             for k in set(acc) | set(col):
                 x = acc.get(k)
                 c = col.get(k)
                 if c is not None:
-                    x = c * v if x is None else x + c * v
+                    if not (unit and c.conductor % unit == 0):
+                        c = c * v
+                    x = c if x is None else x + c
                     if x.is_zero():
                         continue
                 merged[k] = x

@@ -9,11 +9,16 @@ type beta of the target level and every class c.  `class_elements` is the
 conjugation orbit of the canonical representative of a type;
 `type_scan_class_elements` keeps the elements whose `type_of` is the type,
 one tuple at a time, and `induce_bruteforce` is the tuple-by-tuple
-Frobenius sum.  The bodies below are kept as they were, so that
-`tests/test_wreath_reference.py` can check the support sums and the numpy
-element batches of `wfk.wreath` against them, value by value and in key
-order, and the members of each class as a set or, against the type scan,
-as a list.
+Frobenius sum.  `build_wreath` fills the explicit table one row at a time
+and builds the permutation actions with a dict loop; `sum_scaled`
+multiplies every column value by its coefficient.  The bodies below are
+kept as they were, so that `tests/test_wreath_reference.py` can check the
+support sums and the numpy element batches of `wfk.wreath` against them,
+value by value and in key order, and the members of each class as a set
+or, against the type scan, as a list; and `tests/test_build_wreath.py` can
+check the block-filled table byte for byte and the unit skip of
+`WreathClassFunction.sum_scaled` value by value, conductor by conductor and
+in key order.
 """
 
 from __future__ import annotations
@@ -22,14 +27,16 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from wfk import wreath
 from wfk.budget import check_budget
 from wfk.exact import CycNum, cyc
 from wfk.groups import FiniteGroup, GroupMismatch
-from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
-                        centralizer_order, partition_multiplicities,
-                        representative_of_type, sigma_n, type_of, wcf_zero, wreath_inverse,
-                        wreath_level, wreath_mult)
+from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction,
+                        WreathElement, WreathLevel, centralizer_order,
+                        partition_multiplicities, perm_inverse, representative_of_type,
+                        sigma_n, type_of, wcf_zero, wreath_inverse, wreath_level, wreath_mult)
 
 
 def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
@@ -172,3 +179,91 @@ class HeisenbergOperator(wreath.HeisenbergOperator):
             if not acc.is_zero():
                 out[beta] = acc
         return WreathClassFunction(G, f.n - npos, out)
+
+
+def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
+    """Explicit multiplication-table model of Gamma_n, with the natural
+    permutation actions attached and the element list stored on the result;
+    kept on G (as `G.wreath_builds`)."""
+    order = (G.order ** n) * factorial(n)
+    check_budget(order, f"build_wreath({G.name}, {n})")
+    check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
+    builds = vars(G).setdefault("wreath_builds", {})
+    if n in builds:
+        return builds[n]
+    perms = list(itertools.permutations(range(n)))
+    gparts = list(itertools.product(range(G.order), repeat=n))
+    nP, nG = len(perms), len(gparts)
+    # element index layout: elem (g, s) at s_idx * nG + g_idx; itertools.product
+    # varies the last coordinate fastest, so g_idx = sum g_i |Gamma|^(n-1-i)
+    elem_list = [WreathElement(gparts[i % nG], perms[i // nG]) for i in range(order)]
+
+    gm = G.mult
+    H = np.array(gparts, dtype=np.int64).reshape(nG, max(n, 1))
+    perm_index = {p: i for i, p in enumerate(perms)}
+    comp = np.array([[perm_index[tuple(p[q[i]] for i in range(n))] for q in perms]
+                     for p in perms], dtype=np.int64)
+    weights = np.array([G.order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+
+    mult = np.empty((order, order), dtype=np.int32)
+    cols_t = np.arange(nP, dtype=np.int64)
+    for si, s in enumerate(perms):
+        sinv = perm_inverse(s)
+        Hperm = H[:, list(sinv)] if n else H      # s(h) for every h-block
+        res_perm = comp[si]                       # index of s*t for every t
+        for gi, g in enumerate(gparts):
+            row_elem = si * nG + gi
+            if n:
+                garr = np.array(g, dtype=np.int64)
+                prod_g = gm[garr[None, :], Hperm]  # (nG, n)
+                gnums = prod_g.astype(np.int64) @ weights
+            else:
+                gnums = np.zeros(1, dtype=np.int64)
+            block = res_perm[:, None] * nG + gnums[None, :]  # (nP, nG)
+            mult[row_elem] = block.reshape(-1)
+    # natural action on n x |Gamma| points and the lifted S_n action
+    points = [(i, x) for i in range(n) for x in range(G.order)]
+    pt_index = {p: k for k, p in enumerate(points)}
+    rows = G.rows
+    natural = []
+    top = []
+    for a in elem_list:
+        row = [0] * len(points)
+        for (i, x), k in pt_index.items():
+            row[k] = pt_index[(a.s[i], rows[a.g[a.s[i]]][x])]
+        natural.append(row)
+        top.append(list(a.s) + list(range(n, len(points))))
+    W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}",
+                    perm_actions=[natural, top] if n >= 1 else [])
+    W.wreath_elements = elem_list
+    W.wreath_base = G
+    W.wreath_n = n
+    builds[n] = W
+    return W
+
+
+def sum_scaled(self: WreathClassFunction, scaled) -> WreathClassFunction:
+    """sum of col * coeff over the (col, coeff) pairs, at the level of the
+    columns.  Reports print `values`, so the keys come in the order of
+    `__add__`, a set union, and a type whose sum cancels is dropped."""
+    level, acc = self.n, {}
+    for col_f, v in scaled:
+        if col_f.group is not self.group:
+            raise GroupMismatch("operator column on a different base group")
+        if col_f.is_zero():
+            continue
+        level, col = col_f.n, col_f.values
+        if not acc:
+            acc = {k: c * v for k, c in col.items()}
+            continue
+        merged = {}
+        for k in set(acc) | set(col):
+            x = acc.get(k)
+            c = col.get(k)
+            if c is not None:
+                x = c * v if x is None else x + c * v
+                if x.is_zero():
+                    continue
+            merged[k] = x
+        acc = merged
+    return WreathClassFunction(self.group, level, acc)

@@ -1,11 +1,20 @@
 """The stored multiplication table: array readers against element-loop
-references, malformed tables, and the types the group API hands out."""
+references, malformed tables, and the types the group API hands out.  The
+checks on generator rows (associativity, the matrix model, `GSet` actions)
+must give the verdicts of the all-rows checks they replaced
+(`reference_tables.py`), on the built-in groups and on tables with two
+entries of one row swapped."""
 
 import numpy as np
 import pytest
+import reference_tables as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfk.exact import CycNum
 from wfk.groups import (
     FiniteGroup,
+    NonInvertibleMatrix,
     binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
@@ -211,3 +220,154 @@ def test_gset_malformed_tables():
         GSet(G, [[1, 0]] * G.order)
     with pytest.raises(ValueError, match="one row per group element"):
         GSet(G, [[0, 1]] * (G.order - 1))
+
+
+# -- generator rows against every row ---------------------------------------------
+
+def verdict(check, *args):
+    """None if the check passes, else the error class and its message up to
+    the element it names."""
+    try:
+        check(*args)
+    except ValueError as e:
+        return type(e), str(e).split(" at element")[0]
+    return None
+
+
+def reference_group_check(table):
+    """`FiniteGroup(table)` with the identity search and the checks it replaced."""
+    holder = FiniteGroup(table, identity=0, inverse=range(len(table)), validate=False)
+    G = FiniteGroup(table, identity=ref._find_identity(holder), validate=False)
+    ref._validate(G)
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_generators_reach_every_element(G):
+    rows = G.mult.tolist()
+    reached, frontier = {G.identity}, {G.identity}
+    while frontier:
+        frontier = {rows[x][g] for x in frontier for g in G.generators} - reached
+        reached |= frontier
+    assert len(reached) == G.order
+    assert G.generators == sorted(set(G.generators)) and G.identity not in G.generators
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=GROUP_IDS)
+def test_table_checks_match_all_rows(G):
+    assert ref._find_identity(G) == G.identity
+    ref._validate(G)
+    FiniteGroup(G.mult, matrix_model=G.matrix_model)
+    for S in gsets(G):
+        ref.check_action(G, S.table)
+    if G.order >= 3:
+        broken = regular_action(G)
+        g = 1 if G.identity != 1 else 2
+        broken[g][0], broken[g][1] = broken[g][1], broken[g][0]
+        assert (verdict(ref.check_action, G, broken) == verdict(GSet, G, broken)
+                == (ValueError, "action is not compatible with the product"))
+
+
+SMALL = [G for G in GROUPS if 2 <= G.order <= 48]
+
+
+@st.composite
+def swapped_rows(draw, action: bool):
+    """A small group, a table (its product or one of its actions) and the
+    table with two entries of one row swapped."""
+    G = draw(st.sampled_from(SMALL))
+    table = draw(st.sampled_from(gsets(G))).table.tolist() if action else G.mult.tolist()
+    a = draw(st.integers(0, len(table) - 1))
+    i, j = draw(st.lists(st.integers(0, len(table[a]) - 1), min_size=2, max_size=2,
+                         unique=True))
+    table[a][i], table[a][j] = table[a][j], table[a][i]
+    return G, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(swapped_rows(action=False))
+def test_swapped_table_entries_get_the_all_rows_verdict(case):
+    _, table = case
+    assert verdict(FiniteGroup, table) == verdict(reference_group_check, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(swapped_rows(action=True))
+def test_swapped_action_entries_get_the_all_rows_verdict(case):
+    G, table = case
+    assert verdict(GSet, G, table) == verdict(ref.check_action, G, table)
+
+
+# Each table below passes the checks on the rows of the first generator and
+# fails on those of a later one.
+
+def test_non_associative_past_the_first_generator():
+    # LOOP5 x Z/3 with (l, z) at 3 l + z: generator 1 = (0, 1) reaches the
+    # associative rows (0, z) only, and generator 3 = (1, 0) is a loop row
+    z = np.add.outer(np.arange(3), np.arange(3)) % 3
+    table = (np.array(LOOP5)[:, None, :, None] * 3 + z[None, :, None, :]).reshape(15, 15)
+    assert FiniteGroup(table, validate=False).generators[:2] == [1, 3]
+    for check in (FiniteGroup, reference_group_check):
+        with pytest.raises(ValueError, match="associativity fails at element 3"):
+            check(table)
+
+
+def test_action_fails_past_the_first_generator():
+    # Z/2 x Z/2 with (a, b) at 2 a + b on three points: 1 swaps two points and
+    # 3 = 1 * 2, but 2 acts as a 3-cycle, so 2 * 2 = 0 is not its square
+    G = direct_product(cyclic_group(2), cyclic_group(2))
+    table = [[0, 1, 2], [1, 0, 2], [1, 2, 0], [0, 2, 1]]
+    assert G.generators == [1, 2]
+    for check in (GSet, ref.check_action):
+        with pytest.raises(ValueError, match="not compatible with the product"):
+            check(G, table)
+
+
+def test_matrix_model_fails_past_the_first_generator():
+    # negating the matrices of one right coset <g> b of the first generator g
+    # keeps mats[g] mats[b] == mats[g b]; binary tetrahedral has no character
+    # of order 2, so the signs are not a homomorphism
+    G = binary_tetrahedral()
+    rows, g = G.mult.tolist(), G.generators[0]
+    powers, x = [G.identity], rows[G.identity][g]
+    while x != G.identity:
+        powers.append(x)
+        x = rows[x][g]
+    b = min(set(range(G.order)) - set(powers))
+    coset = {rows[p][b] for p in powers}
+    mats = [[[-v for v in row] for row in m] if k in coset else m
+            for k, m in enumerate(G.matrix_model)]
+    holder = FiniteGroup(G.mult, matrix_model=mats, validate=False)
+    for check in (holder._validate_matrix_model, lambda: ref._validate_matrix_model(holder)):
+        with pytest.raises(ValueError, match="does not match the multiplication table"):
+            check()
+
+
+def negated(mats, x):
+    out = list(mats)
+    out[x] = [[-v for v in row] for row in mats[x]]
+    return out
+
+
+def test_negated_matrix_off_the_generators_is_caught():
+    G = binary_octahedral()
+    for x in range(G.order):
+        if x in G.generators:
+            continue
+        with pytest.raises(ValueError, match="does not match the multiplication table"):
+            FiniteGroup(G.mult, matrix_model=negated(G.matrix_model, x))
+
+
+def test_matrix_model_verdicts_match_all_pairs():
+    # up to order 24 the replaced check read every matrix and every pair
+    G = binary_tetrahedral()
+    zeta = CycNum.zeta(8)
+    for x in range(G.order):
+        for mats in (negated(G.matrix_model, x),
+                     [[[v * zeta for v in row] for row in m] if k == x else m
+                      for k, m in enumerate(G.matrix_model)]):
+            holder = FiniteGroup(G.mult, matrix_model=mats, validate=False)
+            want = verdict(ref._validate_matrix_model, holder)
+            assert want is not None and verdict(holder._validate_matrix_model) == want
+    with pytest.raises(NonInvertibleMatrix):
+        FiniteGroup(G.mult, matrix_model=[[[v * zeta for v in row] for row in m]
+                                          for m in G.matrix_model])

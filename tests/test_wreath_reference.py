@@ -8,7 +8,12 @@ reference finds, as a set.  The numpy element batches are gated against the
 tuple loops they replaced: the class members must be the list the type scan
 finds, in order, and `induce_bruteforce` must agree with the tuple-by-tuple
 Frobenius sum in value, conductor and key order, level 0 and the splits
-with an empty side included."""
+with an empty side included.  The explicit Gamma_n table filled one
+permutation block at a time must be the row-by-row table byte for byte,
+with the same permutation actions and element list, and
+`WreathClassFunction.sum_scaled`, which takes a value as it is when the
+coefficient is a `CycNum` one of a dividing conductor, must agree with the
+full products in value, conductor and key order."""
 
 import random
 from fractions import Fraction
@@ -17,9 +22,12 @@ import pytest
 import reference_wreath as ref
 
 from wfk.exact import CycNum
-from wfk.groups import ClassFunction, binary_dihedral, cyclic_group, trivial_group
-from wfk.wreath import (TypeFunction, WreathClassFunction, WreathLevel, enumerate_types,
-                        heisenberg_p, induce, induce_bruteforce)
+from wfk.groups import (ClassFunction, FiniteGroup, binary_dihedral, cyclic_group,
+                        trivial_group)
+from wfk.series import orbifold_euler_bruteforce, swap_action, wreath_gset
+from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
+                        build_wreath, enumerate_types, heisenberg_p, induce,
+                        induce_bruteforce)
 
 GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
           "BD2": lambda: binary_dihedral(2)}
@@ -185,3 +193,79 @@ def test_induce_bruteforce_matches_tuple_loop(name):
     for n, m in induction_splits(name):
         f, g = random_wcf(G, n, rng), random_wcf(G, m, rng)
         assert same(induce_bruteforce(G, n, m, f, g), ref.induce_bruteforce(G, n, m, f, g)), (n, m)
+
+
+# (base group, top level) for the explicit tables against the row-by-row build
+BUILD_LEVELS = {"trivial": (trivial_group, 4), "Z2": (GROUPS["Z2"], 5),
+                "Z3": (GROUPS["Z3"], 3), "BD2": (GROUPS["BD2"], 2)}
+
+
+def fresh(make) -> FiniteGroup:
+    """A copy of a base group that shares no cached build with it."""
+    G = make()
+    return FiniteGroup(G.mult, name=G.name)
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name, (_, top) in BUILD_LEVELS.items()
+                                    for n in range(1, top + 1)])
+def test_block_build_matches_row_build(name, n):
+    make, _ = BUILD_LEVELS[name]
+    W, ref_W = build_wreath(fresh(make), n), ref.build_wreath(fresh(make), n)
+    assert W.mult.dtype == ref_W.mult.dtype and W.mult.shape == ref_W.mult.shape
+    assert W.mult.tobytes() == ref_W.mult.tobytes()
+    assert W.perm_actions == ref_W.perm_actions
+    assert W.wreath_elements == ref_W.wreath_elements
+    assert all(type(x) is int for action in W.perm_actions for row in action for x in row)
+    assert all(type(x) is int for a in W.wreath_elements for x in a.g + a.s)
+
+
+@pytest.mark.parametrize("name", BUILD_LEVELS)
+def test_level_zero_is_the_one_element_group(name):
+    make, _ = BUILD_LEVELS[name]
+    W = build_wreath(fresh(make), 0)
+    assert W.order == 1 and W.mult.tolist() == [[0]] and W.identity == 0
+    assert W.wreath_elements == [WreathElement((), ())]
+    assert W.perm_actions == []
+
+
+def test_orbifold_euler_at_level_zero():
+    # chi(S^0, Gamma_0) = 1, the constant term of prod (1 - q^m)^(-chi(S, Gamma))
+    assert orbifold_euler_bruteforce(wreath_gset(swap_action(fresh(GROUPS["Z2"])), 0)) == 1
+
+
+def random_coefficient(rng: random.Random, e: int):
+    """A one at a conductor that may or may not divide e, or a small value."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return CycNum.from_rational(1).embed(rng.choice([1, 2, 3, 4, 6, 12]))
+    if pick == 1:
+        return rng.choice([1, Fraction(1), -1, CycNum.from_rational(-1).embed(e)])
+    return random_value(rng, e) or 1
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_sum_scaled_matches_full_products(name):
+    G = GROUPS[name]()
+    e = G.exponent()
+    rng = random.Random(12)
+    for trial in range(60):
+        n = rng.randint(0, 2)
+        pairs = [(random_wcf(G, n, rng), random_coefficient(rng, e))
+                 for _ in range(rng.randint(1, 4))]
+        zero = WreathClassFunction(G, n, {})
+        got, want = zero.sum_scaled(pairs), ref.sum_scaled(zero, pairs)
+        assert same(got, want), (name, trial)
+        assert [v.key() for v in got.values.values()] == [v.key() for v in want.values.values()]
+
+
+def test_sum_scaled_takes_values_as_they_are_for_a_unit():
+    G = GROUPS["BD2"]()
+    col = random_wcf(G, 2, random.Random(3))
+    for conductor in (1, 2, 4):
+        got = col.sum_scaled([(col, CycNum.from_rational(1).embed(conductor))])
+        assert list(got.values) == list(col.values)
+        assert all(got.values[k] is v for k, v in col.values.items())
+    # a one at conductor 3 does not divide 4: the values move to conductor 12
+    got = col.sum_scaled([(col, CycNum.from_rational(1).embed(3))])
+    assert got.values == col.values
+    assert {v.conductor for v in got.values.values()} == {12}
