@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from wfk.exact import CycNum
 from wfk.groups import (
     FiniteGroup,
-    NonInvertibleMatrix,
     binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
@@ -368,6 +367,3 @@ def test_matrix_model_verdicts_match_all_pairs():
             holder = FiniteGroup(G.mult, matrix_model=mats, validate=False)
             want = verdict(ref._validate_matrix_model, holder)
             assert want is not None and verdict(holder._validate_matrix_model) == want
-    with pytest.raises(NonInvertibleMatrix):
-        FiniteGroup(G.mult, matrix_model=[[[v * zeta for v in row] for row in m]
-                                          for m in G.matrix_model])
