@@ -21,6 +21,7 @@ from .budget import CONVOLUTION_PAIR_BUDGET, BudgetExceeded, check_budget
 from .exact import CycNum, cyc
 
 _ASSOC_FULL_LIMIT = 512
+_BLOCK_ENTRIES = 1 << 20  # table entries read per numpy step of a block loop
 _SAMPLE_TRIPLES = 4096
 
 
@@ -44,16 +45,33 @@ class DiagonalizationFailure(RuntimeError):
 # core containers
 # ---------------------------------------------------------------------------
 
+def _generate(mult: np.ndarray, targets: np.ndarray, identity: int):
+    """Generators, chosen greedily, of the subgroup that the elements marked
+    in the bool mask `targets` generate, and the mask of that subgroup: the
+    smallest target not yet reached joins, and {identity} is closed again
+    under right multiplication by the elements chosen so far."""
+    reached = np.zeros(len(mult), dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while (missing := targets & ~reached).any():
+        gens.append(int(missing.argmax()))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.unique(mult[frontier[:, None], gens])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens, reached
+
+
 class FiniteGroup:
     """Multiplication-table group with elements 0..order-1.
 
     `mult[a, b]` is the index of a*b.  `mult` is the one stored table: a
     read-only `np.int32` array of shape (order, order).  An int32 array passed
     in is adopted, not copied, and made read-only; anything else is copied
-    into a new array.  `rows` is the same table as nested Python lists, built
-    on first use, for the element loops that read single products.  Instances
-    are immutable after construction; conjugacy data, character table and
-    convolution structure constants are cached lazily.
+    into a new array.  Instances are immutable after construction; conjugacy
+    data, character table and convolution structure constants are cached
+    lazily.
 
     With `validate` (the default) the identity, inverse and, for order up to
     `_ASSOC_FULL_LIMIT`, associativity laws are checked exactly; above that
@@ -88,30 +106,12 @@ class FiniteGroup:
         if validate:
             self._validate()
 
-    @functools.cached_property
-    def rows(self) -> list[list[int]]:
-        """`mult` as nested lists of Python ints, for element-by-element loops."""
-        return self.mult.tolist()
-
     # -- plumbing ------------------------------------------------------------
 
     @functools.cached_property
     def generators(self) -> list[int]:
-        """A generating set, chosen greedily: the smallest element not yet
-        reached joins, and {identity} is closed again under right
-        multiplication by the elements chosen so far."""
-        m = self.mult
-        reached = np.zeros(self.order, dtype=bool)
-        reached[self.identity] = True
-        gens: list[int] = []
-        while not reached.all():
-            gens.append(int(reached.argmin()))
-            frontier = np.flatnonzero(reached)
-            while frontier.size:
-                step = np.unique(m[frontier[:, None], gens])
-                frontier = step[~reached[step]]
-                reached[frontier] = True
-        return gens
+        """A generating set, chosen greedily by `_generate`."""
+        return _generate(self.mult, np.ones(self.order, dtype=bool), self.identity)[0]
 
     def _find_identity(self) -> int:
         candidates = np.flatnonzero(self.mult[:, 0] == 0)
@@ -121,12 +121,18 @@ class FiniteGroup:
         return int(candidates[left_units.argmax()])
 
     def _find_inverses(self) -> list[int]:
-        hits = self.mult == self.identity
-        inv = hits.argmax(axis=1)
-        missing = ~hits[np.arange(self.order), inv]
-        if missing.any():
-            raise ValueError(f"element {missing.argmax()} has no inverse")
-        return inv.tolist()
+        """The column of the identity in each row, read a block of rows at a
+        time so that no order x order temporary is made."""
+        step = max(1, _BLOCK_ENTRIES // self.order)
+        inv: list[int] = []
+        for lo in range(0, self.order, step):
+            hits = self.mult[lo:lo + step] == self.identity
+            cols = hits.argmax(axis=1)
+            missing = ~hits[np.arange(len(cols)), cols]
+            if missing.any():
+                raise ValueError(f"element {lo + int(missing.argmax())} has no inverse")
+            inv += cols.tolist()
+        return inv
 
     def _validate(self) -> None:
         """The identity and inverse laws in full; associativity in full up to
@@ -179,12 +185,12 @@ class FiniteGroup:
     # -- group basics --------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
+        return int(self.mult[a, b])
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
-            x = self.rows[x][a]
+            x = self.mult[x, a]
             k += 1
         return k
 
@@ -276,7 +282,7 @@ def power_class(G: FiniteGroup, c: int, k: int) -> int:
     k %= G.element_order(g)
     x = G.identity
     for _ in range(k):
-        x = G.rows[x][g]
+        x = G.mult[x, g]
     return cd.class_of[x]
 
 
@@ -358,14 +364,15 @@ def _structure_constants(G: FiniteGroup):
     if maxpair > CONVOLUTION_PAIR_BUDGET:
         raise BudgetExceeded(
             f"class-pair product {maxpair} exceeds {CONVOLUTION_PAIR_BUDGET}")
-    table = [dict() for _ in range(r)]
-    for f_idx in range(r):
-        z = cd.class_reps[f_idx]
-        row = table[f_idx]
-        for x in range(G.order):
-            d = cd.class_of[x]
-            e = cd.class_of[G.rows[G.inverse[x]][z]]
-            row[(d, e)] = row.get((d, e), 0) + 1
+    class_of = np.array(cd.class_of)
+    inv = np.array(G.inverse)
+    table = []
+    for z in cd.class_reps:
+        # x runs over G: d = class of x, e = class of x^-1 z
+        counts = np.bincount(class_of * r + class_of[G.mult[inv, z]], minlength=r * r)
+        nonzero = np.flatnonzero(counts)
+        table.append({divmod(k, r): c for k, c in
+                      zip(nonzero.tolist(), counts[nonzero].tolist())})
     G._structure = table
     return table
 
@@ -513,23 +520,14 @@ def _perm_character(G: FiniteGroup, action) -> ClassFunction:
 
 
 def _commutator_subgroup(G: FiniteGroup) -> list[int]:
-    n = G.order
-    comms = set()
-    for a in range(n):
-        ai = G.inverse[a]
-        for b in range(n):
-            comms.add(G.rows[G.rows[a][b]][G.rows[ai][G.inverse[b]]])
-    # close under multiplication
-    members = set(comms) | {G.identity}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (G.rows[x][y], G.rows[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return sorted(members)
+    """[G,G] in ascending order: the subgroup generated by the commutators
+    (a b)(a^-1 b^-1), which are collected one row a at a time."""
+    m = G.mult
+    inv = np.array(G.inverse)
+    comms = np.zeros(G.order, dtype=bool)
+    for a in range(G.order):
+        comms[m[m[a], m[inv[a], inv]]] = True
+    return np.flatnonzero(_generate(m, comms, G.identity)[1]).tolist()
 
 
 def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
@@ -543,7 +541,7 @@ def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
     the exponent of G/N.
     """
     e = G.exponent()
-    rows = G.rows
+    m = G.mult
     members = [G.identity] if G.is_abelian() else _commutator_subgroup(G)
     pos = {x: i for i, x in enumerate(members)}
     chars = [[0] * len(members)]
@@ -553,7 +551,7 @@ def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
         powers, x = [G.identity], g
         while x not in pos:
             powers.append(x)
-            x = rows[x][g]
+            x = int(m[x, g])
         k, at_gk, step = len(powers), pos[x], e // len(powers)
         extended = []
         for chi in chars:
@@ -563,7 +561,7 @@ def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
             for w in range(c // k, e, step):
                 extended.append([(j * w + a) % e for j in range(k) for a in chi])
         chars = extended
-        members = [rows[p][h] for p in powers for h in members]
+        members = m[np.ix_(powers, members)].ravel().tolist()
         pos = {x: i for i, x in enumerate(members)}
     d = gcd(e, *(a for chi in chars for a in chi))
     roots = [CycNum.zeta(e // d, a) for a in range(e // d)]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import check_budget
 from .exact import CycNum, cyc
-from .groups import ClassFunction, FiniteGroup, GroupMismatch, inner_product
+from .groups import _BLOCK_ENTRIES, ClassFunction, FiniteGroup, GroupMismatch, inner_product
 
 # ---------------------------------------------------------------------------
 # partitions and types
@@ -186,8 +186,7 @@ def perm_inverse(s: tuple[int, ...]) -> tuple[int, ...]:
 def wreath_mult(G: FiniteGroup, a: WreathElement, b: WreathElement) -> WreathElement:
     """(g,s)(h,t) = (g . s(h), st) with s(h)_i = h_{s^-1(i)}."""
     sinv = perm_inverse(a.s)
-    rows = G.rows
-    g = tuple(rows[a.g[i]][b.g[sinv[i]]] for i in range(len(a.g)))
+    g = tuple(G.mult[list(a.g), [b.g[i] for i in sinv]].tolist())
     s = tuple(a.s[b.s[i]] for i in range(len(a.s)))
     return WreathElement(g, s)
 
@@ -222,12 +221,11 @@ def _cycles(s: tuple[int, ...]) -> list[list[int]]:
 def type_of(G: FiniteGroup, n: int, a: WreathElement) -> TypeFunction:
     """Cycle decomposition plus cycle-products: the conjugacy invariant."""
     cd = G.conjugacy()
-    rows = G.rows
     acc: dict[int, list[int]] = {}
     for cyc_ in _cycles(a.s):
         prod = G.identity
         for i in cyc_:  # g_{i_r} ... g_{i_1} applied left to right on indices
-            prod = rows[a.g[i]][prod]
+            prod = G.mult[a.g[i], prod]
         acc.setdefault(cd.class_of[prod], []).append(len(cyc_))
     return TypeFunction(acc.items())
 
@@ -453,7 +451,6 @@ def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
 
 
 _EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
-_BLOCK_ENTRIES = 1 << 20  # base-group products gathered per step of build_wreath
 
 
 def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:

@@ -16,6 +16,12 @@ pair up to order 24 and samples above it, and `check_action` is the block
 loop of `GSet.__init__` over every row.  They take the group as their first
 argument, and `tests/test_tables.py` checks that the generator-row checks
 give the same verdicts.
+
+`_find_inverses`, `element_order`, `power_class`, `_structure_constants`,
+`_commutator_subgroup` and `_exponent_linear_characters` are the element
+loops `wfk.groups` ran on a nested-list copy of the table before every
+reader moved to the one `mult` array; `tests/test_tables.py` checks the
+array readers against them value by value.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from math import gcd
 
 import numpy as np
 
+from wfk.budget import CONVOLUTION_PAIR_BUDGET, BudgetExceeded
 from wfk.exact import CycNum, cyc
 from wfk.groups import (_ASSOC_FULL_LIMIT, _SAMPLE_TRIPLES, ClassFunction,
-                        DiagonalizationFailure, FiniteGroup, NonInvertibleMatrix,
-                        _commutator_subgroup, _mat_mul)
+                        DiagonalizationFailure, FiniteGroup, NonInvertibleMatrix, _mat_mul)
 from wfk.linalg import row_reduce
 
 linalg = sys.modules[__name__]
@@ -54,6 +61,7 @@ def nullspace(matrix: list[list], one, zero) -> list[list]:
 
 
 def _abelian_generators(G: FiniteGroup) -> list[int]:
+    rows = G.mult.tolist()
     gens: list[int] = []
     reached = {G.identity}
     for x in range(G.order):
@@ -64,7 +72,7 @@ def _abelian_generators(G: FiniteGroup) -> list[int]:
         while grown:
             grown = False
             for a in list(reached):
-                for b in (G.rows[x][a], *[G.rows[g][a] for g in gens]):
+                for b in (rows[x][a], *[rows[g][a] for g in gens]):
                     if b not in reached:
                         reached.add(b)
                         grown = True
@@ -80,13 +88,14 @@ def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
     unity, so the candidate set is finite and the split is fully exact.
     """
     n = G.order
+    rows = G.mult.tolist()
     e = G.exponent()
     one, zero = cyc(1), cyc(0)
     spaces = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
     for g in _abelian_generators(G):
         o = G.element_order(g)
         roots = [CycNum.zeta(e, (e // o) * k) for k in range(o)]
-        perm = [G.rows[g][j] for j in range(n)]  # e_j -> e_{g j}
+        perm = [rows[g][j] for j in range(n)]  # e_j -> e_{g j}
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -117,7 +126,7 @@ def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
             if found != len(basis):
                 raise DiagonalizationFailure("abelian eigensplit lost dimensions")
         spaces = new_spaces
-    rows = []
+    out = []
     cd = G.conjugacy()
     for basis in spaces:
         if len(basis) != 1:
@@ -125,13 +134,14 @@ def _abelian_table(G: FiniteGroup) -> list[ClassFunction]:
         v = basis[0]
         j0 = next(j for j, c in enumerate(v) if not (c == 0))
         # (rho(g)v)_i = v_{g^{-1} i}, so the eigenvalue is read off at i = j0
-        values = [v[G.rows[G.inverse[rep]][j0]] / v[j0] for rep in cd.class_reps]
-        rows.append(ClassFunction(G, values))
-    return rows
+        values = [v[rows[G.inverse[rep]][j0]] / v[j0] for rep in cd.class_reps]
+        out.append(ClassFunction(G, values))
+    return out
 
 
 def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
     """Lift the characters of G/[G,G]."""
+    rows = G.mult.tolist()
     N = _commutator_subgroup(G)
     nset = set(N)
     coset_of = {}
@@ -140,12 +150,12 @@ def _linear_characters(G: FiniteGroup) -> list[ClassFunction]:
         if x in coset_of:
             continue
         idx = len(cosets)
-        members = sorted(G.rows[x][h] for h in N)
+        members = sorted(rows[x][h] for h in N)
         for y in members:
             coset_of[y] = idx
         cosets.append(members[0])
     q = len(cosets)
-    mult = [[coset_of[G.rows[cosets[i]][cosets[j]]] for j in range(q)] for i in range(q)]
+    mult = [[coset_of[rows[cosets[i]][cosets[j]]] for j in range(q)] for i in range(q)]
     Q = FiniteGroup(mult, name=f"{G.name}/derived", validate=False)
     rows = _abelian_table(Q)
     cdQ = Q.conjugacy()
@@ -224,3 +234,117 @@ def check_action(group: FiniteGroup, table) -> None:
     for a in range(0, group.order, step):
         if not np.array_equal(t[m[a:a + step]], t[a:a + step][:, t]):
             raise ValueError("action is not compatible with the product")
+
+
+# -- element loops on a nested-list copy of the table ------------------------------
+# `_structure_constants` does not cache on the group, so that the version
+# under test computes its own.
+
+def _find_inverses(self) -> list[int]:
+    hits = self.mult == self.identity
+    inv = hits.argmax(axis=1)
+    missing = ~hits[np.arange(self.order), inv]
+    if missing.any():
+        raise ValueError(f"element {missing.argmax()} has no inverse")
+    return inv.tolist()
+
+
+def element_order(self, a: int) -> int:
+    rows = self.mult.tolist()
+    k, x = 1, a
+    while x != self.identity:
+        x = rows[x][a]
+        k += 1
+    return k
+
+
+def power_class(G: FiniteGroup, c: int, k: int) -> int:
+    """Class of g^k for g in class c."""
+    rows = G.mult.tolist()
+    cd = G.conjugacy()
+    g = cd.class_reps[c]
+    k %= element_order(G, g)
+    x = G.identity
+    for _ in range(k):
+        x = rows[x][g]
+    return cd.class_of[x]
+
+
+def _structure_constants(G: FiniteGroup):
+    """N[F][(D,E)] = #{(d,e) in D x E : d e = rep_F}."""
+    rows = G.mult.tolist()
+    cd = G.conjugacy()
+    r = len(cd)
+    maxpair = max(cd.class_sizes) ** 2
+    if maxpair > CONVOLUTION_PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"class-pair product {maxpair} exceeds {CONVOLUTION_PAIR_BUDGET}")
+    table = [dict() for _ in range(r)]
+    for f_idx in range(r):
+        z = cd.class_reps[f_idx]
+        row = table[f_idx]
+        for x in range(G.order):
+            d = cd.class_of[x]
+            e = cd.class_of[rows[G.inverse[x]][z]]
+            row[(d, e)] = row.get((d, e), 0) + 1
+    return table
+
+
+def _commutator_subgroup(G: FiniteGroup) -> list[int]:
+    rows = G.mult.tolist()
+    n = G.order
+    comms = set()
+    for a in range(n):
+        ai = G.inverse[a]
+        for b in range(n):
+            comms.add(rows[rows[a][b]][rows[ai][G.inverse[b]]])
+    # close under multiplication
+    members = set(comms) | {G.identity}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (rows[x][y], rows[y][x]):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return sorted(members)
+
+
+def _exponent_linear_characters(G: FiniteGroup) -> list[ClassFunction]:
+    """Every homomorphism G -> mu_e, e the exponent: the characters of G/[G,G].
+
+    A character is kept as integer exponents, chi(x) = zeta_e^a[x], and built
+    along a chain of subgroups from N = [G,G] up to G.  To adjoin g to H, let
+    k >= 1 be least with g^k in H; each character of H then extends in k ways,
+    by a[g^j h] = j w + a[h] with k w = a[g^k] (mod e).  The values are
+    returned at conductor e // d, d the gcd of e and every exponent, which is
+    the exponent of G/N.
+    """
+    e = G.exponent()
+    rows = G.mult.tolist()
+    members = [G.identity] if G.is_abelian() else _commutator_subgroup(G)
+    pos = {x: i for i, x in enumerate(members)}
+    chars = [[0] * len(members)]
+    for g in range(G.order):
+        if g in pos:
+            continue
+        powers, x = [G.identity], g
+        while x not in pos:
+            powers.append(x)
+            x = rows[x][g]
+        k, at_gk, step = len(powers), pos[x], e // len(powers)
+        extended = []
+        for chi in chars:
+            c = chi[at_gk]
+            if c % k:
+                raise DiagonalizationFailure(f"character does not extend to element {g}")
+            for w in range(c // k, e, step):
+                extended.append([(j * w + a) % e for j in range(k) for a in chi])
+        chars = extended
+        members = [rows[p][h] for p in powers for h in members]
+        pos = {x: i for i, x in enumerate(members)}
+    d = gcd(e, *(a for chi in chars for a in chi))
+    roots = [CycNum.zeta(e // d, a) for a in range(e // d)]
+    at_reps = [pos[rep] for rep in G.conjugacy().class_reps]
+    return [ClassFunction(G, [roots[chi[i] // d] for i in at_reps]) for chi in chars]

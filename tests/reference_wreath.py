@@ -224,7 +224,7 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     # natural action on n x |Gamma| points and the lifted S_n action
     points = [(i, x) for i in range(n) for x in range(G.order)]
     pt_index = {p: k for k, p in enumerate(points)}
-    rows = G.rows
+    rows = G.mult.tolist()
     natural = []
     top = []
     for a in elem_list:

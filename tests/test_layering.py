@@ -1,7 +1,11 @@
 """The two sides of every check share only the side-neutral layers: the
 group side (`groups`, `wreath`) and the Fock side (`fock`) import nothing of
 each other, and `linop`, like the scalar layer, imports no `wfk` module.
-Imports are read from the source with `ast`, function-level ones included."""
+Imports are read from the source with `ast`, function-level ones included.
+
+The group table is stored once, as the `mult` array: no module reads an
+attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
+nested lists."""
 
 import ast
 from pathlib import Path
@@ -34,3 +38,39 @@ def test_sides_share_only_neutral_layers():
     assert not wfk_imports("fock") & {"groups", "wreath", "charmap", "mckay"}
     for module in ("groups", "wreath"):
         assert not wfk_imports(module) & {"fock", "charmap"}, module
+
+
+class TableReads(ast.NodeVisitor):
+    """The scopes (module.Class.function) that read `.rows` and `.mult.tolist`."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.rows: list[str] = []
+        self.mult_tolist: list[str] = []
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Attribute(self, node):
+        where = ".".join(self.scope)
+        if node.attr == "rows":
+            self.rows.append(where)
+        if (node.attr == "tolist" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "mult"):
+            self.mult_tolist.append(where)
+        self.generic_visit(node)
+
+
+def test_one_stored_group_table():
+    rows, mult_tolist = [], []
+    for path in sorted(SRC.glob("*.py")):
+        reads = TableReads(path.stem)
+        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
+        rows += reads.rows
+        mult_tolist += reads.mult_tolist
+    assert rows == []
+    assert mult_tolist == ["groups.FiniteGroup.to_json"]

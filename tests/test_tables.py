@@ -3,23 +3,34 @@ references, malformed tables, and the types the group API hands out.  The
 checks on generator rows (associativity, the matrix model, `GSet` actions)
 must give the verdicts of the all-rows checks they replaced
 (`reference_tables.py`), on the built-in groups and on tables with two
-entries of one row swapped."""
+entries of one row swapped.  The group readers on the one `mult` array
+(inverses, element orders, power classes, the commutator subgroup, linear
+characters, structure constants) must equal the loops over a nested-list
+copy of the table that they replaced, in value, order and Python-int type."""
 
 import numpy as np
 import pytest
 import reference_tables as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linear_characters import plain_product
 
+import wfk.groups as groups
 from wfk.exact import CycNum
 from wfk.groups import (
+    ClassFunction,
     FiniteGroup,
+    _commutator_subgroup,
+    _linear_characters,
+    _structure_constants,
     binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    convolution,
     cyclic_group,
     direct_product,
+    power_class,
     symmetric_group,
     trivial_group,
 )
@@ -61,18 +72,18 @@ def find_inverses_loop(mult, e):
 
 
 def is_action_loop(G, table):
-    n, points = G.order, len(table[0])
+    n, points, rows = G.order, len(table[0]), G.mult.tolist()
     if table[G.identity] != list(range(points)):
         return False
-    return all(table[G.rows[a][b]][p] == table[a][table[b][p]]
+    return all(table[rows[a][b]][p] == table[a][table[b][p]]
                for a in range(n) for b in range(n) for p in range(points))
 
 
 def commuting_fixed_pairs_loop(S):
     """sum over commuting pairs (g, h) of the points both fix."""
-    G, table = S.group, S.table.tolist()
+    G, table, rows = S.group, S.table.tolist(), S.group.mult.tolist()
     return sum(1 for g in range(G.order) for h in range(G.order)
-               if G.rows[g][h] == G.rows[h][g]
+               if rows[g][h] == rows[h][g]
                for p in range(S.points) if table[g][p] == p and table[h][p] == p)
 
 
@@ -81,7 +92,8 @@ def regular_action(G):
 
 
 def conjugation_action(G):
-    return [[G.rows[G.rows[g][p]][G.inverse[g]] for p in range(G.order)]
+    rows = G.mult.tolist()
+    return [[rows[rows[g][p]][G.inverse[g]] for p in range(G.order)]
             for g in range(G.order)]
 
 
@@ -123,11 +135,10 @@ def test_orbifold_count_matches_loop(G):
         assert orbifold_euler_bruteforce(S) == total // G.order
 
 
-def test_wreath_gset_matches_loop_and_leaves_rows_unbuilt():
+def test_wreath_gset_matches_loop():
     base = FiniteGroup(cyclic_group(2).mult, name="Z2-fresh")
     S = wreath_gset(swap_action(base), 3)
     chi = orbifold_euler_bruteforce(S)
-    assert "rows" not in vars(S.group)  # the explicit group is read as an array only
     assert chi == commuting_fixed_pairs_loop(S) // S.group.order
 
 
@@ -139,7 +150,7 @@ def test_one_read_only_int32_table(G):
     assert not G.mult.flags.writeable
     with pytest.raises(ValueError):
         G.mult[0, 0] = 0
-    assert G.rows == G.mult.tolist()
+    assert not hasattr(G, "rows")
     S = GSet.trivial(G, 2)
     assert S.table.dtype == np.int32 and not S.table.flags.writeable
 
@@ -163,6 +174,55 @@ def test_api_returns_python_ints(G):
     values = [G.mul(1, G.order - 1), G.identity, G.element_order(G.order - 1),
               *G.inverse, *cd.class_reps, *cd.class_of]
     assert all(type(v) is int for v in values)
+
+
+# -- array readers against the nested-list loops -----------------------------------
+
+READER_GROUPS = (builtin_groups() + [symmetric_group(5)]
+                 + [plain_product(*orders) for orders in
+                    ((2, 2), (2, 4), (3, 3), (4, 6), (2, 2, 2))]
+                 + [build_wreath(cyclic_group(2), n) for n in range(5)]
+                 + [build_wreath(cyclic_group(3), n) for n in range(3)]
+                 + [build_wreath(binary_dihedral(2), 2)])
+READER_IDS = [G.name for G in READER_GROUPS]
+
+
+def keys(functions):
+    return [[v.key() for v in f.values] for f in functions]
+
+
+@pytest.mark.parametrize("G", READER_GROUPS, ids=READER_IDS)
+def test_orders_and_powers_match_loops(G):
+    inverses = G._find_inverses()
+    assert inverses == ref._find_inverses(G)
+    orders = [G.element_order(a) for a in range(G.order)]
+    assert orders == [ref.element_order(G, a) for a in range(G.order)]
+    r, e = len(G.conjugacy()), G.exponent()
+    powers = [power_class(G, c, k) for c in range(r) for k in range(-1, e + 2)]
+    assert powers == [ref.power_class(G, c, k) for c in range(r) for k in range(-1, e + 2)]
+    assert all(type(v) is int for v in inverses + orders + powers)
+
+
+@pytest.mark.parametrize("G", READER_GROUPS, ids=READER_IDS)
+def test_commutators_and_linear_characters_match_loops(G):
+    members = _commutator_subgroup(G)
+    assert members == ref._commutator_subgroup(G)
+    assert all(type(v) is int for v in members)
+    assert keys(_linear_characters(G)) == keys(ref._exponent_linear_characters(G))
+
+
+@pytest.mark.parametrize("G", READER_GROUPS, ids=READER_IDS)
+def test_structure_constants_and_convolution_match_loops(G, monkeypatch):
+    table = _structure_constants(G)
+    assert table == ref._structure_constants(G)
+    assert all(type(v) is int for row in table for (d, e), count in row.items()
+               for v in (d, e, count))
+    r = len(G.conjugacy())
+    f = ClassFunction(G, range(1, r + 1))
+    g = ClassFunction(G, [CycNum.zeta(4, c) for c in range(r)])
+    got = [convolution(f, g), convolution(g, g)]
+    monkeypatch.setattr(groups, "_structure_constants", ref._structure_constants)
+    assert keys(got) == keys([convolution(f, g), convolution(g, g)])
 
 
 # -- malformed tables ----------------------------------------------------------
@@ -190,6 +250,17 @@ def test_element_without_inverse():
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(ValueError, match="element 1 has no inverse"):
         find_inverses_loop([[0, 1], [1, 1]], 0)
+
+
+def test_inverses_found_over_several_blocks():
+    # Z/1500 spans three blocks of rows, and row 1400 lies in the last one
+    n = 1500
+    assert groups._BLOCK_ENTRIES // n < 1400 and n * n > 2 * groups._BLOCK_ENTRIES
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    assert FiniteGroup(table).inverse == [-a % n for a in range(n)]
+    table[1400, 100] = 1
+    with pytest.raises(ValueError, match="^element 1400 has no inverse$"):
+        FiniteGroup(table)
 
 
 def test_identity_and_inverse_laws():
