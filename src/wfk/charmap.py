@@ -24,14 +24,12 @@ from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
     TypeFunction,
-    WreathBatch,
     WreathClassFunction,
     batch_inverse,
     batch_mult,
     centralizer_order,
     heisenberg_p,
     pair_batches,
-    representative_of_type,
     wcf_indicator,
     wcf_zero,
     wreath_level,
@@ -177,13 +175,13 @@ def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    reps = WreathBatch.of([representative_of_type(G, n, rho) for rho in types], n)
+    reps = lvl.representatives.take([lvl.type_index[rho] for rho in types])
     support = [(lvl.type_index[t], v) for t, v in f.values.items() if t in lvl.type_index]
     width = len(lvl.types)
     sums = []
     for sigma, gv in g.items():
-        inverses = batch_inverse(G, lvl.class_batch(sigma))
-        k = len(inverses.g)
+        inverses = batch_inverse(G, lvl.class_elements(sigma))
+        k = len(inverses)
         counts = np.zeros(len(types) * width, dtype=np.int64)
         for i, j in pair_batches(len(types), k):
             zy = batch_mult(G, reps.take(i), inverses.take(j))

@@ -20,7 +20,6 @@ from . import linalg
 from .report import VerificationReport
 from .wreath import (
     eta_eps_characters,
-    representative_of_type,
     weighted_form,
     wreath_level,
     wcf_from_class_function,
@@ -33,6 +32,10 @@ class MissingMatrixModel(ValueError):
 
 class NotAffineADE(ValueError):
     """The Cartan matrix does not match any affine ADE diagram."""
+
+
+class CartanMismatch(ValueError):
+    """The xi-weighted form on the irreducibles is not the Cartan matrix 2I - A."""
 
 
 class McKayData:
@@ -78,7 +81,7 @@ def mckay_data(G: FiniteGroup) -> McKayData:
         for j in range(r):
             w = inner_product(xi.pointwise(rows[i]), rows[j])
             if w != cartan[i][j]:
-                raise AssertionError("weighted form disagrees with 2I - A")
+                raise CartanMismatch(f"weighted form disagrees with 2I - A at ({i}, {j})")
     marks = list(table.degrees)
     trivial_index = next(i for i, row in enumerate(rows)
                          if all(v == 1 for v in row.values))
@@ -147,13 +150,13 @@ def koszul_thom_check(G: FiniteGroup, n: int) -> VerificationReport:
     eta = eta_eps_characters(G, n, xi, signed=False)
     report = VerificationReport(f"koszul-thom({G.name}, n={n})")
     one, zero = cyc(1), cyc(0)
-    for rho in lvl.types:
-        a = representative_of_type(G, n, rho)
+    reps = lvl.representatives
+    for rho, g, s in zip(lvl.types, reps.g.tolist(), reps.s.tolist()):
         # block matrix: coordinate block i receives block s^-1(i) acted by g_i
         m = [[zero] * (2 * n) for _ in range(2 * n)]
-        sinv = [a.s.index(i) for i in range(n)]
+        sinv = [s.index(i) for i in range(n)]
         for i in range(n):
-            blk = G.matrix_model[a.g[i]]
+            blk = G.matrix_model[g[i]]
             for u in range(2):
                 for v in range(2):
                     m[2 * i + u][2 * sinv[i] + v] = cyc(blk[u][v])

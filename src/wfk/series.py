@@ -254,13 +254,12 @@ def orbifold_euler_bruteforce(S: GSet) -> int:
 def wreath_gset(base: GSet, n: int) -> GSet:
     """The wreath action on the n-fold product of the base set:
     a . (x_1..x_n) = (g_1 x_{s^-1(1)}, ..., g_n x_{s^-1(n)})."""
-    from .wreath import build_wreath, perm_inverse
+    from .wreath import batch_inverse, build_wreath, wreath_level
     W = build_wreath(base.group, n)
     pts = list(itertools.product(range(base.points), repeat=n))
     pts = np.array(pts, dtype=np.int64).reshape(len(pts), n)
-    g = np.array([a.g for a in W.wreath_elements], dtype=np.intp).reshape(W.order, n)
-    sinv = np.array([perm_inverse(a.s) for a in W.wreath_elements],
-                    dtype=np.intp).reshape(W.order, n)
+    x = wreath_level(base.group, n).batch(np.arange(W.order))  # the elements of W in order
+    g, sinv = x.g, batch_inverse(base.group, x).s
     # img[a, p, i] = g_i x_{s^-1(i)} for element a and point p = (x_1..x_n);
     # points are numbered in itertools.product order, last coordinate fastest
     img = base.table[g[:, None, :], pts[:, sinv].transpose(1, 0, 2)]

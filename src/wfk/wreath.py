@@ -1,17 +1,27 @@
 """Wreath products G_n = Gamma^n x| S_n: types, classes, class functions,
 Frobenius induction/restriction and the Heisenberg operators p_k(gamma).
 
-Elements are pairs (g, s) with g an n-tuple of Gamma-indices and s a
-permutation tuple (s[i] is the image of i).  Conjugacy classes are indexed by
+An element is a pair (g, s): g holds n Gamma-indices and s is a permutation
+of range(n) (s[i] is the image of i).  Conjugacy classes are indexed by
 partition-valued functions on the conjugacy classes of Gamma ("types").
 Class-function operators evaluate Frobenius sums class-by-class with exact
 centralizer weights; literal element loops are kept as oracles.
 
-The element loops (class members, class convolution in `charmap`, the
-induction oracle) run on numpy batches: a `WreathBatch` holds B elements as
-two (B, n) int arrays, `batch_mult` and `batch_inverse` act on all rows at
-once, and `WreathLevel.label` gives each row the index of its type.  The
-tuple loops they replaced stay in `tests/reference_*.py` as their gate.
+`WreathLevel` owns the one encoding of the elements of Gamma_n: element i is
+the (i // |Gamma|^n)-th permutation in lexicographic order with g the
+base-|Gamma| digits of i % |Gamma|^n.  Every element loop reads its elements
+from the level as a `WreathBatch`, B elements as two (B, n) int arrays: the
+explicit group `build_wreath` and its GSet the whole level, the class
+convolution in `charmap` a class (`WreathLevel.class_elements`), and the
+induction oracle and the Koszul-Thom check one element per type
+(`WreathLevel.representatives`).  `batch_mult` and `batch_inverse` act on all
+rows at once, and `WreathLevel.label` gives each row the index of its type.
+
+`WreathElement` with `wreath_mult`, `wreath_inverse` and `type_of` is the
+row-by-row tuple oracle the tests check the batches against; no element loop
+calls it, and it stays here because `perfbench/tracer.py` counts the calls of
+`wreath_mult` and `type_of`.  The tuple loops the batches replaced stay in
+`tests/reference_*.py` as their gate.
 """
 
 from __future__ import annotations
@@ -230,11 +240,18 @@ def type_of(G: FiniteGroup, n: int, a: WreathElement) -> TypeFunction:
     return TypeFunction(acc.items())
 
 
-class WreathBatch(NamedTuple):
+class WreathBatch:
     """B elements of Gamma_n: row b is the element (g[b], s[b]), both (B, n)
-    int arrays."""
-    g: np.ndarray
-    s: np.ndarray
+    int arrays; `len` is B."""
+
+    __slots__ = ("g", "s")
+
+    def __init__(self, g: np.ndarray, s: np.ndarray):
+        self.g = g
+        self.s = s
+
+    def __len__(self) -> int:
+        return len(self.g)
 
     @staticmethod
     def of(elements, n: int) -> "WreathBatch":
@@ -269,25 +286,6 @@ def batch_inverse(G: FiniteGroup, a: WreathBatch) -> WreathBatch:
     return WreathBatch(inverse[np.take_along_axis(a.g, a.s, axis=1)], _perm_inverse_rows(a.s))
 
 
-def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathElement:
-    """Canonical element: consecutive cycles, class representative on the
-    first letter of each cycle."""
-    if rho.size() > n:
-        raise ValueError(f"type of size {rho.size()} does not fit in level {n}")
-    cd = G.conjugacy()
-    g = [G.identity] * n
-    s = list(range(n))
-    pos = 0
-    for c, parts in rho.classes:
-        for r in parts:
-            letters = list(range(pos, pos + r))
-            for i in range(r):
-                s[letters[i]] = letters[(i + 1) % r]
-            g[letters[0]] = cd.class_reps[c]
-            pos += r
-    return WreathElement(tuple(g), tuple(s))
-
-
 # ---------------------------------------------------------------------------
 # symbolic level view and the explicit group
 # ---------------------------------------------------------------------------
@@ -317,13 +315,14 @@ def _permutation_rows(n: int) -> np.ndarray:
 
 
 class WreathLevel:
-    """Symbolic view of Gamma_n: types, sizes and on-demand element loops.
+    """Symbolic view of Gamma_n: types, sizes and on-demand element batches.
 
-    Element i of `elements()` is (g, s) with s the (i // |Gamma|^n)-th
+    Element i of the level is (g, s) with s the (i // |Gamma|^n)-th
     permutation in lexicographic order and g the base-|Gamma| digits of
-    i % |Gamma|^n.  The level keeps the permutations and, once a class is
-    asked for, the type label of every element, both as read-only arrays of
-    the smallest int dtype that holds them."""
+    i % |Gamma|^n; `batch` is the one place that spells this out.  The level
+    keeps the permutations and, once a class is asked for, the type label of
+    every element, both as read-only arrays of the smallest int dtype that
+    holds them."""
 
     def __init__(self, G: FiniteGroup, n: int):
         self.group = G
@@ -331,7 +330,7 @@ class WreathLevel:
         self.order = (G.order ** n) * factorial(n)
         self.types = enumerate_types(G, n)
         self.type_index = {t: i for i, t in enumerate(self.types)}
-        self._class_elements: dict[TypeFunction, list[WreathElement]] = {}
+        self._class_elements: dict[TypeFunction, WreathBatch] = {}
         self._z: dict[TypeFunction, int] = {}
 
     def z(self, rho: TypeFunction) -> int:
@@ -346,18 +345,12 @@ class WreathLevel:
             raise ValueError(f"{rho} is not a type of level {self.n}")
         return self.order // z
 
-    def elements(self) -> Iterator[WreathElement]:
-        G = self.group
-        for s in itertools.permutations(range(self.n)):
-            for g in itertools.product(range(G.order), repeat=self.n):
-                yield WreathElement(g, s)
-
     @functools.cached_property
     def _perms(self) -> np.ndarray:
         return _permutation_rows(self.n)
 
     def batch(self, index: np.ndarray) -> WreathBatch:
-        """The elements at positions `index` of `elements()`."""
+        """The elements at positions `index` of the level."""
         G, n = self.group, self.n
         n_g = G.order ** n
         digits = G.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -413,33 +406,42 @@ class WreathLevel:
 
     @functools.cached_property
     def _labels(self) -> np.ndarray:
-        """The label of every element, in the order of `elements()`."""
+        """The label of every element, in the order of the level."""
         labels = np.empty(self.order, dtype=np.min_scalar_type(len(self.types)))
         for _, index in pair_batches(1, self.order):
             labels[index] = self.label(self.batch(index))
         return _readonly(labels)
 
-    def class_elements(self, rho: TypeFunction) -> list[WreathElement]:
+    @functools.cached_property
+    def representatives(self) -> WreathBatch:
+        """One element of each type, row i of type `types[i]`: consecutive
+        cycles, with the class representative of Gamma on the first letter
+        of each cycle and the identity on the others."""
+        G, n = self.group, self.n
+        class_reps = G.conjugacy().class_reps
+        g = np.full((len(self.types), n), G.identity, dtype=np.intp)
+        s = np.tile(np.arange(n), (len(self.types), 1))
+        for row, rho in enumerate(self.types):
+            pos = 0
+            for c, parts in rho.classes:
+                for r in parts:
+                    g[row, pos] = class_reps[c]
+                    s[row, pos:pos + r] = np.roll(s[row, pos:pos + r], -1)
+                    pos += r
+        return WreathBatch(_readonly(g), _readonly(s))
+
+    def class_elements(self, rho: TypeFunction) -> WreathBatch:
         """The conjugacy class of type rho: the elements whose type is rho,
-        in the order of `elements()`."""
+        in the order of the level, as one batch kept on the level."""
         check_budget(self.order, f"class orbit in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
-        out = self._class_batch(rho).elements()
+        t = self.type_index.get(rho)
+        out = self.batch(np.flatnonzero(self._labels == t) if t is not None else np.arange(0))
         if len(out) != self.class_size(rho):
             raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
         return out
-
-    def class_batch(self, rho: TypeFunction) -> WreathBatch:
-        """`class_elements(rho)` as one batch, in the same order."""
-        self.class_elements(rho)
-        return self._class_batch(rho)
-
-    def _class_batch(self, rho: TypeFunction) -> WreathBatch:
-        t = self.type_index.get(rho)
-        return self.batch(np.flatnonzero(self._labels == t) if t is not None
-                          else np.arange(0))
 
 
 def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
@@ -455,24 +457,34 @@ _EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
 
 def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     """Explicit multiplication-table model of Gamma_n, with the natural
-    permutation actions attached and the element list stored on the result;
-    kept on G (as `G.wreath_builds`).
+    permutation actions attached; kept on G (as `G.wreath_builds`).
 
-    Element (g, s) has index s_idx * |Gamma|^n + g_idx, with s_idx the rank of
-    s in lexicographic order and g_idx = sum_i g_i |Gamma|^(n-1-i), the order
-    of `WreathLevel.elements()`.  The table is filled one permutation s at a
-    time: the rows of s are (g, s)(h, t) = (g . s(h), st) for every g, h, t."""
+    Element i of the table is element i of `wreath_level(G, n)`, whose
+    `batch` gives the elements behind any indices.  The table is filled one
+    permutation s at a time: the rows of s are (g, s)(h, t) = (g . s(h), st)
+    for every g, h, t."""
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
     check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
     builds = vars(G).setdefault("wreath_builds", {})
     if n in builds:
         return builds[n]
-    perms = _permutation_rows(n).astype(np.intp)
-    nP, nG = len(perms), G.order ** n
-    weights = G.order ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    gparts = np.arange(nG)[:, None] // weights % G.order  # (nG, n): the g of each g_idx
-    elem_list, actions = _elements_and_actions(G, perms, gparts)
+    nG = G.order ** n
+    everything = wreath_level(G, n).batch(np.arange(order))
+    # the rows with g_idx 0 run through the permutations, the first nG rows through the g
+    perms, gparts = everything.s[::nG].astype(np.intp), everything.g[:nG]
+    nP = len(perms)
+    weights = G.order ** np.arange(n - 1, -1, -1, dtype=np.int32)  # g_idx = g @ weights
+    actions = []
+    if n:
+        # (g, s) sends the point (i, x), numbered i |Gamma| + x, to (s(i), g_{s(i)} x);
+        # the lifted S_n action moves the first n points only
+        points, s_all = n * G.order, everything.s.astype(np.intp)
+        gs = np.take_along_axis(everything.g, s_all, axis=1)
+        natural = (s_all[:, :, None] * G.order + G.mult[gs]).reshape(order, points)
+        top = np.concatenate([s_all, np.broadcast_to(np.arange(n, points), (order, points - n))],
+                             axis=1)
+        actions = [natural.tolist(), top.tolist()]
     radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
     codes = perms @ radix  # ascending, so searchsorted gives the rank of a permutation
     gm = G.mult
@@ -487,39 +499,17 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
             gnums = gm[gparts[lo:lo + step, None, :], sh[None, :, :]] @ weights
             np.add(st[None, :, None], gnums[:, None, :], out=blocks[si, lo:lo + step])
     W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}", perm_actions=actions)
-    W.wreath_elements = elem_list
     W.wreath_base = G
     W.wreath_n = n
     builds[n] = W
     return W
 
 
-def _elements_and_actions(G: FiniteGroup, perms: np.ndarray, gparts: np.ndarray):
-    """The elements of Gamma_n in table order, and (for n >= 1) its natural
-    action on the n x |Gamma| points (i, x), numbered i |Gamma| + x, where
-    (g, s) sends (i, x) to (s(i), g_{s(i)} x), with the lifted S_n action,
-    which moves the first n points only; all as lists.  The elements share
-    one tuple per g and one per s."""
-    g_parts = [tuple(g) for g in gparts.tolist()]
-    elements = [WreathElement(g, s) for s in map(tuple, perms.tolist()) for g in g_parts]
-    order, n = len(elements), perms.shape[1]
-    if not n:
-        return elements, []
-    points = n * G.order
-    s_all = np.repeat(perms, len(gparts), axis=0)
-    g_all = np.tile(gparts, (len(perms), 1))
-    gs = np.take_along_axis(g_all, s_all, axis=1)
-    natural = (s_all[:, :, None] * G.order + G.mult[gs]).reshape(order, points)
-    top = np.concatenate([s_all, np.broadcast_to(np.arange(n, points), (order, points - n))],
-                         axis=1)
-    return elements, [natural.tolist(), top.tolist()]
-
-
 def wreath_class_types(W: FiniteGroup) -> list[TypeFunction]:
     """Type of each conjugacy class of an explicit wreath group."""
-    G, n = W.wreath_base, W.wreath_n
-    cd = W.conjugacy()
-    return [type_of(G, n, W.wreath_elements[rep]) for rep in cd.class_reps]
+    lvl = wreath_level(W.wreath_base, W.wreath_n)
+    labels = lvl.label(lvl.batch(np.array(W.conjugacy().class_reps)))
+    return [lvl.types[t] for t in labels.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +726,7 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
     h_order = (G.order ** n) * factorial(n) * (G.order ** m) * factorial(m)
     left, right = wreath_level(G, n), wreath_level(G, m)
     width = len(left.types) * len(right.types)
-    reps = WreathBatch.of([representative_of_type(G, N, rho) for rho in lvl.types], N)
+    reps = lvl.representatives
     counts = np.zeros(len(lvl.types) * width, dtype=np.int64)
     for i, j in pair_batches(len(lvl.types), lvl.order):
         y = lvl.batch(j)

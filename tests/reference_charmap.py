@@ -7,7 +7,9 @@ case; `cubic_formula` was a hand-written split loop plus the join boundary.
 that the numpy element batches replaced.  The bodies below are kept as they
 were, so that `tests/test_charmap_reference.py` can check the one
 class-convolution loop, the one Delta operator and the cubic as W^3_0(1)
-against them, value by value and in key order.
+against them, value by value and in key order.  The loops read the class
+members that `WreathLevel.class_elements` finds as tuples, and the canonical
+representatives from `reference_wreath.representative_of_type`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from wfk.groups import FiniteGroup, GroupMismatch, trivial_group
 from wfk.wreath import (
     TypeFunction,
     WreathClassFunction,
-    representative_of_type,
     type_of,
     wcf_zero,
     wreath_inverse,
     wreath_level,
     wreath_mult,
 )
+
+from reference_wreath import representative_of_type
 
 
 def class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
@@ -39,7 +42,7 @@ def class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    classes = [([wreath_inverse(G, y) for y in lvl.class_elements(sigma)], gv)
+    classes = [([wreath_inverse(G, y) for y in lvl.class_elements(sigma).elements()], gv)
                for sigma, gv in g.items()]
     out = {}
     for rho in types:
@@ -62,7 +65,7 @@ def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,
                       f: WreathClassFunction) -> WreathClassFunction:
     """(K * f)(x) = sum_{y in K} f(x y^-1), evaluated per class of Gamma_n."""
     lvl = wreath_level(G, n)
-    members = lvl.class_elements(kappa)
+    members = lvl.class_elements(kappa).elements()
     out = {}
     for rho in lvl.types:
         z = representative_of_type(G, n, rho)
@@ -143,7 +146,7 @@ def filtered_convolution(f: GradedClassFunction,
         z = representative_of_type(T, n, rho)
         acc = cyc(0)
         for sigma, gv in g.wcf.values.items():
-            for y in lvl.class_elements(sigma):
+            for y in lvl.class_elements(sigma).elements():
                 fv = f.wcf.value(type_of(T, n, wreath_mult(T, z, wreath_inverse(T, y))))
                 if not fv.is_zero():
                     acc = acc + fv * gv

@@ -1,6 +1,6 @@
 """Reference copy of the symbolic induction and annihilation, of the
-class-member searches and of the element-loop induction oracle that
-`wfk.wreath` replaced.
+class-member searches, of the element-loop induction oracle and of the tuple
+element encoding that `wfk.wreath` replaced.
 
 `induce` sweeps every type rho of the target level and enumerates the
 sub-multiset splits rho = alpha u beta (`_splits`), keeping those with
@@ -11,14 +11,17 @@ conjugation orbit of the canonical representative of a type;
 one tuple at a time, and `induce_bruteforce` is the tuple-by-tuple
 Frobenius sum.  `build_wreath` fills the explicit table one row at a time
 and builds the permutation actions with a dict loop; `sum_scaled`
-multiplies every column value by its coefficient.  The bodies below are
-kept as they were, so that `tests/test_wreath_reference.py` can check the
-support sums and the numpy element batches of `wfk.wreath` against them,
-value by value and in key order, and the members of each class as a set
-or, against the type scan, as a list; and `tests/test_build_wreath.py` can
-check the block-filled table byte for byte and the unit skip of
-`WreathClassFunction.sum_scaled` value by value, conductor by conductor and
-in key order.
+multiplies every column value by its coefficient.  `elements` lists a level
+as tuples, `representative_of_type` builds the canonical element of a type
+as a tuple, and `wreath_class_types` and `wreath_gset` read the explicit
+group through the tuple list `wreath_elements`, which the explicit group
+used to store.  The bodies below are kept as they were, so that
+`tests/test_wreath_reference.py` can check the support sums, the numpy
+element batches and the level's arrays of `wfk.wreath` against them, value
+by value and in key order, and the members of each class as a set or,
+against the type scan, as a list; and can check the block-filled table byte
+for byte and the unit skip of `WreathClassFunction.sum_scaled` value by
+value, conductor by conductor and in key order.
 """
 
 from __future__ import annotations
@@ -33,10 +36,68 @@ from wfk import wreath
 from wfk.budget import check_budget
 from wfk.exact import CycNum, cyc
 from wfk.groups import FiniteGroup, GroupMismatch
+from wfk.series import GSet
 from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction,
                         WreathElement, WreathLevel, centralizer_order,
-                        partition_multiplicities, perm_inverse, representative_of_type,
-                        sigma_n, type_of, wcf_zero, wreath_inverse, wreath_level, wreath_mult)
+                        partition_multiplicities, perm_inverse, sigma_n, type_of, wcf_zero,
+                        wreath_inverse, wreath_level, wreath_mult)
+
+
+def elements(self: WreathLevel):
+    G = self.group
+    for s in itertools.permutations(range(self.n)):
+        for g in itertools.product(range(G.order), repeat=self.n):
+            yield WreathElement(g, s)
+
+
+def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathElement:
+    """Canonical element: consecutive cycles, class representative on the
+    first letter of each cycle."""
+    if rho.size() > n:
+        raise ValueError(f"type of size {rho.size()} does not fit in level {n}")
+    cd = G.conjugacy()
+    g = [G.identity] * n
+    s = list(range(n))
+    pos = 0
+    for c, parts in rho.classes:
+        for r in parts:
+            letters = list(range(pos, pos + r))
+            for i in range(r):
+                s[letters[i]] = letters[(i + 1) % r]
+            g[letters[0]] = cd.class_reps[c]
+            pos += r
+    return WreathElement(tuple(g), tuple(s))
+
+
+def wreath_elements(W: FiniteGroup) -> list[WreathElement]:
+    """The element list an explicit wreath group used to store: `elements`
+    of its level, the order of its table."""
+    return list(elements(wreath_level(W.wreath_base, W.wreath_n)))
+
+
+def wreath_class_types(W: FiniteGroup) -> list[TypeFunction]:
+    """Type of each conjugacy class of an explicit wreath group."""
+    G, n = W.wreath_base, W.wreath_n
+    cd = W.conjugacy()
+    elems = wreath_elements(W)
+    return [type_of(G, n, elems[rep]) for rep in cd.class_reps]
+
+
+def wreath_gset(base: GSet, n: int) -> GSet:
+    """The wreath action on the n-fold product of the base set:
+    a . (x_1..x_n) = (g_1 x_{s^-1(1)}, ..., g_n x_{s^-1(n)})."""
+    from wfk.wreath import build_wreath
+    W = build_wreath(base.group, n)
+    pts = list(itertools.product(range(base.points), repeat=n))
+    pts = np.array(pts, dtype=np.int64).reshape(len(pts), n)
+    elems = wreath_elements(W)
+    g = np.array([a.g for a in elems], dtype=np.intp).reshape(W.order, n)
+    sinv = np.array([perm_inverse(a.s) for a in elems], dtype=np.intp).reshape(W.order, n)
+    # img[a, p, i] = g_i x_{s^-1(i)} for element a and point p = (x_1..x_n);
+    # points are numbered in itertools.product order, last coordinate fastest
+    img = base.table[g[:, None, :], pts[:, sinv].transpose(1, 0, 2)]
+    table = img @ (base.points ** np.arange(n - 1, -1, -1))
+    return GSet(W, table)
 
 
 def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
@@ -47,7 +108,7 @@ def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
     G = self.group
     rep = representative_of_type(G, self.n, rho)
     seen = {rep}
-    for y in self.elements():
+    for y in elements(self):
         x = wreath_mult(G, wreath_mult(G, y, rep), wreath_inverse(G, y))
         seen.add(x)
     out = sorted(seen)
@@ -59,12 +120,12 @@ def class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
 
 def type_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> list[WreathElement]:
     """The conjugacy class of type rho: the elements whose `type_of` is
-    rho, in the order of `elements()`."""
+    rho, in the order of `elements`."""
     check_budget(self.order, f"class orbit in level {self.n}")
     if rho in self._class_elements:
         return self._class_elements[rho]
     G, n = self.group, self.n
-    out = [a for a in self.elements() if type_of(G, n, a) == rho]
+    out = [a for a in elements(self) if type_of(G, n, a) == rho]
     if len(out) != self.class_size(rho):
         raise ValueError(f"{rho} is not a type of level {self.n}")
     self._class_elements[rho] = out
@@ -82,7 +143,7 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
     for rho in lvl.types:
         x = representative_of_type(G, N, rho)
         total = cyc(0)
-        for y in lvl.elements():
+        for y in elements(lvl):
             z = wreath_mult(G, wreath_mult(G, wreath_inverse(G, y), x), y)
             if all(z.s[i] < n for i in range(n)):
                 left = WreathElement(z.g[:n], z.s[:n])

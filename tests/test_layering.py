@@ -5,7 +5,10 @@ Imports are read from the source with `ast`, function-level ones included.
 
 The group table is stored once, as the `mult` array: no module reads an
 attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
-nested lists."""
+nested lists.  The elements of Gamma_n are encoded once, by `WreathLevel`:
+no module reads an explicit group's `wreath_elements`, and only the tuple
+oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
+`WreathBatch.elements`) builds a `WreathElement`."""
 
 import ast
 from pathlib import Path
@@ -40,13 +43,14 @@ def test_sides_share_only_neutral_layers():
         assert not wfk_imports(module) & {"fock", "charmap"}, module
 
 
-class TableReads(ast.NodeVisitor):
-    """The scopes (module.Class.function) that read `.rows` and `.mult.tolist`."""
+class Reads(ast.NodeVisitor):
+    """The scopes (module.Class.function) that read `.rows`, `.mult.tolist`
+    or `.wreath_elements`, or that call `WreathElement`."""
 
     def __init__(self, module: str):
         self.scope = [module]
-        self.rows: list[str] = []
-        self.mult_tolist: list[str] = []
+        self.found: dict[str, list[str]] = {
+            "rows": [], "mult.tolist": [], "wreath_elements": [], "WreathElement()": []}
 
     def visit_scope(self, node):
         self.scope.append(node.name)
@@ -57,20 +61,41 @@ class TableReads(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         where = ".".join(self.scope)
-        if node.attr == "rows":
-            self.rows.append(where)
+        if node.attr in ("rows", "wreath_elements"):
+            self.found[node.attr].append(where)
         if (node.attr == "tolist" and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "mult"):
-            self.mult_tolist.append(where)
+            self.found["mult.tolist"].append(where)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "WreathElement":
+            self.found["WreathElement()"].append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def test_one_stored_group_table():
-    rows, mult_tolist = [], []
+def src_reads() -> dict[str, list[str]]:
+    """`Reads.found`, pooled over every module of `wfk`."""
+    found: dict[str, list[str]] = {}
     for path in sorted(SRC.glob("*.py")):
-        reads = TableReads(path.stem)
+        reads = Reads(path.stem)
         reads.visit(ast.parse(path.read_text(encoding="utf-8")))
-        rows += reads.rows
-        mult_tolist += reads.mult_tolist
-    assert rows == []
-    assert mult_tolist == ["groups.FiniteGroup.to_json"]
+        for what, scopes in reads.found.items():
+            found.setdefault(what, []).extend(scopes)
+    return found
+
+
+def test_one_stored_group_table():
+    found = src_reads()
+    assert found["rows"] == []
+    assert found["mult.tolist"] == ["groups.FiniteGroup.to_json"]
+
+
+def test_one_element_encoding():
+    # Gamma_n elements come from `WreathLevel` as arrays; the tuple element
+    # is built only by the row-by-row oracle and by `WreathBatch.elements`
+    found = src_reads()
+    assert found["wreath_elements"] == []
+    assert set(found["WreathElement()"]) == {
+        "wreath.wreath_mult", "wreath.wreath_inverse", "wreath.wreath_identity",
+        "wreath.WreathBatch.elements"}

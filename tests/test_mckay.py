@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from wfk import mckay
+from wfk.cli import run
 from wfk.exact import cyc
 from wfk.groups import (
+    ClassFunction,
     binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
@@ -13,6 +16,7 @@ from wfk.groups import (
     trivial_group,
 )
 from wfk.mckay import (
+    CartanMismatch,
     MissingMatrixModel,
     NotAffineADE,
     classify_affine_ade,
@@ -69,6 +73,16 @@ def test_cartan_invariants():
 def test_missing_matrix_model():
     with pytest.raises(MissingMatrixModel):
         mckay_data(symmetric_group(3))
+
+
+def test_weighted_form_mismatch_is_a_typed_error(monkeypatch, capsys):
+    # with a zero trivial character xi = -Q, so the weighted form gives -A, not 2I - A
+    monkeypatch.setattr(mckay, "trivial_character",
+                        lambda G: ClassFunction(G, [0] * len(G.conjugacy())))
+    with pytest.raises(CartanMismatch, match="disagrees with 2I - A"):
+        mckay_data(cyclic_group(3))
+    assert run(["mckay", "--group", "builtin:cyclic:3"]) == 1
+    assert capsys.readouterr().err.startswith("wfk: error: weighted form disagrees")
 
 
 def test_finite_type_rejected():

@@ -3,6 +3,7 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wfk.exact import cyc
@@ -19,7 +20,6 @@ from wfk.wreath import (
     induce,
     induce_bruteforce,
     p_minus_adjoint,
-    representative_of_type,
     restrict,
     sigma_n,
     type_of,
@@ -87,7 +87,7 @@ def test_type_invariant_under_conjugation():
     n = 3
     lvl = wreath_level(G, n)
     rng = random.Random(5)
-    elems = list(lvl.elements())
+    elems = lvl.batch(np.arange(lvl.order)).elements()
     for _ in range(30):
         a = rng.choice(elems)
         h = rng.choice(elems)
@@ -98,7 +98,7 @@ def test_type_invariant_under_conjugation():
 def test_wreath_mult_associative_sample():
     G = cyclic_group(2)
     lvl = wreath_level(G, 3)
-    elems = list(lvl.elements())
+    elems = lvl.batch(np.arange(lvl.order)).elements()
     rng = random.Random(11)
     for _ in range(60):
         a, b, c = (rng.choice(elems) for _ in range(3))
@@ -362,7 +362,7 @@ def test_eta_matches_explicit_tensor_character():
     eta = eta_eps_characters(G, 2, defining_character(G), signed=False)
     cd = W.conjugacy()
     for c, rep in enumerate(cd.class_reps):
-        a = W.wreath_elements[rep]
+        (a,) = wreath_level(G, 2).batch(np.array([rep])).elements()
         # matrix of a on C^2 (x) C^2: (v1 (x) v2) -> g1 v_{s^-1(1)} (x) g2 v_{s^-1(2)}
         sinv = [a.s.index(i) for i in range(2)]
         trace = cyc(0)

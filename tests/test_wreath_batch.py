@@ -6,6 +6,7 @@ no state carries from one call or one group to the next."""
 
 import numpy as np
 import pytest
+import reference_wreath as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ def test_batch_of_one(case):
 def test_whole_level_batch_mixes_every_type(name, n):
     G = GROUPS[name]
     lvl = WreathLevel(G, n)
-    everything = list(lvl.elements())
+    everything = list(ref.elements(lvl))
     batch = lvl.batch(np.arange(lvl.order))
     assert batch.elements() == everything
     labels = lvl.label(batch)
@@ -115,7 +116,7 @@ def batch_results(G) -> list:
     out = []
     for n in range(4):
         lvl = wreath_level(G, n)
-        out.append([lvl.class_elements(rho) for rho in lvl.types])
+        out.append([lvl.class_elements(rho).elements() for rho in lvl.types])
         kappa = k_class_type(G, len(G.conjugacy()) - 1, 1, n)
         if kappa is not None:
             for rho in lvl.types:

@@ -10,7 +10,12 @@ finds, in order, and `induce_bruteforce` must agree with the tuple-by-tuple
 Frobenius sum in value, conductor and key order, level 0 and the splits
 with an empty side included.  The explicit Gamma_n table filled one
 permutation block at a time must be the row-by-row table byte for byte,
-with the same permutation actions and element list, and
+with the same permutation actions, and its level's batch must list the
+elements the row-by-row build stores.  The one encoding of the elements on
+`WreathLevel` is gated against the tuple paths it replaced: the
+representatives against `representative_of_type`, the whole-level batch
+against `elements`, and the class types and the wreath GSet of the explicit
+groups against the tuple `wreath_class_types` and `wreath_gset`.
 `WreathClassFunction.sum_scaled`, which takes a value as it is when the
 coefficient is a `CycNum` one of a dividing conductor, must agree with the
 full products in value, conductor and key order."""
@@ -18,16 +23,17 @@ full products in value, conductor and key order."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import reference_wreath as ref
 
 from wfk.exact import CycNum
 from wfk.groups import (ClassFunction, FiniteGroup, binary_dihedral, cyclic_group,
                         trivial_group)
-from wfk.series import orbifold_euler_bruteforce, swap_action, wreath_gset
+from wfk.series import GSet, orbifold_euler_bruteforce, swap_action, wreath_gset
 from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
                         build_wreath, enumerate_types, heisenberg_p, induce,
-                        induce_bruteforce)
+                        induce_bruteforce, wreath_class_types, wreath_level)
 
 GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
           "BD2": lambda: binary_dihedral(2)}
@@ -143,7 +149,8 @@ def test_class_members_match_conjugation_orbit(name):
         # separate levels, so that neither path reads the other's cache
         new, old = WreathLevel(G, n), WreathLevel(G, n)
         for rho in new.types:
-            members = new.class_elements(rho)
+            assert len(new.class_elements(rho)) == new.class_size(rho)
+            members = new.class_elements(rho).elements()
             assert len(set(members)) == len(members)
             assert sorted(members) == ref.class_elements(old, rho)
 
@@ -174,7 +181,7 @@ def test_class_members_match_type_scan(name):
     for n in range(top + 1):
         new, old = WreathLevel(G, n), WreathLevel(G, n)
         for rho in new.types:
-            assert new.class_elements(rho) == ref.type_scan_class_elements(old, rho)
+            assert new.class_elements(rho).elements() == ref.type_scan_class_elements(old, rho)
 
 
 def induction_splits(name: str) -> list:
@@ -206,6 +213,12 @@ def fresh(make) -> FiniteGroup:
     return FiniteGroup(G.mult, name=G.name)
 
 
+def level_elements(W: FiniteGroup) -> list:
+    """The elements of an explicit wreath group, in table order, as tuples
+    read off the batch of its level."""
+    return wreath_level(W.wreath_base, W.wreath_n).batch(np.arange(W.order)).elements()
+
+
 @pytest.mark.parametrize("name,n", [(name, n) for name, (_, top) in BUILD_LEVELS.items()
                                     for n in range(1, top + 1)])
 def test_block_build_matches_row_build(name, n):
@@ -214,9 +227,9 @@ def test_block_build_matches_row_build(name, n):
     assert W.mult.dtype == ref_W.mult.dtype and W.mult.shape == ref_W.mult.shape
     assert W.mult.tobytes() == ref_W.mult.tobytes()
     assert W.perm_actions == ref_W.perm_actions
-    assert W.wreath_elements == ref_W.wreath_elements
+    assert not hasattr(W, "wreath_elements")
+    assert level_elements(W) == ref_W.wreath_elements
     assert all(type(x) is int for action in W.perm_actions for row in action for x in row)
-    assert all(type(x) is int for a in W.wreath_elements for x in a.g + a.s)
 
 
 @pytest.mark.parametrize("name", BUILD_LEVELS)
@@ -224,8 +237,38 @@ def test_level_zero_is_the_one_element_group(name):
     make, _ = BUILD_LEVELS[name]
     W = build_wreath(fresh(make), 0)
     assert W.order == 1 and W.mult.tolist() == [[0]] and W.identity == 0
-    assert W.wreath_elements == [WreathElement((), ())]
+    assert level_elements(W) == [WreathElement((), ())]
     assert W.perm_actions == []
+
+
+def base_set(G: FiniteGroup) -> GSet:
+    """The left regular action of G, or two fixed points for the trivial group."""
+    return GSet(G, G.mult.tolist()) if G.order > 1 else GSet.trivial(G, 2)
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name, (_, top) in BUILD_LEVELS.items()
+                                    for n in range(top + 1)])
+def test_explicit_group_readers_match_tuple_references(name, n):
+    # the class types and the wreath GSet read the level's batch; the tuple
+    # references read the element list the explicit group used to store
+    make, _ = BUILD_LEVELS[name]
+    W = build_wreath(fresh(make), n)
+    assert wreath_class_types(W) == ref.wreath_class_types(W)
+    base = base_set(W.wreath_base)
+    got, want = wreath_gset(base, n).table, ref.wreath_gset(base, n).table
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", BATCH_LEVELS)
+def test_level_arrays_match_tuple_references(name):
+    make, top = BATCH_LEVELS[name]
+    G = make()
+    for n in range(top + 1):
+        lvl = WreathLevel(G, n)
+        assert lvl.representatives.elements() == [ref.representative_of_type(G, n, rho)
+                                                   for rho in lvl.types]
+        assert lvl.batch(np.arange(lvl.order)).elements() == list(ref.elements(lvl))
 
 
 def test_orbifold_euler_at_level_zero():
