@@ -230,6 +230,7 @@ def test_block_build_matches_row_build(name, n):
     assert not hasattr(W, "wreath_elements")
     assert level_elements(W) == ref_W.wreath_elements
     assert all(type(x) is int for action in W.perm_actions for row in action for x in row)
+    assert all(type(x) is int for a in level_elements(W) for x in a.g + a.s)
 
 
 @pytest.mark.parametrize("name", BUILD_LEVELS)
