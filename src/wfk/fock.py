@@ -423,11 +423,17 @@ def _add_into(acc: dict, terms: dict, s=None) -> None:
 
     A monomial whose sum cancels leaves `acc`, so `acc` never holds a zero and
     a monomial that comes back is appended at the end, as `FockVector.__add__`
-    rebuilding the whole sum would place it."""
+    rebuilding the whole sum would place it.
+
+    A unit scale multiplies only where the product changes a coefficient's
+    type: the int 1 scales nothing (c * 1 has the type and conductor of c),
+    and `Fraction(1)` leaves a Fraction as it is but still turns an int into
+    a Fraction and multiplies a CycNum, whose conductor the product keeps."""
     if type(s) is int and s == 1:
-        s = None  # c * 1 has the type and conductor of c
+        s = None
+    unit = type(s) is Fraction and s == 1
     for m, c in terms.items():
-        if s is not None:
+        if s is not None and not (unit and type(c) is Fraction):
             c = c * s
         prev = acc.get(m)
         if prev is None:
@@ -517,13 +523,14 @@ class _Field:
     """A weight-one field alpha(z): its parity and its modes q_n(alpha), each
     built once by the space and then kept by mode."""
 
-    __slots__ = ("space", "alpha", "parity", "modes")
+    __slots__ = ("space", "alpha", "parity", "modes", "_probe")
 
     def __init__(self, space: ColorSpace, alpha):
         self.space = space
         self.alpha = alpha
         self.parity = _parity(space.parities, alpha)
         self.modes: dict[int, FockOperator] = {}
+        self._probe = FockVector._of(space, {})  # names the space of a column
 
     def mode(self, n: int) -> FockOperator:
         op = self.modes.get(n)
@@ -531,30 +538,52 @@ class _Field:
             op = self.modes[n] = self.space.mode(n, self.alpha)
         return op
 
+    def apply_mode(self, n: int, terms: dict) -> dict:
+        """The terms of q_n(alpha) applied to the vector with these terms, summed
+        into a new dict from the mode's cached columns as `FockOperator.apply`
+        sums them."""
+        op, probe = self.mode(n), self._probe
+        out: dict = {}
+        for mono, c in terms.items():
+            _add_into(out, op.column(probe, mono).terms, c)
+        return out
 
-def _nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVector:
+
+def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
     """Coefficient of z^(-mode - k) of the right-to-left normally ordered
-    product of the k weight-one fields, applied to v."""
-    if v.is_zero():
-        return v
+    product of the k weight-one fields, applied to the vector with these
+    terms; returns the terms of the result in a new dict.
+
+    A single-field step that can only give zero is skipped: mode 0, and an
+    annihilation mode k > 0 when no monomial of the input has a part of size
+    k.  Every other mode application sums into a dict of its own before it is
+    added, so cancelled monomials come back at the end as in
+    `FockVector.__add__`."""
     first = fields[0]
     if len(fields) == 1:
-        return first.mode(mode).apply(v)
+        if mode == 0 or (mode > 0 and all(n != mode for mono in terms for n, _ in mono)):
+            return {}
+        return first.apply_mode(mode, terms)
+    w, parts = 0, set()
+    for mono in terms:
+        sizes = [n for n, _ in mono]
+        parts.update(sizes)
+        w = max(w, sum(sizes))
     rest = fields[1:]
     sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
-    w = v.weight()
     acc: dict = {}
     # creation part of the first field stays on the left
     for m in range(mode - w, 0):
-        u = _nop_apply(rest, mode - m, v)
-        if not u.is_zero():
-            _add_into(acc, first.mode(m).apply(u).terms)
-    # annihilation part moves to the right (with the parity sign)
-    for m in range(1, w + 1):
-        u0 = first.mode(m).apply(v)
-        if not u0.is_zero():
-            _add_into(acc, _nop_apply(rest, mode - m, u0).terms, sign)
-    return FockVector._of(first.space, acc)
+        u = _nop_apply(rest, mode - m, terms)
+        if u:
+            _add_into(acc, first.apply_mode(m, u))
+    # annihilation part moves to the right (with the parity sign); a mode
+    # with no part of its size gives zero
+    for m in sorted(parts):
+        u0 = first.apply_mode(m, terms)
+        if u0:
+            _add_into(acc, _nop_apply(rest, mode - m, u0), sign)
+    return acc
 
 
 def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
@@ -563,7 +592,7 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     valid on vectors of weight <= `weight`."""
     space = space or ColorSpace.of_algebra(alg)
     resolved = [space.field(f) for f in fields]
-    return FockOperator(lambda v: _nop_apply(resolved, mode, v),
+    return FockOperator(lambda v: FockVector._of(space, _nop_apply(resolved, mode, v.terms)),
                         max_weight=weight, name=f"nop{mode}")
 
 
@@ -616,7 +645,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
     def fn(v: FockVector) -> FockVector:
         acc: dict = {}
         for coeff, fields in terms:
-            _add_into(acc, _nop_apply(fields, n, v).terms, coeff)
+            _add_into(acc, _nop_apply(fields, n, v.terms), coeff)
         return FockVector._of(space, acc).scale(Fraction(1, factorial))
 
     return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")

@@ -33,15 +33,17 @@ class LinearOperator:
         """The column of `term` for the space of `v`, computed afresh."""
         return self.fn(v.basis_vector(term))
 
+    def column(self, v, term):
+        """The column of `term`, from the cache or computed for the space of
+        `v` and cached."""
+        col = self._columns.get(term)
+        if col is None:
+            col = self._columns[term] = self._column(v, term)
+        return col
+
     def apply(self, v):
-        columns = self._columns
-        scaled = []
-        for term, coeff in v.terms.items():
-            col = columns.get(term)
-            if col is None:
-                col = columns[term] = self._column(v, term)
-            scaled.append((col, coeff))
-        return v.sum_scaled(scaled)
+        column = self.column
+        return v.sum_scaled([(column(v, term), coeff) for term, coeff in v.terms.items()])
 
     def __call__(self, v):
         return self.apply(v)

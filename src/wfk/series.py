@@ -41,6 +41,17 @@ class PowerSeries:
                 self.coeffs[tuple(expo)] = self.coeffs.get(tuple(expo), Fraction(0)) + c
         self.coeffs = {e: c for e, c in self.coeffs.items() if c != 0}
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], order: int, coeffs: dict) -> "PowerSeries":
+        """The series with these coefficients, taken as given (Fractions keyed
+        by exponent tuples of q-exponent <= order) except that zeros are
+        dropped."""
+        s = object.__new__(cls)
+        s.variables = variables
+        s.order = order
+        s.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        return s
+
     @staticmethod
     def one(variables, order) -> "PowerSeries":
         zero = (0,) * len(variables)
@@ -72,8 +83,9 @@ class PowerSeries:
                 if e1[0] + e2[0] > self.order:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return PowerSeries(self.variables, self.order, out)
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return PowerSeries._of(self.variables, self.order, out)
 
     def __eq__(self, other):
         return (isinstance(other, PowerSeries) and self.variables == other.variables

@@ -12,6 +12,12 @@ they were, so that `tests/test_fock_reference.py` can check the in-place
 accumulation and `ColorSpace.mode` of `wfk.fock` against them, coefficient by
 coefficient and in key order.  `reference_add` is the `FockVector.__add__` of
 that time.
+
+`vector_nop_apply` is the `_nop_apply` that followed: it passed a
+`FockVector` down the recursion, applied every mode through
+`FockOperator.apply`, also where the mode gives zero, and added with the
+`_add_into` kept here as `reference_add_into`, which multiplied by
+`Fraction(1)` too.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from wfk.fock import (
     FockVector,
     FrobeniusAlgebra,
     _add_into,
+    _Field,
     _scalar_is_zero,
     annihilate,
     coproduct_power,
@@ -221,3 +228,50 @@ def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
               for k in range(1, cutoff + 1)}
     return exponential_series(colored_space(G), coeffs,
                               lambda k: colored_creation_op(G, k, gamma), cutoff)
+
+
+def reference_add_into(acc: dict, terms: dict, s=None) -> None:
+    """acc += s * terms in place (s = None adds `terms` as they are).
+
+    A monomial whose sum cancels leaves `acc`, so `acc` never holds a zero and
+    a monomial that comes back is appended at the end, as `FockVector.__add__`
+    rebuilding the whole sum would place it."""
+    if type(s) is int and s == 1:
+        s = None  # c * 1 has the type and conductor of c
+    for m, c in terms.items():
+        if s is not None:
+            c = c * s
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = c
+        else:
+            c = prev + c
+            if _scalar_is_zero(c):
+                del acc[m]
+            else:
+                acc[m] = c
+
+
+def vector_nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVector:
+    """Coefficient of z^(-mode - k) of the right-to-left normally ordered
+    product of the k weight-one fields, applied to v."""
+    if v.is_zero():
+        return v
+    first = fields[0]
+    if len(fields) == 1:
+        return first.mode(mode).apply(v)
+    rest = fields[1:]
+    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
+    w = v.weight()
+    acc: dict = {}
+    # creation part of the first field stays on the left
+    for m in range(mode - w, 0):
+        u = vector_nop_apply(rest, mode - m, v)
+        if not u.is_zero():
+            reference_add_into(acc, first.mode(m).apply(u).terms)
+    # annihilation part moves to the right (with the parity sign)
+    for m in range(1, w + 1):
+        u0 = first.mode(m).apply(v)
+        if not u0.is_zero():
+            reference_add_into(acc, vector_nop_apply(rest, mode - m, u0).terms, sign)
+    return FockVector._of(first.space, acc)

@@ -13,20 +13,33 @@ import reference_fock as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfk.charmap import colored_space, exponential_classes, fock_side_p
+from wfk.charmap import ch, colored_space, cubic_formula, exponential_classes, fock_side_p
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
     FockOperator,
     FockVector,
     W_operator,
+    _add_into,
+    _Field,
+    _nop_apply,
     builtin_model,
     chern_series,
+    coproduct_power,
     monomial_basis,
+    normal_order,
+    point_model,
     q_mode,
     vacuum,
 )
-from wfk.groups import ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group
+from wfk.groups import (
+    ClassFunction,
+    binary_dihedral,
+    binary_tetrahedral,
+    cyclic_group,
+    trivial_group,
+)
+from wfk.wreath import wcf_indicator, wreath_level
 
 MAX_WEIGHT = 4
 MODES = range(-2, 3)
@@ -263,3 +276,108 @@ def test_no_zero_coefficient_survives(u, v, s, n):
         assert no_zero(w)
     assert exact(u + v) == exact(ref.reference_add(u, v))
     assert exact(u - v) == exact(ref.reference_add(u, -v))
+
+
+# ---------------------------------------------------------------------------
+# the term-dict _nop_apply against the vector-level kernel it replaced, and
+# the unit rule of _add_into
+# ---------------------------------------------------------------------------
+
+def assert_nop_same(space: ColorSpace, factors, modes, vectors) -> None:
+    """`_nop_apply` on the fields of `space` against `vector_nop_apply` on
+    fresh fields, whose modes cache their own columns."""
+    fields = [space.field(f) for f in factors]
+    ref_fields = [_Field(space, f) for f in factors]
+    for n in modes:
+        for x in vectors:
+            got = FockVector._of(space, _nop_apply(fields, n, x.terms))
+            assert exact(got) == exact(ref.vector_nop_apply(ref_fields, n, x)), (n, x)
+
+
+def test_nop_apply_matches_vector_kernel_on_p2_virasoro():
+    # every monomial of weight <= 6 under each term of L_n(alpha), n = -4..4,
+    # the range `fock verify --suite virasoro --modes 2 --cutoff 4` reaches
+    alg = builtin_model("p2")
+    space = ColorSpace.of_algebra(alg)
+    vectors = unit_vectors(space, 6)
+    for i in range(alg.dim):
+        for _, factors in coproduct_power(alg, alg.basis(i), 2):
+            assert_nop_same(space, factors, range(-4, 5), vectors)
+
+
+@pytest.mark.parametrize("model", ["point", "p2"])
+def test_nop_apply_matches_vector_kernel_on_cubic(model):
+    rng = random.Random(f"cubic-{model}")
+    alg = builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    vectors = (unit_vectors(space) + random_vectors(space, rng, rational)
+               + random_vectors(space, rng, cyclotomic(4)))
+    for _, factors in coproduct_power(alg, alg.unit, 3):
+        assert_nop_same(space, factors, (0,), vectors)
+
+
+def test_nop_apply_matches_vector_kernel_on_conv_cubic():
+    # W^3_0(1) of the point model on the colors of the trivial group, applied
+    # to the ch images of the class indicators as `verify conv-cubic` does
+    rng = random.Random("conv-cubic")
+    T = trivial_group()
+    alg = point_model()
+    space = colored_space(T)
+    images = [ch(T, n, wcf_indicator(T, n, rho))
+              for n in range(1, 7) for rho in wreath_level(T, n).types]
+    vectors = images + random_vectors(space, rng, cyclotomic(3), wmax=6)
+    for _, factors in coproduct_power(alg, alg.unit, 3):
+        assert_nop_same(space, factors, (0,), vectors)
+    assert_same(cubic_formula(6), ref.W_operator(alg, 3, 0, alg.unit, 6, space), images)
+
+
+EXTERIOR2_PRODUCTS = [("a", "b"), ("1", "a"), ("b", "ab"), ("a", "a"),
+                      ("a", "b", "ab"), ("1", "a", "b"), ("b", "ab", "a"), ("a", "1", "a")]
+
+
+@pytest.mark.parametrize("labels", EXTERIOR2_PRODUCTS, ids="*".join)
+def test_normal_order_matches_vector_kernel_with_odd_fields(labels):
+    rng = random.Random("-".join(labels))
+    alg = builtin_model("exterior2")
+    space = ColorSpace.of_algebra(alg)
+    factors = [alg.element({lab: 1}) for lab in labels]
+    vectors = unit_vectors(space) + random_vectors(space, rng, rational)
+    assert_nop_same(space, factors, range(-3, 4), vectors)
+    ref_fields = [_Field(space, f) for f in factors]
+    for n in range(-3, 4):
+        reference = FockOperator(lambda v, n=n: ref.vector_nop_apply(ref_fields, n, v),
+                                 MAX_WEIGHT)
+        assert_same(normal_order(alg, factors, MAX_WEIGHT, n, space), reference, vectors)
+
+
+def test_add_into_unit_fraction_scale():
+    m = ((1, 0),)
+    for c in (Fraction(3, 2), Fraction(-4)):
+        acc: dict = {}
+        _add_into(acc, {m: c}, Fraction(1))
+        assert type(acc[m]) is Fraction and acc[m] == c
+    acc = {}
+    _add_into(acc, {m: 5}, Fraction(1))
+    assert type(acc[m]) is Fraction and acc[m] == 5
+    z = CycNum.zeta(4, 1) + Fraction(1, 3)
+    acc = {}
+    _add_into(acc, {m: z}, Fraction(1))
+    assert acc[m].key() == (z * Fraction(1)).key()
+
+
+@pytest.mark.parametrize("draw", [rational, cyclotomic(4)], ids=["Fraction", "CycNum"])
+def test_add_into_matches_reference(draw):
+    rng = random.Random(f"add-into-{draw.__name__}")
+    monos = monomials(P2_SPACE, 3)
+    scales = [None, 1, -1, Fraction(1), Fraction(-1), Fraction(2, 3), CycNum.zeta(4, 1)]
+    for _ in range(40):
+        acc = {m: draw(rng) for m in rng.sample(monos, 8)}
+        acc = {m: c for m, c in acc.items() if not is_zero(c)}
+        terms = {m: draw(rng) for m in rng.sample(monos, 8)}
+        terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        for s in scales:
+            got, want = dict(acc), dict(acc)
+            _add_into(got, terms, s)
+            ref.reference_add_into(want, terms, s)
+            assert (exact(FockVector._of(P2_SPACE, got))
+                    == exact(FockVector._of(P2_SPACE, want))), s

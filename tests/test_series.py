@@ -203,3 +203,38 @@ def test_series_ring_guards():
         _ = a * b
     with pytest.raises(ValueError):
         PowerSeries(("t", "q"), 3)
+
+
+def init_product(a, b):
+    """a * b as `__mul__` built it before `_of`: summed from Fraction(0) and
+    sent through `__init__`."""
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            if e1[0] + e2[0] <= a.order:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return PowerSeries(a.variables, a.order, out)
+
+
+def test_product_drops_cancelled_terms():
+    one_plus = PowerSeries(("q",), 4, {(0,): 1, (1,): 1})
+    one_minus = PowerSeries(("q",), 4, {(0,): 1, (1,): -1})
+    product = one_plus * one_minus
+    assert product.coeffs == {(0,): 1, (2,): -1}
+    assert list(product.coeffs.items()) == list(init_product(one_plus, one_minus).coeffs.items())
+
+
+def test_product_matches_init_in_key_order():
+    factors = [euler_product(2, 5), euler_product(-1, 5),
+               gottsche_poincare((1, 2, 1, 2, 1), 5), gottsche_poincare((1, 0, 1, 0, 1), 5),
+               hodge_product({(0, 0): 1, (1, 1): 1}, 5), hodge_product({(0, 1): 1}, 5)]
+    for a in factors:
+        for b in factors:
+            if a.variables != b.variables:
+                continue
+            got = a * b
+            want = init_product(a, b)
+            assert got.variables == want.variables and got.order == want.order
+            assert ([(e, type(c), c) for e, c in got.coeffs.items()]
+                    == [(e, type(c), c) for e, c in want.coeffs.items()])
