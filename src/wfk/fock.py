@@ -440,7 +440,7 @@ def _add_into(acc: dict, terms: dict, s=None) -> None:
             acc[m] = c
         else:
             c = prev + c
-            if _scalar_is_zero(c):
+            if c.is_zero() if type(c) is CycNum else not c:
                 del acc[m]
             else:
                 acc[m] = c
@@ -555,15 +555,13 @@ def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
     terms; returns the terms of the result in a new dict.
 
     A single-field step that can only give zero is skipped: mode 0, and an
-    annihilation mode k > 0 when no monomial of the input has a part of size
-    k.  Every other mode application sums into a dict of its own before it is
-    added, so cancelled monomials come back at the end as in
+    annihilation mode j > 0 when no monomial of the input has a part of size
+    j (`_vanishes`).  Every other mode application sums into a dict of its
+    own before it is added, so cancelled monomials come back at the end as in
     `FockVector.__add__`."""
     first = fields[0]
     if len(fields) == 1:
-        if mode == 0 or (mode > 0 and all(n != mode for mono in terms for n, _ in mono)):
-            return {}
-        return first.apply_mode(mode, terms)
+        return first.apply_mode(mode, terms) if mode else {}
     w, parts = 0, set()
     for mono in terms:
         sizes = [n for n, _ in mono]
@@ -574,16 +572,25 @@ def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
     acc: dict = {}
     # creation part of the first field stays on the left
     for m in range(mode - w, 0):
-        u = _nop_apply(rest, mode - m, terms)
-        if u:
-            _add_into(acc, first.apply_mode(m, u))
-    # annihilation part moves to the right (with the parity sign); a mode
-    # with no part of its size gives zero
+        if not _vanishes(rest, mode - m, parts):
+            u = _nop_apply(rest, mode - m, terms)
+            if u:
+                _add_into(acc, first.apply_mode(m, u))
+    # annihilation part moves to the right (with the parity sign); the
+    # parts of first.apply_mode(m, terms) lie among those of terms
     for m in sorted(parts):
-        u0 = first.apply_mode(m, terms)
-        if u0:
-            _add_into(acc, _nop_apply(rest, mode - m, u0), sign)
+        if not _vanishes(rest, mode - m, parts):
+            u0 = first.apply_mode(m, terms)
+            if u0:
+                _add_into(acc, _nop_apply(rest, mode - m, u0), sign)
     return acc
+
+
+def _vanishes(fields: list[_Field], mode: int, parts: set) -> bool:
+    """Whether the product of `fields` at `mode` is zero on every vector whose
+    monomials have their parts among `parts`: a single field at mode 0, or at
+    an annihilation mode that is no part size."""
+    return len(fields) == 1 and (mode == 0 or (mode > 0 and mode not in parts))
 
 
 def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
