@@ -530,7 +530,7 @@ class _Field:
         self.alpha = alpha
         self.parity = _parity(space.parities, alpha)
         self.modes: dict[int, FockOperator] = {}
-        self._probe = FockVector._of(space, {})  # names the space of a column
+        self._probe = FockVector._of(space, {})  # the space `column` builds in
 
     def mode(self, n: int) -> FockOperator:
         op = self.modes.get(n)
@@ -554,11 +554,11 @@ def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
     product of the k weight-one fields, applied to the vector with these
     terms; returns the terms of the result in a new dict.
 
-    A single-field step that can only give zero is skipped: mode 0, and an
-    annihilation mode j > 0 when no monomial of the input has a part of size
-    j (`_vanishes`).  Every other mode application sums into a dict of its
-    own before it is added, so cancelled monomials come back at the end as in
-    `FockVector.__add__`."""
+    A single-field step that can only give zero is skipped: one at mode 0,
+    and inside a product one at an annihilation mode j > 0 when no monomial
+    of the input has a part of size j (`_vanishes`).  Every other mode
+    application sums into a dict of its own before it is added, so cancelled
+    monomials come back at the end as in `FockVector.__add__`."""
     first = fields[0]
     if len(fields) == 1:
         return first.apply_mode(mode, terms) if mode else {}
