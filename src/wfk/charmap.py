@@ -224,17 +224,6 @@ def delta_op(G: FiniteGroup, c: int, i: int = 1) -> LinearOperator:
     return LinearOperator(fn)
 
 
-def delta1_explicit_group(W: FiniteGroup, c: int, i: int = 1) -> ClassFunction:
-    """K_i(c, n) as a class-sum operator on an explicit wreath group: returns
-    the indicator class function to convolve with (groups.convolution path)."""
-    from .wreath import wreath_class_types
-    G, n = W.wreath_base, W.wreath_n
-    kappa = k_class_type(G, c, i, n)
-    types = wreath_class_types(W)
-    vals = [1 if (kappa is not None and t == kappa) else 0 for t in types]
-    return ClassFunction(W, vals)
-
-
 # ---------------------------------------------------------------------------
 # the cubic identity (single color)
 # ---------------------------------------------------------------------------

@@ -407,19 +407,5 @@ def cyc(x) -> CycNum:
     return out
 
 
-def cyc_arith(a: CycNum, b: CycNum, op: str) -> CycNum:
-    """Field arithmetic dispatcher: op in {add, sub, mul, div}."""
-    a, b = cyc(a), cyc(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def conjugate(a: CycNum) -> CycNum:
     return cyc(a).conjugate()

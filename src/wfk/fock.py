@@ -14,6 +14,7 @@ with e the Euler element sum_i b_i b^i of the algebra.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -258,7 +259,10 @@ _BUILTIN_MODELS = {
 }
 
 
+@functools.cache
 def builtin_model(name: str) -> FrobeniusAlgebra:
+    """The built-in model `name`, built once per process: no caller changes
+    an algebra once built, and every Fock space is built fresh from it."""
     if name not in _BUILTIN_MODELS:
         raise ValueError(f"unknown builtin model {name!r}")
     return _BUILTIN_MODELS[name]()
@@ -798,16 +802,6 @@ def fock_inner(alg: FrobeniusAlgebra, u: FockVector, v: FockVector,
         if not _scalar_is_zero(val):
             total = total + coeff * val
     return total
-
-
-def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
-                          weight: int) -> bool:
-    for w in range(weight + 1):
-        for mono in monomial_basis(space, w):
-            x = FockVector(space, {mono: 1})
-            if not a.apply(x) == b.apply(x):
-                return False
-    return True
 
 
 def _basis_vectors(space: ColorSpace, weight: int) -> list[list[FockVector]]:

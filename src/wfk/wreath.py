@@ -11,11 +11,14 @@ centralizer weights; literal element loops are kept as oracles.
 the (i // |Gamma|^n)-th permutation in lexicographic order with g the
 base-|Gamma| digits of i % |Gamma|^n.  Every element loop reads its elements
 from the level as a `WreathBatch`, B elements as two (B, n) int arrays: the
-explicit group `build_wreath` and its GSet the whole level, the class
-convolution in `charmap` a class (`WreathLevel.class_elements`), and the
-induction oracle and the Koszul-Thom check one element per type
-(`WreathLevel.representatives`).  `batch_mult` and `batch_inverse` act on all
-rows at once, and `WreathLevel.label` gives each row the index of its type.
+orbifold count in `series` the whole level a chunk at a time against one
+element per type, the class convolution in `charmap` a class
+(`WreathLevel.class_elements`), and the induction oracle and the Koszul-Thom
+check one element per type (`WreathLevel.representatives`).  The explicit
+group `build_wreath` reads the whole level at once; no CLI path builds it,
+and the tests keep it as the gate of the orbifold count.  `batch_mult` and
+`batch_inverse` act on all rows at once, and `WreathLevel.label` gives each
+row the index of its type.
 
 `WreathElement` with `wreath_mult`, `wreath_inverse` and `type_of` is the
 row-by-row tuple oracle the tests check the batches against; no element loop
@@ -812,25 +815,6 @@ class HeisenbergOperator:
 
 def heisenberg_p(G: FiniteGroup, k: int, gamma: ClassFunction) -> HeisenbergOperator:
     return HeisenbergOperator(G, k, gamma)
-
-
-def p_minus_adjoint(G: FiniteGroup, n: int, gamma: ClassFunction,
-                    f: WreathClassFunction) -> WreathClassFunction:
-    """p_{-n}(gamma) computed purely as the adjoint of p_n(gamma): solve
-    <result, h> = <f, p_n h> over the indicator basis of the target level."""
-    if f.n < n:
-        return wcf_zero(G, 0)
-    target = wreath_level(G, f.n - n).types
-    up = heisenberg_p(G, n, gamma)
-    out = {}
-    for rho in target:
-        h = wcf_indicator(G, f.n - n, rho)
-        val = wreath_pairing(f, up.apply(h))
-        # <e_rho, e_rho> = 1/Z_rho at the inverse type; solve for the coefficient
-        z = centralizer_order(G, rho)
-        cd = G.conjugacy()
-        out[rho.inverse(cd.inverse_class)] = val * z
-    return WreathClassFunction(G, f.n - n, out)
 
 
 # ---------------------------------------------------------------------------

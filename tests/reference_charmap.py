@@ -10,6 +10,11 @@ class-convolution loop, the one Delta operator and the cubic as W^3_0(1)
 against them, value by value and in key order.  The loops read the class
 members that `WreathLevel.class_elements` finds as tuples, and the canonical
 representatives from `reference_wreath.representative_of_type`.
+
+`delta1_explicit_group`, the K_i(c, n) indicator on an explicit wreath group,
+is a helper that only the tests call; it moved here from `wfk.charmap` as it
+was, with its function-level import of `wreath_class_types` made a module
+import.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from wfk.budget import check_budget
 from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
 from wfk.fock import FockOperator, FockVector, annihilate, create, join_boundary
-from wfk.groups import FiniteGroup, GroupMismatch, trivial_group
+from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from wfk.wreath import (
     TypeFunction,
     WreathClassFunction,
     type_of,
     wcf_zero,
+    wreath_class_types,
     wreath_inverse,
     wreath_level,
     wreath_mult,
@@ -153,3 +159,13 @@ def filtered_convolution(f: GradedClassFunction,
         if not acc.is_zero():
             out[rho] = acc
     return GradedClassFunction(WreathClassFunction(T, n, out), target)
+
+
+def delta1_explicit_group(W: FiniteGroup, c: int, i: int = 1) -> ClassFunction:
+    """K_i(c, n) as a class-sum operator on an explicit wreath group: returns
+    the indicator class function to convolve with (groups.convolution path)."""
+    G, n = W.wreath_base, W.wreath_n
+    kappa = k_class_type(G, c, i, n)
+    types = wreath_class_types(W)
+    vals = [1 if (kappa is not None and t == kappa) else 0 for t in types]
+    return ClassFunction(W, vals)

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from wfk import exact
+
 Rational = Fraction
 
 
@@ -393,3 +395,19 @@ def cyc_arith(a: CycNum, b: CycNum, op: str) -> CycNum:
 
 def conjugate(a: CycNum) -> CycNum:
     return cyc(a).conjugate()
+
+
+# `cyc_arith` of the integer layer `wfk.exact`, which only the tests called: the
+# dispatcher above over `wfk.exact.CycNum`.
+def integer_cyc_arith(a: exact.CycNum, b: exact.CycNum, op: str) -> exact.CycNum:
+    """Field arithmetic dispatcher: op in {add, sub, mul, div}."""
+    a, b = exact.cyc(a), exact.cyc(b)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    raise ValueError(f"unknown op {op!r}")

@@ -18,6 +18,10 @@ that time.
 `FockOperator.apply`, also where the mode gives zero, and added with the
 `_add_into` kept here as `reference_add_into`, which multiplied by
 `Fraction(1)` too.
+
+`operators_equal_below`, the comparison of two operators on every monomial
+up to a weight, is a helper that only the tests call; it moved here from
+`wfk.fock` as it was.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from wfk.fock import (
     annihilate,
     coproduct_power,
     create,
+    monomial_basis,
     vacuum,
 )
 from wfk.groups import ClassFunction, FiniteGroup
@@ -275,3 +280,13 @@ def vector_nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVect
         if not u0.is_zero():
             reference_add_into(acc, vector_nop_apply(rest, mode - m, u0).terms, sign)
     return FockVector._of(first.space, acc)
+
+
+def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
+                          weight: int) -> bool:
+    for w in range(weight + 1):
+        for mono in monomial_basis(space, w):
+            x = FockVector(space, {mono: 1})
+            if not a.apply(x) == b.apply(x):
+                return False
+    return True

@@ -22,6 +22,9 @@ by value and in key order, and the members of each class as a set or,
 against the type scan, as a list; and can check the block-filled table byte
 for byte and the unit skip of `WreathClassFunction.sum_scaled` value by
 value, conductor by conductor and in key order.
+
+`p_minus_adjoint`, p_{-n}(gamma) as the adjoint of p_n(gamma), is a helper
+that only the tests call; it moved here from `wfk.wreath` as it was.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ import numpy as np
 from wfk import wreath
 from wfk.budget import check_budget
 from wfk.exact import CycNum, cyc
-from wfk.groups import FiniteGroup, GroupMismatch
+from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch
 from wfk.series import GSet
 from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction,
-                        WreathElement, WreathLevel, centralizer_order,
-                        partition_multiplicities, perm_inverse, sigma_n, type_of, wcf_zero,
-                        wreath_inverse, wreath_level, wreath_mult)
+                        WreathElement, WreathLevel, centralizer_order, heisenberg_p,
+                        partition_multiplicities, perm_inverse, sigma_n, type_of,
+                        wcf_indicator, wcf_zero, wreath_inverse, wreath_level, wreath_mult,
+                        wreath_pairing)
 
 
 def elements(self: WreathLevel):
@@ -328,3 +332,22 @@ def sum_scaled(self: WreathClassFunction, scaled) -> WreathClassFunction:
             merged[k] = x
         acc = merged
     return WreathClassFunction(self.group, level, acc)
+
+
+def p_minus_adjoint(G: FiniteGroup, n: int, gamma: ClassFunction,
+                    f: WreathClassFunction) -> WreathClassFunction:
+    """p_{-n}(gamma) computed purely as the adjoint of p_n(gamma): solve
+    <result, h> = <f, p_n h> over the indicator basis of the target level."""
+    if f.n < n:
+        return wcf_zero(G, 0)
+    target = wreath_level(G, f.n - n).types
+    up = heisenberg_p(G, n, gamma)
+    out = {}
+    for rho in target:
+        h = wcf_indicator(G, f.n - n, rho)
+        val = wreath_pairing(f, up.apply(h))
+        # <e_rho, e_rho> = 1/Z_rho at the inverse type; solve for the coefficient
+        z = centralizer_order(G, rho)
+        cd = G.conjugacy()
+        out[rho.inverse(cd.inverse_class)] = val * z
+    return WreathClassFunction(G, f.n - n, out)

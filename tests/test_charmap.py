@@ -11,7 +11,6 @@ from wfk.charmap import (
     colored_pairing,
     colored_space,
     cubic_formula,
-    delta1_explicit_group,
     delta_op,
     filtered_convolution,
     fw_virasoro_check,
@@ -45,6 +44,8 @@ from wfk.wreath import (
     wreath_pairing,
     wreath_level,
 )
+
+from reference_charmap import delta1_explicit_group
 
 
 def test_ch_of_sigma_is_single_creation():

@@ -151,7 +151,8 @@ def test_budget_applies_to_cached_wreath(capsys, monkeypatch):
     argv = ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "3"]
     assert run(argv) == 0  # builds and caches the explicit Gamma_2 and Gamma_3
     assert run(argv + ["--budget", "7"]) == 1
-    assert "build_wreath(cyclic-2, 2): 8 elements exceeds budget 7" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "orbifold commuting-pair count at level 2: 8 elements exceeds budget 7" in err
 
 
 def test_orbifold_series_cli(capsys):
@@ -162,6 +163,42 @@ def test_orbifold_series_cli(capsys):
     data = json.loads(out)
     assert data["pass"] is True
     assert [p["lhs"] for p in data["probes"]] == ["1", "2", "5", "10"]
+
+
+# sha256 of the stdout of `series orbifold-euler --group builtin:cyclic:2 --nmax 5`,
+# recorded while the count still ran on the explicit Gamma_n and its GSet
+ORBIFOLD_NMAX5_SHA256 = "96280ade9ad8b8e9e4d5874499084d6e78e25a2f8b4f80c7d8897bf767da64c3"
+
+
+def test_orbifold_series_builds_no_explicit_group(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("explicit Gamma_n built")
+
+    monkeypatch.setattr("wfk.wreath.build_wreath", refuse)
+    monkeypatch.setattr("wfk.series.wreath_gset", refuse)
+    code, out = capture(capsys, ["series", "orbifold-euler", "--group", "builtin:cyclic:2",
+                                 "--nmax", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIFOLD_NMAX5_SHA256
+
+
+def test_orbifold_series_one_level_beyond(capsys, monkeypatch):
+    # Z/2 wr S6 has 46,080 elements: past the explicit table, within the default budget
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    code, out = capture(capsys, ["series", "orbifold-euler", "--group", "builtin:cyclic:2",
+                                 "--nmax", "6"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert data["probes"][6]["lhs"] == "65"
+
+
+def test_orbifold_series_level_7_exceeds_default_budget(capsys, monkeypatch):
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    argv = ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "7"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "orbifold commuting-pair count at level 7: 645120 elements exceeds budget 50000" in err
 
 
 # sha256 of `wfk chartable --group G` stdout, recorded before linear characters

@@ -28,12 +28,13 @@ from wfk.fock import (
     heisenberg_check,
     monomial_basis,
     normal_order,
-    operators_equal_below,
     p2_model,
     point_model,
     q_mode,
     vacuum,
 )
+
+from reference_fock import operators_equal_below
 
 
 def mono(space, *gens):
@@ -422,3 +423,17 @@ def test_builtin_model_lookup():
     assert builtin_model("p2").labels == ["1", "h", "h2"]
     with pytest.raises(ValueError):
         builtin_model("nope")
+
+
+def test_builtin_model_built_once():
+    assert builtin_model("p2") is builtin_model("p2")
+    assert builtin_model("exterior2") is builtin_model("exterior2")
+
+
+@pytest.mark.parametrize("name, build", [("p2", p2_model), ("exterior2", exterior_two_model)])
+def test_cached_builtin_model_equals_fresh_one(name, build):
+    cached, fresh = builtin_model(name), build()
+    assert cached is not fresh
+    assert vars(cached).keys() == vars(fresh).keys()
+    for field, value in vars(fresh).items():
+        assert getattr(cached, field) == value, field

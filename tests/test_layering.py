@@ -8,7 +8,8 @@ attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
 nested lists.  The elements of Gamma_n are encoded once, by `WreathLevel`:
 no module reads an explicit group's `wreath_elements`, and only the tuple
 oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
-`WreathBatch.elements`) builds a `WreathElement`."""
+`WreathBatch.elements`) builds a `WreathElement`.  Helpers that only the tests
+call live in `tests/reference_*.py`, and no module of `wfk` defines them."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,21 @@ def test_one_element_encoding():
     assert set(found["WreathElement()"]) == {
         "wreath.wreath_mult", "wreath.wreath_inverse", "wreath.wreath_identity",
         "wreath.WreathBatch.elements"}
+
+
+# test-only helpers, kept in the `tests/reference_*.py` module of their side
+TEST_ONLY = {"p_minus_adjoint", "delta1_explicit_group", "cyc_arith", "operators_equal_below"}
+
+
+def test_test_only_helpers_stay_out_of_src():
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, []).append(path.stem)
+    assert {name: defined[name] for name in TEST_ONLY & defined.keys()} == {}

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wfk.groups import cyclic_group, trivial_group
@@ -13,6 +14,7 @@ from wfk.series import (
     orbifold_euler_bruteforce,
     swap_action,
     wreath_gset,
+    wreath_orbifold_euler,
     wreath_orbifold_euler_check,
 )
 from wfk.wreath import enumerate_types
@@ -188,6 +190,57 @@ def test_wreath_orbifold_z3_and_two_points():
     assert wreath_orbifold_euler_check(GSet.trivial(cyclic_group(3), 1), 3).passed
     assert wreath_orbifold_euler_check(swap_action(cyclic_group(2)), 3).passed
     assert wreath_orbifold_euler_check(GSet.trivial(trivial_group(), 2), 4).passed
+
+
+# the base sets of acceptance criterion 9
+BASES = {
+    "trivial-1": lambda: GSet.trivial(trivial_group(), 1),
+    "trivial-2": lambda: GSet.trivial(trivial_group(), 2),
+    "Z2-1": lambda: GSet.trivial(cyclic_group(2), 1),
+    "Z2-swap": lambda: swap_action(cyclic_group(2)),
+    "Z3-1": lambda: GSet.trivial(cyclic_group(3), 1),
+    "Z3-2": lambda: GSet.trivial(cyclic_group(3), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_level_count_matches_table_path(name):
+    # gate: the count on the level arrays against the explicit Gamma_n and its GSet
+    S = BASES[name]()
+    for n in range(1, 5):
+        assert wreath_orbifold_euler(S, n) == orbifold_euler_bruteforce(wreath_gset(S, n)), n
+
+
+def test_level_count_matches_table_path_at_level_5():
+    S = GSet.trivial(cyclic_group(2), 1)
+    assert wreath_orbifold_euler(S, 5) == orbifold_euler_bruteforce(wreath_gset(S, 5)) == 36
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_level_count_at_level_0(name):
+    S = BASES[name]()
+    assert wreath_orbifold_euler(S, 0) == orbifold_euler_bruteforce(wreath_gset(S, 0)) == 1
+
+
+def unchecked_gset(G, table):
+    """A GSet whose table skipped the check of `GSet.__init__`."""
+    S = object.__new__(GSet)
+    S.group, S.table, S.points = G, np.array(table, dtype=np.int32), len(table[0])
+    return S
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 1]], [[1, 0], [0, 1]]])
+def test_level_count_checks_the_action_as_gset_does(table):
+    # not a bijection, and an identity that moves points
+    G = cyclic_group(2)
+    with pytest.raises(ValueError) as base_error:
+        GSet(G, table)
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError) as table_error:
+            wreath_gset(unchecked_gset(G, table), n)
+        with pytest.raises(ValueError) as level_error:
+            wreath_orbifold_euler(unchecked_gset(G, table), n)
+        assert str(level_error.value) == str(table_error.value) == str(base_error.value)
 
 
 def test_action_validation():

@@ -19,7 +19,6 @@ from wfk.wreath import (
     heisenberg_p,
     induce,
     induce_bruteforce,
-    p_minus_adjoint,
     restrict,
     sigma_n,
     type_of,
@@ -34,6 +33,8 @@ from wfk.wreath import (
     wreath_pairing,
     WreathClassFunction,
 )
+
+from reference_wreath import p_minus_adjoint
 
 
 def irreducibles(G):
