@@ -149,7 +149,7 @@ def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
 def test_budget_applies_to_cached_wreath(capsys, monkeypatch):
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     argv = ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "3"]
-    assert run(argv) == 0  # builds and caches the explicit Gamma_2 and Gamma_3
+    assert run(argv) == 0  # caches the levels Gamma_2 and Gamma_3 and their labels
     assert run(argv + ["--budget", "7"]) == 1
     err = capsys.readouterr().err
     assert "orbifold commuting-pair count at level 2: 8 elements exceeds budget 7" in err
