@@ -107,14 +107,8 @@ TEST_ONLY = {"p_minus_adjoint", "delta1_explicit_group", "cyc_arith", "operators
 
 
 def test_test_only_helpers_stay_out_of_src():
-    defined = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, []).append(path.stem)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        defined.setdefault(target.id, []).append(path.stem)
-    assert {name: defined[name] for name in TEST_ONLY & defined.keys()} == {}
+    defined = [f"{path.stem}.{node.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ONLY]
+    assert defined == []
