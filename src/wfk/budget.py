@@ -1,4 +1,8 @@
-"""Brute-force budgets shared by the group-theoretic modules."""
+"""The one brute-force budget: every loop that grows faster than linearly in
+a group order passes its element count to `check_budget`, against
+DEFAULT_BUDGET or its override (WFK_BUDGET, `budget_override`, the CLI's
+`--budget`).  The only other size ceiling is the memory bound of an explicit
+Gamma_n table, `wreath._EXPLICIT_TABLE_LIMIT`."""
 
 from __future__ import annotations
 
@@ -7,8 +11,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 DEFAULT_BUDGET = 50_000  # element-count ceiling for brute-force group loops
-CONVOLUTION_PAIR_BUDGET = 100_000  # per class-pair product loop
-ORBIFOLD_BUDGET = 10_000  # group order in the commuting-pair sum
 
 
 class BudgetExceeded(RuntimeError):
@@ -40,7 +42,7 @@ def budget_override(cap: int | None):
         _override.reset(token)
 
 
-def check_budget(size: int, what: str, limit: int | None = None) -> None:
-    cap = budget() if limit is None else limit
+def check_budget(size: int, what: str) -> None:
+    cap = budget()
     if size > cap:
         raise BudgetExceeded(f"{what}: {size} elements exceeds budget {cap}")

@@ -11,11 +11,9 @@ the Fock side; only the exact scalar layer is shared.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
-from .budget import check_budget
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from .fock import (ColorSpace, FockOperator, FockVector, W_operator, exponential_series,
@@ -388,7 +386,6 @@ def filtered_convolution(f: GradedClassFunction,
     n = f.wcf.n
     if g.wcf.n != n:
         raise GroupMismatch("filtered convolution needs equal symmetric groups")
-    check_budget(factorial(n), "filtered convolution", limit=5100)
     target = f.degree + g.degree
     types = [rho for rho in wreath_level(T, n).types if n - rho.total_length() == target]
     return GradedClassFunction(_class_convolution(T, n, g.wcf.values, f.wcf, types), target)

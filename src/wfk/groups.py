@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from collections import deque
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from .budget import CONVOLUTION_PAIR_BUDGET, BudgetExceeded, check_budget
+from .budget import check_budget
 from .exact import CycNum, cyc
 
-_ASSOC_FULL_LIMIT = 512
 _BLOCK_ENTRIES = 1 << 20  # table entries read per numpy step of a block loop
-_SAMPLE_TRIPLES = 4096
 
 
 class ClosureBoundExceeded(RuntimeError):
@@ -73,12 +70,10 @@ class FiniteGroup:
     data, character table and convolution structure constants are cached
     lazily.
 
-    With `validate` (the default) the identity, inverse and, for order up to
-    `_ASSOC_FULL_LIMIT`, associativity laws are checked exactly; above that
-    limit associativity is checked on `_SAMPLE_TRIPLES` random triples.  A
-    matrix model is checked exactly at every order: determinant one and
-    `mats[a] mats[b] == mats[a*b]`.  The exact product checks read the rows
-    of `generators` only (Light's test, see `_validate`).
+    With `validate` (the default) the identity, inverse and associativity
+    laws are checked exactly at every order, and so is a matrix model:
+    determinant one and `mats[a] mats[b] == mats[a*b]`.  The product checks
+    read the rows of `generators` only (Light's test, see `_validate`).
     """
 
     def __init__(self, mult, identity=None, inverse=None, labels=None,
@@ -135,14 +130,14 @@ class FiniteGroup:
         return inv
 
     def _validate(self) -> None:
-        """The identity and inverse laws in full; associativity in full up to
-        order `_ASSOC_FULL_LIMIT` and on sampled triples above it.
+        """The identity, inverse and associativity laws, in full.
 
-        The full associativity check is Light's test (Clifford-Preston, The
-        Algebraic Theory of Semigroups I, 1.2): the elements a with
+        Associativity is Light's test (Clifford-Preston, The Algebraic
+        Theory of Semigroups I, 1.2): the elements a with
         (a b) c == a (b c) for every b, c are closed under the product and
         hold the identity, so the law holds on the whole table once it holds
-        on the rows of a generating set."""
+        on the rows of a generating set.  It reads a block of b rows at a
+        time, as `_find_inverses` does, for every generator in turn."""
         n = self.order
         e = self.identity
         m = self.mult
@@ -151,16 +146,13 @@ class FiniteGroup:
             raise ValueError("identity law fails")
         if (m[arange, self.inverse] != e).any():
             raise ValueError("inverse law fails")
-        if n <= _ASSOC_FULL_LIMIT:
+        step = max(1, _BLOCK_ENTRIES // n)
+        for lo in range(0, n, step):
+            bc = m[lo:lo + step].astype(np.intp)  # cast once, not per generator
             for a in self.generators:
-                if not np.array_equal(m[m[a], :], m[a, m]):
+                # (a b) c against a (b c) for b in the block and every c
+                if not np.array_equal(m[m[a, lo:lo + step]], m[a][bc]):
                     raise ValueError(f"associativity fails at element {a}")
-        else:
-            rng = random.Random(0)
-            a, b, c = np.array([[rng.randrange(n) for _ in range(3)]
-                                for _ in range(_SAMPLE_TRIPLES)]).T
-            if (m[m[a, b], c] != m[a, m[b, c]]).any():
-                raise ValueError("associativity fails on sampled triple")
         if self.matrix_model is not None:
             self._validate_matrix_model()
 
@@ -358,12 +350,9 @@ def _structure_constants(G: FiniteGroup):
     """N[F][(D,E)] = #{(d,e) in D x E : d e = rep_F}, cached on the group."""
     if G._structure is not None:
         return G._structure
+    check_budget(G.order, f"structure constants of {G.name}")
     cd = G.conjugacy()
     r = len(cd)
-    maxpair = max(cd.class_sizes) ** 2
-    if maxpair > CONVOLUTION_PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"class-pair product {maxpair} exceeds {CONVOLUTION_PAIR_BUDGET}")
     class_of = np.array(cd.class_of)
     inv = np.array(G.inverse)
     table = []

@@ -20,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .budget import ORBIFOLD_BUDGET, check_budget
+from .budget import check_budget
 from .groups import FiniteGroup
 
 
@@ -252,7 +252,7 @@ def orbifold_euler_bruteforce(S: GSet) -> int:
     """(1/|G|) sum over commuting pairs of |common fixed set|, organized as a
     sum over class representatives times their centralizers."""
     G = S.group
-    check_budget(G.order, "orbifold commuting-pair sum", limit=ORBIFOLD_BUDGET)
+    check_budget(G.order, "orbifold commuting-pair sum")
     cd = G.conjugacy()
     m = G.mult
     fixed = S.table == np.arange(S.points)  # fixed[h, p]: h fixes p

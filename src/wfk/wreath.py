@@ -37,9 +37,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetExceeded, check_budget
 from .exact import CycNum, cyc
 from .groups import _BLOCK_ENTRIES, ClassFunction, FiniteGroup, GroupMismatch, inner_product
+from .linop import LinearOperator
 
 # ---------------------------------------------------------------------------
 # partitions and types
@@ -468,7 +469,9 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     for every g, h, t."""
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
-    check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
+    if order > _EXPLICIT_TABLE_LIMIT:
+        raise BudgetExceeded(f"explicit wreath table: {order} elements exceeds "
+                             f"the table ceiling {_EXPLICIT_TABLE_LIMIT}")
     builds = vars(G).setdefault("wreath_builds", {})
     if n in builds:
         return builds[n]
@@ -856,13 +859,15 @@ def heisenberg_check(G: FiniteGroup, modes: int, levels: int):
     report = VerificationReport(f"heisenberg({G.name}, modes<={modes}, levels<={levels})")
     gammas = G.character_table().irreducibles
     mode_list = [k for k in range(-modes, modes + 1) if k != 0]
+    # each p_k(gamma) once, its columns cached across every pair it meets
+    ops = {(gi, k): LinearOperator(heisenberg_p(G, k, gamma).apply)
+           for gi, gamma in enumerate(gammas) for k in mode_list}
     for gi, ga in enumerate(gammas):
         for gj, gb in enumerate(gammas):
             scal = inner_product(ga, gb)
             for k in mode_list:
                 for l in mode_list:
-                    pk = heisenberg_p(G, k, ga)
-                    pl = heisenberg_p(G, l, gb)
+                    pk, pl = ops[gi, k], ops[gj, l]
                     for m in range(levels + 1):
                         for rho in wreath_level(G, m).types:
                             f = wcf_indicator(G, m, rho)

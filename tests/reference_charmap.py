@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from wfk.budget import check_budget
+from wfk.budget import BudgetExceeded
 from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
 from wfk.fock import FockOperator, FockVector, annihilate, create, join_boundary
@@ -39,6 +39,8 @@ from wfk.wreath import (
 )
 
 from reference_wreath import representative_of_type
+
+_FILTERED_LIMIT = 5100  # the fixed order ceiling wfk's filtered convolution kept
 
 
 def class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
@@ -142,7 +144,9 @@ def filtered_convolution(f: GradedClassFunction,
     n = f.wcf.n
     if g.wcf.n != n:
         raise GroupMismatch("filtered convolution needs equal symmetric groups")
-    check_budget(factorial(n), "filtered convolution", limit=5100)
+    if factorial(n) > _FILTERED_LIMIT:
+        raise BudgetExceeded(f"filtered convolution: {factorial(n)} elements exceeds "
+                             f"budget {_FILTERED_LIMIT}")
     lvl = wreath_level(T, n)
     target = f.degree + g.degree
     out = {}

@@ -33,13 +33,18 @@ from math import gcd
 
 import numpy as np
 
-from wfk.budget import CONVOLUTION_PAIR_BUDGET, BudgetExceeded
+from wfk.budget import BudgetExceeded
 from wfk.exact import CycNum, cyc
-from wfk.groups import (_ASSOC_FULL_LIMIT, _SAMPLE_TRIPLES, ClassFunction,
-                        DiagonalizationFailure, FiniteGroup, NonInvertibleMatrix, _mat_mul)
+from wfk.groups import (ClassFunction, DiagonalizationFailure, FiniteGroup,
+                        NonInvertibleMatrix, _mat_mul)
 from wfk.linalg import row_reduce
 
 linalg = sys.modules[__name__]
+
+# the fixed size rules the replaced checks kept
+_ASSOC_FULL_LIMIT = 512  # full associativity up to this order, sampled above
+_SAMPLE_TRIPLES = 4096
+CONVOLUTION_PAIR_BUDGET = 100_000  # largest class size, squared
 
 
 def nullspace(matrix: list[list], one, zero) -> list[list]:

@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 
 from wfk import wreath
-from wfk.budget import check_budget
+from wfk.budget import BudgetExceeded, check_budget
 from wfk.exact import CycNum, cyc
 from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch
 from wfk.series import GSet
@@ -252,7 +252,9 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
     kept on G (as `G.wreath_builds`)."""
     order = (G.order ** n) * factorial(n)
     check_budget(order, f"build_wreath({G.name}, {n})")
-    check_budget(order, "explicit wreath table", limit=_EXPLICIT_TABLE_LIMIT)
+    if order > _EXPLICIT_TABLE_LIMIT:
+        raise BudgetExceeded(f"explicit wreath table: {order} elements exceeds "
+                             f"budget {_EXPLICIT_TABLE_LIMIT}")
     builds = vars(G).setdefault("wreath_builds", {})
     if n in builds:
         return builds[n]

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wfk.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def capture(capsys, argv):
@@ -144,6 +150,34 @@ def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
     assert run(argv) == 1
     assert run(argv + ["--budget", "100"]) == 0
     assert budget.budget() == 7
+
+
+def test_lehn_sorger_reaches_s8_under_the_budget(capsys, monkeypatch):
+    # S_8 has 40320 elements: within the default budget, one above 40319
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "8"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert run(["verify", "lehn-sorger", "--n", "8", "--budget", "40319"]) == 1
+    err = capsys.readouterr().err
+    assert "class orbit in level 8: 40320 elements exceeds budget 40319" in err
+
+
+def module_run(*argv):
+    """`python -m wfk.cli ARGV` in a fresh process, without WFK_BUDGET."""
+    env = {k: v for k, v in os.environ.items() if k != "WFK_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wfk.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_command(capsys):
+    argv = ["verify", "lehn-sorger", "--n", "3"]
+    proc = module_run(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capture(capsys, argv)[1]
+    proc = module_run("verify", "lehn-sorger", "--n", "3", "--budget", "5")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "wfk: error: class orbit in level 3: 6 elements exceeds budget 5\n"
 
 
 def test_budget_applies_to_cached_wreath(capsys, monkeypatch):

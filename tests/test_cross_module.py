@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wfk.budget import BudgetExceeded
+from wfk.budget import BudgetExceeded, budget_override
 from wfk.charmap import ch, colored_space, fw_l_operator, ZeroPrefactor
 from wfk.exact import cyc
 from wfk.fock import FockVector, chern_series, point_model
@@ -69,11 +69,15 @@ def test_build_wreath_budget():
 
 
 def test_filtered_convolution_budget():
+    # S_8 (40320 elements) sits just above a budget of 40319, S_9 above the default
     from wfk.charmap import GradedClassFunction, filtered_convolution
     from wfk.wreath import TypeFunction
     T = trivial_group()
     e = T.conjugacy().class_of[0]
     f = GradedClassFunction.indicator(8, TypeFunction([(e, (1,) * 8)]))
+    with budget_override(40319), pytest.raises(BudgetExceeded):
+        filtered_convolution(f, f)
+    f = GradedClassFunction.indicator(9, TypeFunction([(e, (1,) * 9)]))
     with pytest.raises(BudgetExceeded):
         filtered_convolution(f, f)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wfk.budget import BudgetExceeded, budget_override
 from wfk.groups import cyclic_group, trivial_group
 from wfk.series import (
     GSet,
@@ -169,6 +170,14 @@ def test_orbifold_swap_frozen():
     # Z/2 swapping two points: (2 + 0 + 0 + 0)/2 = 1
     S = swap_action(cyclic_group(2))
     assert orbifold_euler_bruteforce(S) == 1
+
+
+def test_orbifold_bruteforce_obeys_the_budget():
+    S = GSet.trivial(cyclic_group(3), 2)
+    with budget_override(2), pytest.raises(BudgetExceeded, match="exceeds budget 2"):
+        orbifold_euler_bruteforce(S)
+    with budget_override(3):
+        assert orbifold_euler_bruteforce(S) == 6
 
 
 def test_wreath_orbifold_z2_point():

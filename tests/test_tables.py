@@ -27,6 +27,7 @@ from wfk.groups import (
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    class_indicator,
     convolution,
     cyclic_group,
     direct_product,
@@ -225,6 +226,18 @@ def test_structure_constants_and_convolution_match_loops(G, monkeypatch):
     assert keys(got) == keys([convolution(f, g), convolution(g, g)])
 
 
+def test_convolution_on_explicit_z2_wr_s5(monkeypatch):
+    # its largest class has 480 elements, past the class-pair rule the
+    # element loop kept (480^2 > 100,000), and one bincount per class suffices
+    W = build_wreath(cyclic_group(2), 5)
+    monkeypatch.setattr(ref, "CONVOLUTION_PAIR_BUDGET", max(W.conjugacy().class_sizes) ** 2)
+    assert _structure_constants(W) == ref._structure_constants(W)
+    r = len(W.conjugacy())
+    f = ClassFunction(W, range(1, r + 1))
+    unit = class_indicator(W, W.conjugacy().class_of[W.identity])
+    assert convolution(f, unit) == convolution(unit, f) == f
+
+
 # -- malformed tables ----------------------------------------------------------
 
 # a loop of order 5 (Latin square with identity 0, every element its own
@@ -280,7 +293,18 @@ def test_non_associative_large_table_is_sampled():
     z = np.add.outer(np.arange(120), np.arange(120)) % 120
     loop = np.array(LOOP5)
     table = (loop[:, None, :, None] * 120 + z[None, :, None, :]).reshape(600, 600)
-    with pytest.raises(ValueError, match="associativity fails on sampled triple"):
+    with pytest.raises(ValueError, match="associativity fails at element 120"):
+        FiniteGroup(table)
+
+
+def test_swapped_entries_past_the_old_sampling_order():
+    # Z/2 wr S5 (3840 elements) with two entries of row 5 swapped: a table
+    # that keeps its identity and inverses but is no group
+    W = build_wreath(cyclic_group(2), 5)
+    table = W.mult.copy()
+    i, j = [c for c in range(W.order) if c not in (W.identity, W.inverse[5])][:2]
+    table[5, [i, j]] = table[5, [j, i]]
+    with pytest.raises(ValueError, match="associativity fails at element"):
         FiniteGroup(table)
 
 
