@@ -227,8 +227,8 @@ def test_structure_constants_and_convolution_match_loops(G, monkeypatch):
 
 
 def test_convolution_on_explicit_z2_wr_s5(monkeypatch):
-    # its largest class has 480 elements, past the class-pair rule the
-    # element loop kept (480^2 > 100,000), and one bincount per class suffices
+    # its largest class has 384 elements, past the class-pair rule the
+    # element loop kept (384^2 = 147,456 > 100,000)
     W = build_wreath(cyclic_group(2), 5)
     monkeypatch.setattr(ref, "CONVOLUTION_PAIR_BUDGET", max(W.conjugacy().class_sizes) ** 2)
     assert _structure_constants(W) == ref._structure_constants(W)
