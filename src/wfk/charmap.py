@@ -26,6 +26,7 @@ from .wreath import (
     batch_inverse,
     batch_mult,
     centralizer_order,
+    eta_eps_characters,
     heisenberg_p,
     pair_batches,
     wcf_indicator,
@@ -117,6 +118,21 @@ def exponential_classes(G: FiniteGroup, gamma: ClassFunction, signed: bool,
     coeffs = {k: (Fraction((-1) ** (k - 1), k) if signed else Fraction(1, k))
               for k in range(1, cutoff + 1)}
     return exponential_series(colored_space(G), coeffs, _p_field(G, gamma), cutoff)
+
+
+def verify_eq_sign(G: FiniteGroup, n_max: int) -> VerificationReport:
+    """ch of the characters eta_n(gamma) and eps_n(gamma) equals the weight-n
+    coefficient of the exponential series in p_{-k}(gamma), for every
+    irreducible gamma and n <= n_max."""
+    report = VerificationReport(f"eq-sign({G.name}, n<={n_max})")
+    for gi, gamma in enumerate(G.character_table().irreducibles):
+        for signed in (False, True):
+            series = exponential_classes(G, gamma, signed, n_max)
+            for n in range(n_max + 1):
+                lhs = ch(G, n, eta_eps_characters(G, n, gamma, signed))
+                report.add(f"{'eps' if signed else 'eta'}_{n}(g{gi})",
+                           lhs, series[n], lhs == series[n])
+    return report
 
 
 def verify_heisenberg_transport(G: FiniteGroup, n_cutoff: int) -> VerificationReport:
@@ -274,10 +290,17 @@ def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
     return dop.commutator(pop).scale(inv)
 
 
-def fw_virasoro_check(G: FiniteGroup, c: int, n_modes: int = 1,
+def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                       m_levels: int = 4) -> VerificationReport:
     """Residuals of the Virasoro relations for the bracket-extracted L_n, with
-    L_0 := (1/2)[L_1, L_-1]; checked on indicator bases of levels <= m_levels."""
+    L_0 := (1/2)[L_1, L_-1]; checked on indicator bases of levels <= m_levels.
+    The class c defaults to the first nontrivial self-inverse class, else 0."""
+    cd = G.conjugacy()
+    if c is None:
+        c = next((i for i, rep in enumerate(cd.class_reps)
+                  if rep != G.identity and cd.inverse_class[i] == i), 0)
+    if not 0 <= c < len(cd):
+        raise ValueError(f"class index {c} out of range: {G.name} has {len(cd)} classes")
     report = VerificationReport(
         f"fw-virasoro({G.name}, class {c}, modes<={n_modes}, levels<={m_levels})")
     table = G.character_table()

@@ -348,9 +348,9 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CycNum:
 
 def _structure_constants(G: FiniteGroup):
     """N[F][(D,E)] = #{(d,e) in D x E : d e = rep_F}, cached on the group."""
+    check_budget(G.order, f"structure constants of {G.name}")
     if G._structure is not None:
         return G._structure
-    check_budget(G.order, f"structure constants of {G.name}")
     cd = G.conjugacy()
     r = len(cd)
     class_of = np.array(cd.class_of)
@@ -807,25 +807,29 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(mult, name=f"{A.name}x{B.name}", product_factors=(A, B))
 
 
-_BUILTIN_DOC = {
-    "trivial": trivial_group,
-    "cyclic": cyclic_group,
-    "binary-dihedral": binary_dihedral,
-    "binary-tetrahedral": binary_tetrahedral,
-    "binary-octahedral": binary_octahedral,
-    "binary-icosahedral": binary_icosahedral,
-    "symmetric": symmetric_group,
+# name -> (constructor, least parameter k, or None for a family without one)
+_BUILTIN = {
+    "trivial": (trivial_group, None),
+    "cyclic": (cyclic_group, 1),
+    "binary-dihedral": (binary_dihedral, 1),
+    "binary-tetrahedral": (binary_tetrahedral, None),
+    "binary-octahedral": (binary_octahedral, None),
+    "binary-icosahedral": (binary_icosahedral, None),
+    "symmetric": (symmetric_group, 0),
 }
 
 
 def builtin_group(spec: str) -> FiniteGroup:
-    """Parse 'builtin:cyclic:3', 'cyclic:3', 'binary-icosahedral', ..."""
-    parts = spec.split(":")
-    if parts and parts[0] == "builtin":
-        parts = parts[1:]
-    if not parts or parts[0] not in _BUILTIN_DOC:
+    """Parse 'builtin:cyclic:3', 'cyclic:3', 'binary-icosahedral', ...: a family
+    name, followed by ':k' exactly when the family takes a parameter."""
+    name, *params = spec.removeprefix("builtin:").split(":")
+    if name not in _BUILTIN:
         raise ValueError(f"unknown builtin group {spec!r}")
-    ctor = _BUILTIN_DOC[parts[0]]
-    if len(parts) == 1:
+    ctor, least = _BUILTIN[name]
+    if least is None and not params:
         return ctor()
-    return ctor(int(parts[1]))
+    k = params[0] if least is not None and len(params) == 1 else ""
+    if k.isdecimal() and int(k) >= least:
+        return ctor(int(k))
+    wants = "no parameter" if least is None else f"one integer parameter >= {least}"
+    raise ValueError(f"builtin group {name!r} takes {wants}: {spec!r}")

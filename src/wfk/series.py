@@ -244,6 +244,8 @@ def swap_action(group: FiniteGroup, points: int = 2) -> GSet:
     """Z/2 swapping two points (identity on the rest)."""
     if group.order != 2:
         raise ValueError("swap_action expects a 2-element group")
+    if points < 2:
+        raise ValueError(f"swap_action needs at least two points to swap, got {points}")
     tau_row = [1, 0] + list(range(2, points))
     return GSet(group, [list(range(points)), tau_row])
 

@@ -27,6 +27,7 @@ from wfk.exact import cyc
 from wfk.fock import FockVector, vacuum
 from wfk.groups import (
     ClassFunction,
+    builtin_group,
     class_indicator,
     convolution,
     cyclic_group,
@@ -244,6 +245,22 @@ def test_fw_virasoro_z2_small():
     rep = fw_virasoro_check(G, tau_cls, n_modes=1, m_levels=2)
     assert rep.passed
     assert len(rep.probes) > 0
+
+
+@pytest.mark.parametrize("c", [2, 7, -1])
+def test_fw_virasoro_class_out_of_range(c):
+    with pytest.raises(ValueError, match="out of range: cyclic-2 has 2 classes"):
+        fw_virasoro_check(cyclic_group(2), c, n_modes=1, m_levels=0)
+
+
+# the first nontrivial self-inverse class, else 0, as `wfk verify fw-virasoro`
+# picked it before the default moved into the library
+@pytest.mark.parametrize("spec, default", [
+    ("cyclic:2", 1), ("cyclic:3", 0), ("cyclic:4", 2), ("binary-dihedral:2", 1)])
+def test_fw_virasoro_default_class(spec, default):
+    rep = fw_virasoro_check(builtin_group(spec), None, n_modes=1, m_levels=1)
+    assert f", class {default}," in rep.suite
+    assert rep.to_json() == fw_virasoro_check(builtin_group(spec), default, 1, 1).to_json()
 
 
 def test_graded_class_function_degree():

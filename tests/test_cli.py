@@ -110,6 +110,69 @@ def test_bad_subcommand(capsys):
     assert run(["frobnicate"]) == 1
 
 
+# the options each `wfk verify` suite reads; every other one is refused
+VERIFY_OPTIONS = {
+    "heisenberg": {"--group", "--modes", "--levels"},
+    "heisenberg-transport": {"--group", "--modes"},
+    "conv-cubic": {"--n"},
+    "fw-virasoro": {"--group", "--modes", "--levels", "--class"},
+    "lehn-sorger": {"--n"},
+    "koszul-thom": {"--group", "--n"},
+    "eq-sign": {"--group", "--n"},
+}
+OPTION_VALUES = {"--group": "builtin:binary-tetrahedral", "--modes": "1", "--levels": "1",
+                 "--n": "2", "--class": "0"}
+
+
+@pytest.mark.parametrize("suite, option", [
+    (suite, option) for suite, read in VERIFY_OPTIONS.items()
+    for option in OPTION_VALUES if option not in read])
+def test_verify_refuses_options_it_does_not_read(capsys, suite, option):
+    assert run(["verify", suite, option, OPTION_VALUES[option]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} {OPTION_VALUES[option]}" in captured.err
+
+
+def test_format_flags_are_exclusive(capsys):
+    assert run(["verify", "lehn-sorger", "--n", "2", "--csv", "--pretty"]) == 1
+    assert "not allowed with argument --csv" in capsys.readouterr().err
+    code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "2", "--pretty", "--pretty"])
+    assert code == 0 and out.startswith("suite: lehn-sorger(n<=2)\n")
+
+
+def test_unwritable_emit_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert run(["verify", "lehn-sorger", "--n", "2", "--emit", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wfk: error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "fw-virasoro", "--class", "7"], "class index 7 out of range"),
+    (["verify", "fw-virasoro", "--class", "-1"], "class index -1 out of range"),
+    (["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--swap"],
+     "at least two points to swap, got 1"),
+])
+def test_out_of_range_inputs_are_errors(capsys, argv, message):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wfk: error: ") and message in err
+
+
+# a family name, with ':k' exactly when the family takes a parameter k in range
+@pytest.mark.parametrize("spec", [
+    "builtin:cyclic", "builtin:symmetric", "builtin:binary-dihedral",
+    "builtin:binary-tetrahedral:5", "builtin:trivial:3", "builtin:cyclic:0",
+    "builtin:binary-dihedral:0", "builtin:cyclic:1:2", "builtin:symmetric:-1",
+    "builtin:cyclic:two"])
+def test_malformed_group_specs_are_usage_errors(capsys, spec):
+    assert run(["chartable", "--group", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wfk: error: ")
+
+
 def test_csv_report(capsys):
     code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "2", "--csv"])
     assert code == 0

@@ -201,6 +201,16 @@ def test_convolution_s3_transpositions():
     assert prod.values[cls2] == 0
 
 
+def test_cached_structure_constants_obey_the_budget():
+    from wfk.budget import BudgetExceeded, budget_override
+    G = symmetric_group(5)
+    k = class_indicator(G, 1)
+    first = convolution(k, k)  # caches the structure constants on S5
+    with budget_override(10), pytest.raises(BudgetExceeded, match="120 elements exceeds budget 10"):
+        convolution(k, k)
+    assert convolution(k, k) == first
+
+
 def test_convolution_identity_indicator():
     G = symmetric_group(4)
     delta_e = class_indicator(G, G.conjugacy().class_of[G.identity])

@@ -172,6 +172,11 @@ def test_orbifold_swap_frozen():
     assert orbifold_euler_bruteforce(S) == 1
 
 
+def test_swap_action_needs_two_points():
+    with pytest.raises(ValueError, match="at least two points to swap, got 1"):
+        swap_action(cyclic_group(2), 1)
+
+
 def test_orbifold_bruteforce_obeys_the_budget():
     S = GSet.trivial(cyclic_group(3), 2)
     with budget_override(2), pytest.raises(BudgetExceeded, match="exceeds budget 2"):
