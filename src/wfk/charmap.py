@@ -55,7 +55,7 @@ def colored_space(G: FiniteGroup) -> ColorSpace:
 
 
 def type_monomial(rho: TypeFunction) -> tuple:
-    return tuple(sorted((r, c) for c, parts in rho.classes for r in parts))
+    return tuple(sorted((r, c) for c, parts in rho for r in parts))
 
 
 def monomial_type(mono: tuple) -> TypeFunction:
@@ -146,10 +146,8 @@ def verify_heisenberg_transport(G: FiniteGroup, n_cutoff: int) -> VerificationRe
             for gi, gamma in enumerate(gammas):
                 op_group = heisenberg_p(G, mode, gamma)
                 op_fock = fock_side_p(G, mode, gamma)
-                for m in range(0, n_cutoff - k + 1):
-                    src_level = m if mode > 0 else m + k
-                    if src_level > n_cutoff - max(mode, 0):
-                        continue
+                # p_mode maps level m to m + mode; both stay within n_cutoff
+                for src_level in range(max(-mode, 0), n_cutoff - max(mode, 0) + 1):
                     for rho in wreath_level(G, src_level).types:
                         f = wcf_indicator(G, src_level, rho)
                         lhs_w = op_group.apply(f)
@@ -344,14 +342,11 @@ def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                     continue  # definitional for L_0
                 br = ls[(gi, n)].commutator(ls[(gj, m)])
                 if gi != gj or n == m:
-                    expected = LinearOperator(lambda f: f.scale(0))
+                    expected = lambda f: f.scale(0)
                 elif (gi, n + m) in ls:
-                    target = ls[(gi, n + m)]
-                    expected = LinearOperator(
-                        lambda f, t=target, nn=n, mm=m: t(f).scale(nn - mm))
+                    expected = lambda f, t=ls[(gi, n + m)], s=n - m: t(f).scale(s)
                 elif n + m == 0:
-                    central = -Fraction(n ** 3 - n, 12)
-                    expected = LinearOperator(lambda f, s=central: f.scale(s))
+                    expected = lambda f, s=-Fraction(n ** 3 - n, 12): f.scale(s)
                 else:
                     continue
                 check(br, expected, f"[L_{n}(g{gi}), L_{m}(g{gj})]")

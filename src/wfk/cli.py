@@ -167,11 +167,18 @@ def _verify_eq_sign(args):
     return verify_eq_sign(builtin_group(args.group), args.n)
 
 
+def _size(text: str) -> int:
+    """argparse type of the size options: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _VERIFY_OPTIONS = {
     "--group": dict(default="builtin:cyclic:2"),
-    "--modes": dict(type=int, default=1),
-    "--levels": dict(type=int, default=2),
-    "--n": dict(type=int, default=3),
+    "--modes": dict(type=_size, default=1),
+    "--levels": dict(type=_size, default=2),
+    "--n": dict(type=_size, default=3),
     "--class": dict(dest="klass", type=int, default=None,
                     help="conjugacy class index (default: the first nontrivial "
                          "self-inverse class, else 0)"),
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "wreath-classes", _cmd_wreath_classes, help="enumerate types of Gamma_n")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
 
     p = leaf(sub, "mckay", _cmd_mckay, help="emit Cartan matrix, marks and affine type")
     p.add_argument("--group", required=True)
@@ -230,24 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(fock_sub, "verify", _cmd_fock)
     p.add_argument("--model", required=True, help="model JSON path or builtin:<name>")
     p.add_argument("--suite", required=True, choices=["virasoro", "heisenberg"])
-    p.add_argument("--cutoff", type=int, default=3)
-    p.add_argument("--modes", type=int, default=2)
+    p.add_argument("--cutoff", type=_size, default=3)
+    p.add_argument("--modes", type=_size, default=2)
 
     ss = sub.add_parser("series", help="generating-function expansions").add_subparsers(
         dest="series_cmd", required=True)
     p = leaf(ss, "euler", _series_euler)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_size, required=True)
     p = leaf(ss, "gottsche", _series_gottsche)
     p.add_argument("--betti", required=True, help="five comma-separated Betti numbers")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_size, required=True)
     p = leaf(ss, "hodge", _series_hodge)
     p.add_argument("--h", required=True, help="entries like '0,0=1;1,1=1;2,2=1'")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_size, required=True)
     p = leaf(ss, "orbifold-euler", _series_orbifold_euler)
     p.add_argument("--group", required=True)
-    p.add_argument("--points", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--points", type=_size, default=1)
+    p.add_argument("--nmax", type=_size, default=4)
     p.add_argument("--swap", action="store_true",
                    help="use the two-point swap action instead of the trivial one")
 

@@ -643,7 +643,7 @@ def _merge_tensor_terms(terms):
 
 
 def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
-               weight: int, space: ColorSpace | None = None) -> FockOperator:
+               weight: int | None, space: ColorSpace | None = None) -> FockOperator:
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
     space = space or ColorSpace.of_algebra(alg)
@@ -687,9 +687,10 @@ def join_boundary(space: ColorSpace) -> FockOperator:
     return FockOperator(fn, None, "boundary-join")
 
 
-def boundary_operator(alg: FrobeniusAlgebra, kind: str, weight: int = 0,
+def boundary_operator(alg: FrobeniusAlgebra, kind: str, weight: int | None = None,
                       space: ColorSpace | None = None) -> FockOperator:
-    """'projective-with-trivial-K': -W^3_0(1); 'affine-plane': the join form."""
+    """'projective-with-trivial-K': -W^3_0(1), valid up to `weight` (any
+    weight when it is None); 'affine-plane': the join form."""
     space = space or ColorSpace.of_algebra(alg)
     if kind == "projective-with-trivial-K":
         if not alg.nondegenerate:

@@ -12,7 +12,7 @@ import functools
 import itertools
 from collections import deque
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 import numpy as np
 
@@ -707,6 +707,8 @@ def build_from_generators(gens, bound: int = 1000, name: str = "matrix-group") -
     elements = [idm]
     index = {_mat_key(idm): 0}
     parent: list[tuple[int, int]] = [(-1, -1)]  # (parent index, generator index)
+    # right[gi][i]: index of elements[i] * gens[gi], a permutation of the indices
+    right: list[list[int]] = [[] for _ in gens]
     frontier = deque([0])
     while frontier:
         i = frontier.popleft()
@@ -720,10 +722,9 @@ def build_from_generators(gens, bound: int = 1000, name: str = "matrix-group") -
                 elements.append(prod)
                 parent.append((i, gi))
                 frontier.append(index[key])
+            right[gi].append(index[key])
     n = len(elements)
-    # right multiplication by each generator, as a permutation of element indices
-    right = np.array([[index[_mat_key(_mat_mul(elements[x], g))] for x in range(n)]
-                      for g in gens], dtype=np.int32)
+    right = np.array(right, dtype=np.int32)
     # every element is parent * generator, so columns of the table fill in BFS order:
     # (a * parent_j) * gen = table column of j
     mult = np.empty((n, n), dtype=np.int32)
@@ -807,29 +808,35 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(mult, name=f"{A.name}x{B.name}", product_factors=(A, B))
 
 
-# name -> (constructor, least parameter k, or None for a family without one)
+# name -> (constructor, least parameter k or None for a family without one,
+#          group order as a function of the constructor's arguments)
 _BUILTIN = {
-    "trivial": (trivial_group, None),
-    "cyclic": (cyclic_group, 1),
-    "binary-dihedral": (binary_dihedral, 1),
-    "binary-tetrahedral": (binary_tetrahedral, None),
-    "binary-octahedral": (binary_octahedral, None),
-    "binary-icosahedral": (binary_icosahedral, None),
-    "symmetric": (symmetric_group, 0),
+    "trivial": (trivial_group, None, lambda: 1),
+    "cyclic": (cyclic_group, 1, lambda k: k),
+    "binary-dihedral": (binary_dihedral, 1, lambda m: 4 * m),
+    "binary-tetrahedral": (binary_tetrahedral, None, lambda: 24),
+    "binary-octahedral": (binary_octahedral, None, lambda: 48),
+    "binary-icosahedral": (binary_icosahedral, None, lambda: 120),
+    "symmetric": (symmetric_group, 0, factorial),
 }
 
 
 def builtin_group(spec: str) -> FiniteGroup:
     """Parse 'builtin:cyclic:3', 'cyclic:3', 'binary-icosahedral', ...: a family
-    name, followed by ':k' exactly when the family takes a parameter."""
+    name, followed by ':k' exactly when the family takes a parameter.  The
+    group order is checked against the budget before the group is built or
+    taken from the cache."""
     name, *params = spec.removeprefix("builtin:").split(":")
     if name not in _BUILTIN:
         raise ValueError(f"unknown builtin group {spec!r}")
-    ctor, least = _BUILTIN[name]
-    if least is None and not params:
-        return ctor()
+    ctor, least, order = _BUILTIN[name]
     k = params[0] if least is not None and len(params) == 1 else ""
-    if k.isdecimal() and int(k) >= least:
-        return ctor(int(k))
-    wants = "no parameter" if least is None else f"one integer parameter >= {least}"
-    raise ValueError(f"builtin group {name!r} takes {wants}: {spec!r}")
+    if least is None and not params:
+        args = ()
+    elif k.isdecimal() and int(k) >= least:
+        args = (int(k),)
+    else:
+        wants = "no parameter" if least is None else f"one integer parameter >= {least}"
+        raise ValueError(f"builtin group {name!r} takes {wants}: {spec!r}")
+    check_budget(order(*args), f"group {spec}")
+    return ctor(*args)

@@ -11,16 +11,19 @@ def _is_zero(x) -> bool:
 
 
 def row_reduce(matrix: list[list], augment: int = 0):
-    """In-place fraction-friendly Gauss-Jordan; returns (rank, pivot_columns).
+    """In-place fraction-friendly Gauss-Jordan; returns (rank, pivot_columns, det).
 
-    Only the first len(row) - augment columns are eligible as pivots.
+    Only the first len(row) - augment columns are eligible as pivots; `det` is
+    their determinant when they form a square block: the product of the
+    pivots times the sign of the row swaps.
     """
     rows = len(matrix)
     if rows == 0:
-        return 0, []
+        return 0, [], 1
     cols = len(matrix[0]) - augment
     rank = 0
     pivots = []
+    det = 1
     for col in range(cols):
         pivot = None
         for r in range(rank, rows):
@@ -28,9 +31,13 @@ def row_reduce(matrix: list[list], augment: int = 0):
                 pivot = r
                 break
         if pivot is None:
+            det = 0
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        if pivot != rank:
+            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+            det = -det
         inv = matrix[rank][col]
+        det = det * inv
         matrix[rank] = [x / inv for x in matrix[rank]]
         for r in range(rows):
             if r != rank and not _is_zero(matrix[r][col]):
@@ -40,42 +47,19 @@ def row_reduce(matrix: list[list], augment: int = 0):
         rank += 1
         if rank == rows:
             break
-    return rank, pivots
+    return rank, pivots, det
 
 
 def rank(matrix: list[list]) -> int:
     work = [list(row) for row in matrix]
-    r, _ = row_reduce(work)
+    r, _, _ = row_reduce(work)
     return r
 
 
 def det(matrix: list[list], one):
-    """Determinant by exact Gaussian elimination with row swaps."""
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    result = one
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not _is_zero(work[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            return one - one  # zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        result = result * p
-        inv = one / p
-        for r in range(col + 1, n):
-            if not _is_zero(work[r][col]):
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    if sign < 0:
-        result = -result
-    return result
+    """Determinant of a square matrix by exact Gauss-Jordan elimination."""
+    _, _, d = row_reduce([list(row) for row in matrix])
+    return one * d
 
 
 def invert(matrix: list[list], one, zero) -> list[list]:
@@ -83,7 +67,7 @@ def invert(matrix: list[list], one, zero) -> list[list]:
     n = len(matrix)
     work = [list(row) + [one if i == j else zero for j in range(n)]
             for i, row in enumerate(matrix)]
-    r, pivots = row_reduce(work, augment=n)
+    r, _, _ = row_reduce(work, augment=n)
     if r < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in work]

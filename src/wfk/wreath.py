@@ -71,44 +71,38 @@ def partition_multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
     return m
 
 
-class TypeFunction:
+class TypeFunction(tuple):
     """Partition-valued function on the conjugacy classes of Gamma.
 
-    Stored as a sorted tuple of (class index, partition) pairs; classes with
-    the empty partition are omitted, so equal types compare equal.
+    The tuple of its (class index, partition) pairs, sorted by class; classes
+    with the empty partition are omitted, so equal types compare equal.
     """
 
-    __slots__ = ("classes",)
+    __slots__ = ()
 
-    def __init__(self, pairs):
-        cleaned = tuple(sorted((c, tuple(sorted(p, reverse=True)))
-                               for c, p in pairs if len(p) > 0))
-        object.__setattr__(self, "classes", cleaned)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TypeFunction is immutable")
+    def __new__(cls, pairs):
+        return tuple.__new__(cls, sorted((c, tuple(sorted(p, reverse=True)))
+                                         for c, p in pairs if len(p) > 0))
 
     def size(self) -> int:
-        return sum(sum(p) for _, p in self.classes)
+        return sum(sum(p) for _, p in self)
 
     def partition(self, c: int) -> tuple[int, ...]:
-        for ci, p in self.classes:
+        for ci, p in self:
             if ci == c:
                 return p
         return ()
 
     @classmethod
-    def _of(cls, classes: tuple) -> "TypeFunction":
-        """The type with `classes`, taken as given: sorted by class, no empty
+    def _of(cls, pairs: tuple) -> "TypeFunction":
+        """The type of `pairs`, taken as given: sorted by class, no empty
         partition, each partition in decreasing order."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "classes", classes)
-        return t
+        return tuple.__new__(cls, pairs)
 
     def union(self, other: "TypeFunction") -> "TypeFunction":
-        """Merge of the two sorted class tuples; a class in both gets the
+        """Merge of the two sorted pair tuples; a class in both gets the
         merged partition."""
-        a, b = self.classes, other.classes
+        a, b = self, other
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -127,23 +121,17 @@ class TypeFunction:
 
     def inverse(self, inverse_class) -> "TypeFunction":
         """Type of a^-1: relabel each class by its inverse class."""
-        return TypeFunction((inverse_class[c], p) for c, p in self.classes)
+        return TypeFunction((inverse_class[c], p) for c, p in self)
 
     def total_length(self) -> int:
-        return sum(len(p) for _, p in self.classes)
-
-    def __eq__(self, other):
-        return isinstance(other, TypeFunction) and self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
+        return sum(len(p) for _, p in self)
 
     def __repr__(self):
-        inner = ", ".join(f"{c}:{list(p)}" for c, p in self.classes)
+        inner = ", ".join(f"{c}:{list(p)}" for c, p in self)
         return f"Type({inner})"
 
     def to_json(self) -> dict:
-        return {"classes": {str(c): list(p) for c, p in self.classes}}
+        return {"classes": {str(c): list(p) for c, p in self}}
 
     @staticmethod
     def from_json(data: dict) -> "TypeFunction":
@@ -173,7 +161,7 @@ def centralizer_order(G: FiniteGroup, rho: TypeFunction) -> int:
     test suite against literal centralizer counts in the explicit group)."""
     cd = G.conjugacy()
     z = 1
-    for c, parts in rho.classes:
+    for c, parts in rho:
         zc = cd.centralizer_orders[c]
         z *= zc ** len(parts)
         for r, m in partition_multiplicities(parts).items():
@@ -404,7 +392,7 @@ class WreathLevel:
         radix = _readonly(base ** np.arange(n - 1, -1, -1, dtype=np.int64))
         index = {}
         for i, t in enumerate(self.types):
-            keys = sorted(c * n + r - 1 for c, parts in t.classes for r in parts for _ in range(r))
+            keys = sorted(c * n + r - 1 for c, parts in t for r in parts for _ in range(r))
             index[sum(k * base ** (n - 1 - j) for j, k in enumerate(keys))] = i
         return _readonly(np.array(cd.class_of, dtype=np.intp)), radix, index
 
@@ -427,7 +415,7 @@ class WreathLevel:
         s = np.tile(np.arange(n), (len(self.types), 1))
         for row, rho in enumerate(self.types):
             pos = 0
-            for c, parts in rho.classes:
+            for c, parts in rho:
                 for r in parts:
                     g[row, pos] = class_reps[c]
                     s[row, pos:pos + r] = np.roll(s[row, pos:pos + r], -1)
@@ -802,7 +790,7 @@ class HeisenbergOperator:
         # rho = {c': (npos,)} u beta for each class c' of rho with a part npos
         acc: dict[TypeFunction, CycNum] = {}
         for rho, v in f.values.items():
-            for c_inv, parts in rho.classes:
+            for c_inv, parts in rho:
                 if npos not in parts:
                     continue
                 c = cd.inverse_class[c_inv]
@@ -811,7 +799,7 @@ class HeisenbergOperator:
                     continue
                 rest = list(parts)
                 rest.remove(npos)
-                beta = TypeFunction((ci, rest if ci == c_inv else p) for ci, p in rho.classes)
+                beta = TypeFunction((ci, rest if ci == c_inv else p) for ci, p in rho)
                 acc[beta] = acc.get(beta, cyc(0)) + gc * v * Fraction(1, cd.centralizer_orders[c])
         return _in_level_order(G, f.n - npos, acc)
 
@@ -832,7 +820,7 @@ def eta_eps_characters(G: FiniteGroup, n: int, gamma: ClassFunction,
     out = {}
     for rho in wreath_level(G, n).types:
         v = cyc(1)
-        for c, parts in rho.classes:
+        for c, parts in rho:
             gc = gamma.values[c]
             for _ in parts:
                 v = v * gc

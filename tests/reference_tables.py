@@ -53,7 +53,7 @@ def nullspace(matrix: list[list], one, zero) -> list[list]:
         return []
     work = [list(row) for row in matrix]
     cols = len(work[0])
-    _, pivots = row_reduce(work)
+    _, pivots, _ = row_reduce(work)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:

@@ -63,7 +63,7 @@ def representative_of_type(G: FiniteGroup, n: int, rho: TypeFunction) -> WreathE
     g = [G.identity] * n
     s = list(range(n))
     pos = 0
-    for c, parts in rho.classes:
+    for c, parts in rho:
         for r in parts:
             letters = list(range(pos, pos + r))
             for i in range(r):
@@ -167,7 +167,7 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
 def _splits(rho: TypeFunction, n: int, G: FiniteGroup):
     """All (alpha, beta) with alpha u beta = rho and |alpha| = n."""
     per_class = []
-    for c, parts in rho.classes:
+    for c, parts in rho:
         mults = sorted(partition_multiplicities(parts).items())
         choices = []
         ranges = [range(m + 1) for _, m in mults]

@@ -201,6 +201,32 @@ def test_cyclotomic_values_serialized_per_schema(capsys):
     assert val.conductor in (1, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "heisenberg", "--modes", "-1"],
+    ["verify", "heisenberg", "--levels", "-1"],
+    ["verify", "eq-sign", "--n", "-2"],
+    ["wreath-classes", "--group", "builtin:cyclic:2", "--n", "-1"],
+    ["fock", "verify", "--model", "builtin:p2", "--suite", "heisenberg", "--cutoff", "-1"],
+    ["fock", "verify", "--model", "builtin:p2", "--suite", "heisenberg", "--modes", "-1"],
+    ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "-1"],
+    ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--points", "-1"],
+    ["series", "euler", "--e", "1", "--order", "-1"],
+    ["series", "gottsche", "--betti", "1,0,1,0,1", "--order", "-3"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+def test_size_options_refuse_negative_values(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wfk ")
+    assert f"argument {argv[-2]}: expected a non-negative integer, got '{argv[-1]}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_euler_exponent_may_be_negative(capsys):
+    assert capture(capsys, ["series", "euler", "--e", "-2", "--order", "3"]) == (
+        0, '["1","-2","-1","2"]\n')
+
+
 def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
     from wfk import budget
     monkeypatch.delenv("WFK_BUDGET", raising=False)

@@ -300,6 +300,17 @@ def test_boundary_projective_requires_trivial_canonical():
         boundary_operator(affine_plane_model(), "projective-with-trivial-K", 3)
 
 
+def test_projective_boundary_takes_any_weight_by_default():
+    alg = p2_model()
+    space = ColorSpace.of_algebra(alg)
+    d = boundary_operator(alg, "projective-with-trivial-K")
+    bounded = boundary_operator(alg, "projective-with-trivial-K", 3)
+    for w in (1, 2, 3):
+        for m in monomial_basis(space, w):
+            v = FockVector(space, {m: 1})
+            assert d.apply(v) == bounded.apply(v)
+
+
 def test_lehn_bracket_at_trivial_canonical():
     # [d, q_n(a)] = n L_n(a) for n = +-1 on the P2 ring with no canonical class
     alg = p2_model()

@@ -211,6 +211,24 @@ def test_cached_structure_constants_obey_the_budget():
     assert convolution(k, k) == first
 
 
+def test_builtin_groups_obey_the_budget():
+    from wfk.budget import BudgetExceeded, budget_override
+    for spec in ("trivial", "builtin:cyclic:5", "binary-dihedral:3", "binary-tetrahedral",
+                 "binary-octahedral", "binary-icosahedral", "symmetric:4"):
+        G = builtin_group(spec)  # built and cached
+        with budget_override(G.order):
+            assert builtin_group(spec) is G
+        cap = G.order - 1
+        with budget_override(cap), pytest.raises(
+                BudgetExceeded, match=f"group {spec}: {G.order} elements exceeds budget {cap}"):
+            builtin_group(spec)
+    # refused before its 720 x 720 table is built
+    before = symmetric_group.cache_info().misses
+    with budget_override(10), pytest.raises(BudgetExceeded, match="720 elements"):
+        builtin_group("symmetric:6")
+    assert symmetric_group.cache_info().misses == before
+
+
 def test_convolution_identity_indicator():
     G = symmetric_group(4)
     delta_e = class_indicator(G, G.conjugacy().class_of[G.identity])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from wfk.exact import cyc
-from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, cyclic_group, inner_product,
-                        symmetric_group, trivial_group)
+from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, binary_dihedral,
+                        cyclic_group, inner_product, symmetric_group, trivial_group)
 from wfk.wreath import (
     TypeFunction,
     WreathElement,
@@ -58,11 +58,23 @@ def test_union_equals_the_sorted_construction():
     for a in types:
         for b in types:
             pooled: dict[int, list[int]] = {}
-            for c, p in a.classes + b.classes:
+            for c, p in a + b:
                 pooled.setdefault(c, []).extend(p)
             expected = TypeFunction(pooled.items())
-            assert a.union(b).classes == expected.classes
+            assert tuple(a.union(b)) == tuple(expected)
             assert hash(a.union(b)) == hash(expected)
+
+
+@pytest.mark.parametrize("group,top", [(lambda: cyclic_group(2), 4),
+                                       (lambda: binary_dihedral(2), 2)], ids=["Z2", "BD2"])
+def test_types_hash_as_their_pair_tuples(group, top):
+    # the set unions of `WreathClassFunction.__add__` order their keys by
+    # hash, and the printed key order of every level depends on it
+    for n in range(top + 1):
+        for t in enumerate_types(group(), n):
+            pairs = tuple((c, tuple(p)) for c, p in t)
+            assert type(pairs) is tuple and pairs == t
+            assert hash(t) == hash(pairs)
 
 
 def test_type_of_identity():
