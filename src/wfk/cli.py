@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from .budget import BudgetExceeded, budget_override
+from .budget import BudgetExceeded, budget, budget_override
 from .groups import builtin_group
 from .report import VerificationReport
 
@@ -174,6 +174,13 @@ def _size(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """argparse type of `--budget`: a positive integer."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 _VERIFY_OPTIONS = {
     "--group": dict(default="builtin:cyclic:2"),
     "--modes": dict(type=_size, default=1),
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                            ("pretty", "human-readable output")):
             fmt.add_argument(f"--{const}", dest="fmt", action="store_const", const=const,
                              help=text)
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive, default=None,
                        help="element-count ceiling for brute-force loops "
                             "(default 50000; equivalent to WFK_BUDGET)")
         p.set_defaults(fn=fn, fmt="json")
@@ -274,7 +281,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        with budget_override(args.budget):
+        # read WFK_BUDGET up front, so that a bad value fails every command alike
+        with budget_override(args.budget or budget()):
             payload = args.fn(args)
             _write(emit(payload, args.fmt), args.emit)
     except (ValueError, KeyError, OSError, BudgetExceeded) as exc:

@@ -9,14 +9,13 @@ direct products.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetExceeded, budget, check_budget
 from .exact import CycNum, cyc
 
 _BLOCK_ENTRIES = 1 << 20  # table entries read per numpy step of a block loop
@@ -792,12 +791,13 @@ def binary_icosahedral() -> FiniteGroup:
 
 @functools.cache
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n on 0..n-1 with the natural permutation action attached."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mult = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    action = [list(p) for p in perms]
-    return FiniteGroup(mult, labels=[str(p) for p in perms],
+    """S_n on 0..n-1 with the natural permutation action attached: Gamma_n of
+    the trivial group, whose table and action `wreath.wreath_table` fills
+    (permutations in lexicographic order, (st)[i] = s[t[i]])."""
+    from .wreath import wreath_table  # here, since wreath imports groups
+    mult, natural = wreath_table(trivial_group(), n, f"symmetric_group({n})")
+    action = natural.tolist()
+    return FiniteGroup(mult, labels=[str(tuple(p)) for p in action],
                        perm_actions=[action], name=f"S{n}")
 
 
@@ -825,7 +825,8 @@ def builtin_group(spec: str) -> FiniteGroup:
     """Parse 'builtin:cyclic:3', 'cyclic:3', 'binary-icosahedral', ...: a family
     name, followed by ':k' exactly when the family takes a parameter.  The
     group order is checked against the budget before the group is built or
-    taken from the cache."""
+    taken from the cache.  Past 20!, k! is compared with the budget one factor
+    at a time, not computed, and a refusal names it as k!."""
     name, *params = spec.removeprefix("builtin:").split(":")
     if name not in _BUILTIN:
         raise ValueError(f"unknown builtin group {spec!r}")
@@ -838,5 +839,21 @@ def builtin_group(spec: str) -> FiniteGroup:
     else:
         wants = "no parameter" if least is None else f"one integer parameter >= {least}"
         raise ValueError(f"builtin group {name!r} takes {wants}: {spec!r}")
+    cap = budget()
+    if name == "symmetric" and args[0] > _FACTORIAL_SHOWN and _factorial_exceeds(args[0], cap):
+        raise BudgetExceeded(f"group {spec}: {args[0]}! elements exceeds budget {cap}")
     check_budget(order(*args), f"group {spec}")
     return ctor(*args)
+
+
+_FACTORIAL_SHOWN = 20  # the largest k whose k! a budget refusal writes out (19 digits)
+
+
+def _factorial_exceeds(k: int, cap: int) -> bool:
+    """Whether k! > cap, multiplying only until the product passes cap."""
+    product = 1
+    for j in range(2, k + 1):
+        product *= j
+        if product > cap:
+            return True
+    return False

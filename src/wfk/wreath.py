@@ -15,8 +15,11 @@ orbifold count in `series` the whole level a chunk at a time against one
 element per type, the class convolution in `charmap` a class
 (`WreathLevel.class_elements`), and the induction oracle and the Koszul-Thom
 check one element per type (`WreathLevel.representatives`).  The explicit
-group `build_wreath` reads the whole level at once; no CLI path builds it,
-and the tests keep it as the gate of the orbifold count.  `batch_mult` and
+table `wreath_table` reads the whole level at once.  It is the one fill of a
+permutation table, under the budget and the explicit-table ceiling, and it
+has two readers: `build_wreath`, which no CLI path calls and the tests keep
+as the gate of the orbifold count, and `groups.symmetric_group`, since S_n
+is Gamma_n of the trivial group.  `batch_mult` and
 `batch_inverse` act on all rows at once, and `WreathLevel.label` gives each
 row the index of its type.
 
@@ -447,38 +450,33 @@ def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
 _EXPLICIT_TABLE_LIMIT = 8000  # mult-table memory ceiling: 256 MB as int32
 
 
-def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
-    """Explicit multiplication-table model of Gamma_n, with the natural
-    permutation actions attached; kept on G (as `G.wreath_builds`).
+def wreath_table(G: FiniteGroup, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table of Gamma_n as an int32 array, and its natural
+    action on the n |Gamma| points (i, x), numbered i |Gamma| + x, one row per
+    element: (g, s) sends (i, x) to (s(i), g_{s(i)} x).  This is the one fill
+    of an explicit permutation table: `build_wreath` reads it, and so does
+    `groups.symmetric_group`, since S_n is Gamma_n of the trivial group.
 
-    Element i of the table is element i of `wreath_level(G, n)`, whose
-    `batch` gives the elements behind any indices.  The table is filled one
+    The order is checked against the budget, then against the table ceiling,
+    before anything is allocated; `what` names the table in the refusal.
+    Element i of the table is element i of `wreath_level(G, n)`, whose `batch`
+    gives the elements behind any indices.  The table is filled one
     permutation s at a time: the rows of s are (g, s)(h, t) = (g . s(h), st)
     for every g, h, t."""
     order = (G.order ** n) * factorial(n)
-    check_budget(order, f"build_wreath({G.name}, {n})")
+    check_budget(order, what)
     if order > _EXPLICIT_TABLE_LIMIT:
-        raise BudgetExceeded(f"explicit wreath table: {order} elements exceeds "
+        raise BudgetExceeded(f"{what}: explicit table of {order} elements exceeds "
                              f"the table ceiling {_EXPLICIT_TABLE_LIMIT}")
-    builds = vars(G).setdefault("wreath_builds", {})
-    if n in builds:
-        return builds[n]
     nG = G.order ** n
     everything = wreath_level(G, n).batch(np.arange(order))
     # the rows with g_idx 0 run through the permutations, the first nG rows through the g
     perms, gparts = everything.s[::nG].astype(np.intp), everything.g[:nG]
     nP = len(perms)
+    s_all = everything.s.astype(np.intp)
+    gs = np.take_along_axis(everything.g, s_all, axis=1)
+    natural = (s_all[:, :, None] * G.order + G.mult[gs]).reshape(order, n * G.order)
     weights = G.order ** np.arange(n - 1, -1, -1, dtype=np.int32)  # g_idx = g @ weights
-    actions = []
-    if n:
-        # (g, s) sends the point (i, x), numbered i |Gamma| + x, to (s(i), g_{s(i)} x);
-        # the lifted S_n action moves the first n points only
-        points, s_all = n * G.order, everything.s.astype(np.intp)
-        gs = np.take_along_axis(everything.g, s_all, axis=1)
-        natural = (s_all[:, :, None] * G.order + G.mult[gs]).reshape(order, points)
-        top = np.concatenate([s_all, np.broadcast_to(np.arange(n, points), (order, points - n))],
-                             axis=1)
-        actions = [natural.tolist(), top.tolist()]
     radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
     codes = perms @ radix  # ascending, so searchsorted gives the rank of a permutation
     gm = G.mult
@@ -492,6 +490,28 @@ def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
         for lo in range(0, nG, step):
             gnums = gm[gparts[lo:lo + step, None, :], sh[None, :, :]] @ weights
             np.add(st[None, :, None], gnums[:, None, :], out=blocks[si, lo:lo + step])
+    return mult, natural
+
+
+def build_wreath(G: FiniteGroup, n: int) -> FiniteGroup:
+    """Explicit multiplication-table model of Gamma_n (`wreath_table`), with
+    the natural permutation action and the lifted S_n action attached; kept on
+    G (as `G.wreath_builds`), and checked against the budget on every call."""
+    what = f"build_wreath({G.name}, {n})"
+    builds = vars(G).setdefault("wreath_builds", {})
+    if n in builds:
+        check_budget(builds[n].order, what)
+        return builds[n]
+    mult, natural = wreath_table(G, n, what)
+    actions = []
+    if n:
+        # the point i |Gamma| goes to block s(i); the lifted S_n action moves
+        # the first n points as s does and fixes the others
+        points = n * G.order
+        s = natural[:, ::G.order] // G.order
+        top = np.concatenate([s, np.broadcast_to(np.arange(n, points), (len(s), points - n))],
+                             axis=1)
+        actions = [natural.tolist(), top.tolist()]
     W = FiniteGroup(mult, name=f"{G.name}_wr_S{n}", perm_actions=actions)
     W.wreath_base = G
     W.wreath_n = n

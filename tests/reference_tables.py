@@ -22,6 +22,12 @@ give the same verdicts.
 loops `wfk.groups` ran on a nested-list copy of the table before every
 reader moved to the one `mult` array; `tests/test_tables.py` checks the
 array readers against them value by value.
+
+`symmetric_group` is the comprehension over every pair of
+`itertools.permutations` that built S_n before `wfk.groups.symmetric_group`
+took its table and action from the one permutation-table fill,
+`wfk.wreath.wreath_table` of the trivial group; `tests/test_tables.py` checks
+the two against each other.
 """
 
 from __future__ import annotations
@@ -353,3 +359,13 @@ def _exponent_linear_characters(G: FiniteGroup) -> list[ClassFunction]:
     roots = [CycNum.zeta(e // d, a) for a in range(e // d)]
     at_reps = [pos[rep] for rep in G.conjugacy().class_reps]
     return [ClassFunction(G, [roots[chi[i] // d] for i in at_reps]) for chi in chars]
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on 0..n-1 with the natural permutation action attached."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mult = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+    action = [list(p) for p in perms]
+    return FiniteGroup(mult, labels=[str(p) for p in perms],
+                       perm_actions=[action], name=f"S{n}")

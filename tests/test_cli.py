@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -251,12 +252,23 @@ def test_lehn_sorger_reaches_s8_under_the_budget(capsys, monkeypatch):
     assert "class orbit in level 8: 40320 elements exceeds budget 40319" in err
 
 
-def module_run(*argv):
-    """`python -m wfk.cli ARGV` in a fresh process, without WFK_BUDGET."""
+def python_run(*args, timeout=120, address_space=None):
+    """`python ARGS` in a fresh process, without WFK_BUDGET, its address space
+    capped at `address_space` bytes when given."""
     env = {k: v for k, v in os.environ.items() if k != "WFK_BUDGET"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "wfk.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+
+    def cap():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, preexec_fn=cap)
+
+
+def module_run(*argv, **kwargs):
+    """`python -m wfk.cli ARGV` in a fresh process, without WFK_BUDGET."""
+    return python_run("-m", "wfk.cli", *argv, **kwargs)
 
 
 def test_module_entry_point_runs_the_command(capsys):
@@ -267,6 +279,46 @@ def test_module_entry_point_runs_the_command(capsys):
     proc = module_run("verify", "lehn-sorger", "--n", "3", "--budget", "5")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "wfk: error: class orbit in level 3: 6 elements exceeds budget 5\n"
+
+
+S8_CEILING = "symmetric_group(8): explicit table of 40320 elements exceeds the table ceiling 8000"
+GIB = 1 << 30
+
+
+def test_symmetric_8_is_refused_by_the_table_ceiling():
+    # S_8 passes the default budget; its 40320 x 40320 table must be refused
+    # before it is allocated, so a child capped at 1 GB refuses it within seconds
+    child = ("from wfk.budget import BudgetExceeded\n"
+             "from wfk.groups import builtin_group\n"
+             "try:\n"
+             "    builtin_group('symmetric:8')\n"
+             "except BudgetExceeded as exc:\n"
+             "    print(exc)\n")
+    proc = python_run("-c", child, timeout=5, address_space=GIB)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, S8_CEILING + "\n", "")
+    proc = module_run("chartable", "--group", "builtin:symmetric:8", timeout=5,
+                      address_space=GIB)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"wfk: error: {S8_CEILING}\n")
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "x", "2.5"])
+def test_budget_flag_takes_a_positive_integer(capsys, value):
+    assert run(["series", "euler", "--e", "1", "--order", "3", "--budget", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wfk ")
+    assert f"argument --budget: expected a positive integer, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc", ""])
+@pytest.mark.parametrize("argv", [["series", "euler", "--e", "1", "--order", "3"],
+                                  ["group", "--builtin", "trivial"]], ids=lambda argv: argv[0])
+def test_bad_budget_variable_is_an_input_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("WFK_BUDGET", value)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wfk: error: WFK_BUDGET must be a positive integer, got '{value}'\n"
 
 
 def test_budget_applies_to_cached_wreath(capsys, monkeypatch):
@@ -354,6 +406,25 @@ CHARTABLE_SHA256 = {
     "symmetric:4": "7c0dbff74d80e4c15265d42021973ea4eaa3cd782d815adfc571b9a606820996",
     "symmetric:5": "7fd73948c24af0fdfda21773d9c003d1828dbe16fc95feb5d7de09120e9552ee",
 }
+
+
+# sha256 of `wfk group --builtin symmetric:k` stdout (the table and the labels),
+# recorded while S_n still had a table comprehension of its own
+GROUP_SHA256 = {
+    "symmetric:0": "b4ce2b05d825b7a490945f9c55aca3b73c47703f8050818bd46e9cff17526130",
+    "symmetric:1": "4bc1b5d64fcd6696129a54f8999f5286b7f7b5c17f5a6d113a0b32c3718dd9f0",
+    "symmetric:2": "9bf22e125725307e37d1578b15937c7f50edd1f3e68e7ffd9024d41dbd3bf144",
+    "symmetric:3": "4f767361bd1f56354417664f88de99639af88b1dc42b1936b75baf3e095669b0",
+    "symmetric:4": "6673f3a5cddc87e8e7eeafbdf374120b0e975f018d28bf9b28d23d6be226055b",
+    "symmetric:5": "7ce1dc95c22a1c7879e2c973137105eaa09ecb7886d2f49f97dd62e4d60c2a02",
+}
+
+
+@pytest.mark.parametrize("group", GROUP_SHA256)
+def test_group_output_is_pinned(capsys, group):
+    code, out = capture(capsys, ["group", "--builtin", group])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_SHA256[group]
 
 
 @pytest.mark.parametrize("group", CHARTABLE_SHA256)

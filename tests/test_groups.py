@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -227,6 +229,28 @@ def test_builtin_groups_obey_the_budget():
     with budget_override(10), pytest.raises(BudgetExceeded, match="720 elements"):
         builtin_group("symmetric:6")
     assert symmetric_group.cache_info().misses == before
+
+
+@pytest.mark.parametrize("k", [21, 2000, 1_000_000])
+def test_large_symmetric_specs_are_refused_without_their_order(monkeypatch, k):
+    # k! past 20! is compared with the budget a factor at a time and named as k!
+    from wfk.budget import BudgetExceeded
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as refused:
+        builtin_group(f"symmetric:{k}")
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == f"group symmetric:{k}: {k}! elements exceeds budget 50000"
+
+
+def test_symmetric_budget_comparison_is_exact_past_20():
+    from wfk.budget import BudgetExceeded, budget_override
+    with budget_override(factorial(21) - 1), pytest.raises(
+            BudgetExceeded, match=r"^group symmetric:21: 21! elements exceeds budget"):
+        builtin_group("symmetric:21")
+    # within the budget, S_21 reaches the explicit-table ceiling
+    with budget_override(factorial(21)), pytest.raises(BudgetExceeded, match="table ceiling 8000"):
+        builtin_group("symmetric:21")
 
 
 def test_convolution_identity_indicator():

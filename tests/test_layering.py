@@ -8,7 +8,9 @@ attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
 nested lists.  The elements of Gamma_n are encoded once, by `WreathLevel`:
 no module reads an explicit group's `wreath_elements`, and only the tuple
 oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
-`WreathBatch.elements`) builds a `WreathElement`.  Helpers that only the tests
+`WreathBatch.elements`) builds a `WreathElement`.  Permutations are enumerated
+once: only `wreath._permutation_rows` calls `itertools.permutations`, and S_n
+takes its table from the one fill.  Helpers that only the tests
 call live in `tests/reference_*.py`, and no module of `wfk` defines them."""
 
 import ast
@@ -46,12 +48,14 @@ def test_sides_share_only_neutral_layers():
 
 class Reads(ast.NodeVisitor):
     """The scopes (module.Class.function) that read `.rows`, `.mult.tolist`
-    or `.wreath_elements`, or that call `WreathElement`."""
+    or `.wreath_elements`, or that call `WreathElement` or
+    `itertools.permutations`."""
 
     def __init__(self, module: str):
         self.scope = [module]
         self.found: dict[str, list[str]] = {
-            "rows": [], "mult.tolist": [], "wreath_elements": [], "WreathElement()": []}
+            "rows": [], "mult.tolist": [], "wreath_elements": [], "WreathElement()": [],
+            "permutations()": []}
 
     def visit_scope(self, node):
         self.scope.append(node.name)
@@ -70,8 +74,14 @@ class Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "WreathElement":
-            self.found["WreathElement()"].append(".".join(self.scope))
+        func, where = node.func, ".".join(self.scope)
+        if isinstance(func, ast.Name) and func.id == "WreathElement":
+            self.found["WreathElement()"].append(where)
+        # `itertools.permutations(...)`, or `permutations(...)` imported by name
+        if (isinstance(func, ast.Name) and func.id == "permutations") or (
+                isinstance(func, ast.Attribute) and func.attr == "permutations"
+                and isinstance(func.value, ast.Name) and func.value.id == "itertools"):
+            self.found["permutations()"].append(where)
         self.generic_visit(node)
 
 
@@ -100,6 +110,11 @@ def test_one_element_encoding():
     assert set(found["WreathElement()"]) == {
         "wreath.wreath_mult", "wreath.wreath_inverse", "wreath.wreath_identity",
         "wreath.WreathBatch.elements"}
+
+
+def test_one_permutation_enumeration():
+    # S_n and every Gamma_n read their permutations from `_permutation_rows`
+    assert src_reads()["permutations()"] == ["wreath._permutation_rows"]
 
 
 # test-only helpers, kept in the `tests/reference_*.py` module of their side

@@ -156,6 +156,15 @@ def test_one_read_only_int32_table(G):
     assert S.table.dtype == np.int32 and not S.table.flags.writeable
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_group_matches_the_comprehension(n):
+    # S_n is read from the permutation-table fill of the trivial group's Gamma_n
+    G, ref_G = symmetric_group(n), ref.symmetric_group(n)
+    assert np.array_equal(G.mult, ref_G.mult)
+    assert (G.name, G.element_labels, G.perm_actions) == (
+        ref_G.name, ref_G.element_labels, ref_G.perm_actions)
+
+
 def test_direct_product_matches_pairwise_products():
     A, B = cyclic_group(3), symmetric_group(3)
     G = direct_product(A, B)
