@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from fractions import Fraction
 
 from .exact import CycNum
@@ -289,6 +290,16 @@ class ColorSpace:
         self.kappa = kappa  # matrix, kappa[a][b] scalar
         self.name = name
         self.fields: dict = {}  # tuple(alpha) -> _Field of alpha on this space
+        self.grades: dict = {}  # weight -> (monomials, position of each)
+
+    def grade(self, d: int) -> tuple[list, dict]:
+        """The monomials of weight d in `monomial_basis` order (none for d < 0)
+        and the position of each, kept on the space."""
+        g = self.grades.get(d)
+        if g is None:
+            monos = monomial_basis(self, d) if d >= 0 else []
+            g = self.grades[d] = (monos, {m: i for i, m in enumerate(monos)})
+        return g
 
     def mode(self, n: int, coeffs) -> "FockOperator":
         """Heisenberg mode n of the field sum_b coeffs[b] b: multiplication by
@@ -494,15 +505,21 @@ class FockOperator(LinearOperator):
     """Linear operator on Fock vectors, valid on monomials of weight at most
     `max_weight` (any weight when it is None).
 
-    The bound is checked once per monomial, when its column is computed.
-    Operators combined from this one carry no bound of their own: they raise
-    `CutoffTooSmall` through it.
+    The bound is checked once per monomial, when its column is computed, and
+    once per grade, when its block is built.  Operators combined from this one
+    carry no bound of their own: they raise `CutoffTooSmall` through it.
+
+    `block(space, d)` is the operator from weight d of `space` as an exact
+    block (see `_BlockSum`), built by `grade_block(d)` when given, else from
+    the columns, and kept by weight: an operator belongs to one space.
     """
 
-    def __init__(self, fn, max_weight=None, name="op"):
+    def __init__(self, fn, max_weight=None, name="op", grade_block=None):
         super().__init__(fn)
         self.max_weight = max_weight
         self.name = name
+        self.grade_block = grade_block
+        self.blocks: dict = {}
 
     # a method of this class itself, so that wrapping `FockOperator.apply`
     # (as perfbench/tracer.py does) reaches Fock operators only
@@ -515,6 +532,92 @@ class FockOperator(LinearOperator):
                 raise CutoffTooSmall(
                     f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
         return super()._column(v, mono)
+
+    def block(self, space: ColorSpace, d: int) -> tuple[list, int]:
+        blk = self.blocks.get(d)
+        if blk is None:
+            if self.max_weight is not None and d > self.max_weight:
+                raise CutoffTooSmall(
+                    f"{self.name}: input weight {d} above cutoff {self.max_weight}")
+            blk = self.blocks[d] = (self.grade_block(d) if self.grade_block
+                                    else self._columns_block(space, d))
+        return blk
+
+    def _columns_block(self, space: ColorSpace, d: int) -> tuple[list, int]:
+        """The block from weight d, read off columns computed afresh (not kept
+        as vectors: the block replaces them).  Rational coefficients only."""
+        probe = FockVector._of(space, {})
+        cols = [self._column(probe, mono).terms for mono in space.grade(d)[0]]
+        den = math.lcm(1, *(c.denominator for col in cols for c in col.values()))
+        out = []
+        for col in cols:
+            if col:
+                # a homogeneous operator: every monomial of a column has one weight
+                index = space.grade(sum(n for n, _ in next(iter(col))))[1]
+                col = {index[m]: c.numerator * (den // c.denominator) for m, c in col.items()}
+            out.append(col)
+        return out, den
+
+
+class _BlockSum:
+    """A sum of exact blocks, accumulated in place.
+
+    A block of an operator from weight d of a space is a pair (cols, den):
+    one column per monomial of `ColorSpace.grade(d)`, each a dict from the
+    position of a monomial of the target weight to an int numerator, over
+    the one positive int denominator `den` of the whole block.  A sum keeps
+    its columns over one denominator, the least common multiple of those of
+    its terms, and may hold zero entries."""
+
+    __slots__ = ("cols", "den")
+
+    def __init__(self, size: int):
+        self.cols: list[dict] = [{} for _ in range(size)]
+        self.den = 1
+
+    def _factor(self, s, den: int) -> int:
+        """The int that multiplies the numerators of a term s/den, with s an
+        int or a Fraction, once the sum and the term share a denominator."""
+        den *= s.denominator
+        common = math.lcm(self.den, den)
+        if common != self.den:
+            up = common // self.den
+            for col in self.cols:
+                for r in col:
+                    col[r] *= up
+            self.den = common
+        return s.numerator * (common // den)
+
+    def add(self, block: tuple, s=1) -> None:
+        """self += s * block."""
+        cols, den = block
+        f = self._factor(s, den)
+        for out, col in zip(self.cols, cols):
+            for r, x in col.items():
+                out[r] = out.get(r, 0) + f * x
+
+    def add_product(self, a: tuple, b: tuple, s=1) -> None:
+        """self += s * a b, the block a applied after the block b."""
+        acols, aden = a
+        bcols, bden = b
+        f = self._factor(s, aden * bden)
+        for out, col in zip(self.cols, bcols):
+            for k, x in col.items():
+                x *= f
+                for r, y in acols[k].items():
+                    out[r] = out.get(r, 0) + x * y
+
+    def add_identity(self, s) -> None:
+        """self += s * Id, for a sum from one weight to itself."""
+        f = self._factor(s, 1)
+        for j, out in enumerate(self.cols):
+            out[j] = out.get(j, 0) + f
+
+    def is_zero(self) -> bool:
+        return not any(x for col in self.cols for x in col.values())
+
+    def block(self) -> tuple[list, int]:
+        return [{r: x for r, x in col.items() if x} for col in self.cols], self.den
 
 
 def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
@@ -554,6 +657,10 @@ class _Field:
         for mono, c in terms.items():
             _add_into(out, op.column(probe, mono).terms, c)
         return out
+
+    def block(self, n: int, d: int) -> tuple[list, int]:
+        """The block of q_n(alpha) from weight d, kept by the mode."""
+        return self.mode(n).block(self.space, d)
 
 
 def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
@@ -598,6 +705,31 @@ def _vanishes(fields: list[_Field], mode: int, parts: set) -> bool:
     monomials have their parts among `parts`: a single field at mode 0, or at
     an annihilation mode that is no part size."""
     return len(fields) == 1 and (mode == 0 or (mode > 0 and mode not in parts))
+
+
+def _nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
+    """The block from weight d of the normally ordered product that
+    `_nop_apply` applies."""
+    if len(fields) == 1:
+        return fields[0].block(mode, d)
+    acc = _BlockSum(len(fields[0].space.grade(d)[0]))
+    _nop_into(acc, fields, mode, d, 1)
+    return acc.block()
+
+
+def _nop_into(acc: _BlockSum, fields: list[_Field], mode: int, d: int, s) -> None:
+    """acc += s * `_nop_block(fields, mode, d)`, with the split of `_nop_apply`:
+    the creation modes of the first field on the left, its annihilation modes
+    on the right with the parity sign."""
+    if len(fields) == 1:
+        acc.add(fields[0].block(mode, d), s)
+        return
+    first, rest = fields[0], fields[1:]
+    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
+    for m in range(mode - d, 0):
+        acc.add_product(first.block(m, d - mode + m), _nop_block(rest, mode - m, d), s)
+    for m in range(1, d + 1):
+        acc.add_product(_nop_block(rest, mode - m, d - m), first.block(m, d), s * sign)
 
 
 def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
@@ -662,7 +794,13 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
             _add_into(acc, _nop_apply(fields, n, v.terms), coeff)
         return FockVector._of(space, acc).scale(Fraction(1, factorial))
 
-    return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
+    def grade_block(d: int) -> tuple[list, int]:
+        acc = _BlockSum(len(space.grade(d)[0]))
+        for coeff, fields in terms:
+            _nop_into(acc, fields, n, d, coeff / factorial)
+        return acc.block()
+
+    return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}", grade_block=grade_block)
 
 
 def L_operator(alg: FrobeniusAlgebra, n: int, alpha, weight: int,
@@ -808,10 +946,20 @@ def fock_inner(alg: FrobeniusAlgebra, u: FockVector, v: FockVector,
     return total
 
 
-def _basis_vectors(space: ColorSpace, weight: int) -> list[list[FockVector]]:
-    """The monomials of each weight up to `weight`, as basis vectors."""
-    return [[FockVector(space, {mono: 1}) for mono in monomial_basis(space, w)]
-            for w in range(weight + 1)]
+def _bracket_holds(space: ColorSpace, a: FockOperator, n: int, b: FockOperator, m: int,
+                   sign: int, expected: list, d: int) -> bool:
+    """Whether a b + sign * b a equals the sum of s * x over the (s, x) pairs
+    of `expected` (x None: the identity) on weight d, exactly; a lowers the
+    weight by n and b by m."""
+    acc = _BlockSum(len(space.grade(d)[0]))
+    acc.add_product(a.block(space, d - m), b.block(space, d))
+    acc.add_product(b.block(space, d - n), a.block(space, d), sign)
+    for s, x in expected:
+        if x is None:
+            acc.add_identity(-s)
+        else:
+            acc.add(x.block(space, d), -s)
+    return acc.is_zero()
 
 
 def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
@@ -821,24 +969,17 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
 
     space = ColorSpace.of_algebra(alg)
     report = VerificationReport(f"fock-heisenberg({alg.name}, modes<={modes})")
-    basis = _basis_vectors(space, weight)
     for n in range(-modes, modes + 1):
         for m in range(-modes, modes + 1):
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     a, b = alg.basis(i), alg.basis(j)
                     fa, fb = space.field(a), space.field(b)
-                    qa, qb = fa.mode(n), fb.mode(m)
-                    if fa.parity and fb.parity:
-                        br = qa.compose(qb) + qb.compose(qa)  # supercommutator
-                    else:
-                        br = qa.commutator(qb)
+                    sign = 1 if fa.parity and fb.parity else -1  # supercommutator
                     scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
-                    ok = True
-                    for w in range(max(weight - max(abs(n), abs(m)), 0) + 1):
-                        for v in basis[w]:
-                            if br.apply(v) != v.scale(scal):
-                                ok = False
+                    ok = all(_bracket_holds(space, fa.mode(n), n, fb.mode(m), m, sign,
+                                            [(scal, None)], d)
+                             for d in range(max(weight - max(abs(n), abs(m)), 0) + 1))
                     report.add(f"[q_{n}({alg.labels[i]}), q_{m}({alg.labels[j]})]",
                                "bracket", f"{scal}*Id", ok)
     return report
@@ -853,7 +994,6 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
     report = VerificationReport(f"virasoro({alg.name}, modes<={modes}, weight<={weight})")
     cap = weight + 2 * modes + 2
     ops: dict = {}
-    basis = _basis_vectors(space, weight)
 
     def L(n, elem):
         key = (n, tuple(elem))
@@ -872,13 +1012,9 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
                     central = (Fraction(n ** 3 - n, 12)
                                * alg.trace(alg.mul(alg.euler, ab))
                                if n + m == 0 else Fraction(0))
-                    ok = True
-                    for vs in basis:
-                        for v in vs:
-                            lhs = ln.apply(lm.apply(v)) - lm.apply(ln.apply(v))
-                            rhs = lnm.apply(v).scale(n - m) + v.scale(central)
-                            if lhs != rhs:
-                                ok = False
+                    ok = all(_bracket_holds(space, ln, n, lm, m, -1,
+                                            [(n - m, lnm), (central, None)], d)
+                             for d in range(weight + 1))
                     report.add(
                         f"[L_{n}({alg.labels[i]}), L_{m}({alg.labels[j]})]",
                         "bracket", f"({n - m})L_{n + m} + {central}*Id", ok)

@@ -826,16 +826,24 @@ def builtin_group(spec: str) -> FiniteGroup:
     name, followed by ':k' exactly when the family takes a parameter.  The
     group order is checked against the budget before the group is built or
     taken from the cache.  Past 20!, k! is compared with the budget one factor
-    at a time, not computed, and a refusal names it as k!."""
+    at a time, not computed, and a refusal names it as k!.  A k of more than
+    20 digits, and more digits than the budget, is refused by its digit count
+    before it is converted: every family has at least k elements."""
     name, *params = spec.removeprefix("builtin:").split(":")
     if name not in _BUILTIN:
         raise ValueError(f"unknown builtin group {spec!r}")
     ctor, least, order = _BUILTIN[name]
     k = params[0] if least is not None and len(params) == 1 else ""
+    digits = k.lstrip("0")
+    if k.isdecimal() and len(digits) > _PARAMETER_SHOWN:
+        cap = budget()
+        if len(digits) > len(str(cap)):
+            raise BudgetExceeded(
+                f"group {name}: a parameter of {len(digits)} digits exceeds budget {cap}")
     if least is None and not params:
         args = ()
-    elif k.isdecimal() and int(k) >= least:
-        args = (int(k),)
+    elif k.isdecimal() and int(digits or "0") >= least:
+        args = (int(digits or "0"),)
     else:
         wants = "no parameter" if least is None else f"one integer parameter >= {least}"
         raise ValueError(f"builtin group {name!r} takes {wants}: {spec!r}")
@@ -847,6 +855,7 @@ def builtin_group(spec: str) -> FiniteGroup:
 
 
 _FACTORIAL_SHOWN = 20  # the largest k whose k! a budget refusal writes out (19 digits)
+_PARAMETER_SHOWN = 20  # the most digits of a parameter that a budget refusal writes out
 
 
 def _factorial_exceeds(k: int, cap: int) -> bool:

@@ -22,6 +22,11 @@ that time.
 `operators_equal_below`, the comparison of two operators on every monomial
 up to a weight, is a helper that only the tests call; it moved here from
 `wfk.fock` as it was.
+
+`heisenberg_check` and `virasoro_check` are the suites that applied every
+bracket to every basis vector, one vector at a time, before `wfk.fock`
+compared the operators grade by grade as exact integer blocks;
+`tests/test_fock_blocks.py` checks the block suites against them.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from wfk.fock import (
     FockOperator,
     FockVector,
     FrobeniusAlgebra,
+    W_operator,
     _add_into,
     _Field,
     _scalar_is_zero,
@@ -45,6 +51,7 @@ from wfk.fock import (
     vacuum,
 )
 from wfk.groups import ClassFunction, FiniteGroup
+from wfk.report import VerificationReport
 
 
 class ReferenceFockOperator(FockOperator):
@@ -290,3 +297,76 @@ def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
             if not a.apply(x) == b.apply(x):
                 return False
     return True
+
+
+def _basis_vectors(space: ColorSpace, weight: int) -> list[list[FockVector]]:
+    """The monomials of each weight up to `weight`, as basis vectors."""
+    return [[FockVector(space, {mono: 1}) for mono in monomial_basis(space, w)]
+            for w in range(weight + 1)]
+
+
+def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
+    """[q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id on the weight truncation; the
+    bracket is the supercommutator (an anticommutator for two odd elements)."""
+    space = ColorSpace.of_algebra(alg)
+    report = VerificationReport(f"fock-heisenberg({alg.name}, modes<={modes})")
+    basis = _basis_vectors(space, weight)
+    for n in range(-modes, modes + 1):
+        for m in range(-modes, modes + 1):
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    a, b = alg.basis(i), alg.basis(j)
+                    fa, fb = space.field(a), space.field(b)
+                    qa, qb = fa.mode(n), fb.mode(m)
+                    if fa.parity and fb.parity:
+                        br = qa.compose(qb) + qb.compose(qa)  # supercommutator
+                    else:
+                        br = qa.commutator(qb)
+                    scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
+                    ok = True
+                    for w in range(max(weight - max(abs(n), abs(m)), 0) + 1):
+                        for v in basis[w]:
+                            if br.apply(v) != v.scale(scal):
+                                ok = False
+                    report.add(f"[q_{n}({alg.labels[i]}), q_{m}({alg.labels[j]})]",
+                               "bracket", f"{scal}*Id", ok)
+    return report
+
+
+def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
+    """[L_n(a), L_m(b)] = (n-m) L_{n+m}(ab) + (n^3-n)/12 d_{n+m} tr(e ab) Id
+    (equivalently the mirrored display with the negative central sign)."""
+    space = ColorSpace.of_algebra(alg)
+    report = VerificationReport(f"virasoro({alg.name}, modes<={modes}, weight<={weight})")
+    cap = weight + 2 * modes + 2
+    ops: dict = {}
+    basis = _basis_vectors(space, weight)
+
+    def L(n, elem):
+        key = (n, tuple(elem))
+        if key not in ops:
+            ops[key] = W_operator(alg, 2, n, elem, cap, space)
+        return ops[key]
+
+    for n in range(-modes, modes + 1):
+        for m in range(-modes, modes + 1):
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    a, b = alg.basis(i), alg.basis(j)
+                    ln, lm = L(n, a), L(m, b)
+                    ab = alg.mul(a, b)
+                    lnm = L(n + m, ab)
+                    central = (Fraction(n ** 3 - n, 12)
+                               * alg.trace(alg.mul(alg.euler, ab))
+                               if n + m == 0 else Fraction(0))
+                    ok = True
+                    for vs in basis:
+                        for v in vs:
+                            lhs = ln.apply(lm.apply(v)) - lm.apply(ln.apply(v))
+                            rhs = lnm.apply(v).scale(n - m) + v.scale(central)
+                            if lhs != rhs:
+                                ok = False
+                    report.add(
+                        f"[L_{n}({alg.labels[i]}), L_{m}({alg.labels[j]})]",
+                        "bracket", f"({n - m})L_{n + m} + {central}*Id", ok)
+    return report

@@ -174,6 +174,18 @@ def test_malformed_group_specs_are_usage_errors(capsys, spec):
     assert captured.out == "" and captured.err.startswith("wfk: error: ")
 
 
+@pytest.mark.parametrize("family, digits", [("cyclic", 5000), ("binary-dihedral", 4300)])
+def test_oversized_group_parameters_are_refused_by_digit_count(capsys, monkeypatch,
+                                                               family, digits):
+    # past Python's int/str digit limit, the refusal is still the budget's
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    assert run(["chartable", "--group", f"builtin:{family}:{'9' * digits}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"wfk: error: group {family}: a parameter of {digits} digits exceeds budget 50000\n")
+
+
 def test_csv_report(capsys):
     code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "2", "--csv"])
     assert code == 0

@@ -1,0 +1,161 @@
+"""The Fock bracket suites compare operators grade by grade as exact integer
+blocks.  Here the block suites are checked against the per-basis-vector
+suites they replaced (`reference_fock.heisenberg_check` and
+`virasoro_check`), report for report, and every block is checked against
+`FockOperator.apply`, column by column."""
+
+import json
+from fractions import Fraction
+
+import pytest
+import reference_fock as ref
+
+from wfk.fock import (
+    ColorSpace,
+    CutoffTooSmall,
+    DegeneratePairing,
+    FockVector,
+    FrobeniusAlgebra,
+    ModelMismatch,
+    W_operator,
+    _Field,
+    _nop_block,
+    builtin_model,
+    heisenberg_check,
+    normal_order,
+    virasoro_check,
+)
+
+BLOCK_WEIGHT = 4
+
+# p2 with a trace that is not integral and pairs 1 with h^2 as well: the dual
+# basis, the coproduct and the Euler element all have fractions in them
+FRACTION_TRACE_P2 = {
+    "basis": ["1", "h", "h2"], "degrees": [0, 2, 4], "parities": [0, 0, 0], "unit": "1",
+    "products": {"1*1": {"1": ["1", "1"]}, "1*h": {"h": ["1", "1"]}, "1*h2": {"h2": ["1", "1"]},
+                 "h*1": {"h": ["1", "1"]}, "h2*1": {"h2": ["1", "1"]}, "h*h": {"h2": ["1", "1"]}},
+    "trace": {"1": ["1", "5"], "h2": ["3", "2"]},
+}
+
+
+def json_model(data: dict) -> FrobeniusAlgebra:
+    return FrobeniusAlgebra.from_json(json.loads(json.dumps(data)))
+
+
+MODELS = {name: lambda name=name: builtin_model(name) for name in ("point", "p2", "exterior2")}
+MODELS["fraction-trace"] = lambda: json_model(FRACTION_TRACE_P2)
+
+
+def outcome(check, alg, modes, cutoff):
+    """The report's JSON, or the type and message of the error it raised."""
+    try:
+        return check(alg, modes, cutoff).to_json()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("suite", ["heisenberg", "virasoro"])
+def test_block_suites_match_the_per_vector_suites(model, suite):
+    alg = MODELS[model]()
+    new, old = {"heisenberg": (heisenberg_check, ref.heisenberg_check),
+                "virasoro": (virasoro_check, ref.virasoro_check)}[suite]
+    for modes in range(3):
+        for cutoff in range(5):
+            got = outcome(new, alg, modes, cutoff)
+            assert got == outcome(old, alg, modes, cutoff), (modes, cutoff)
+            if isinstance(got, dict):
+                assert got["pass"], (modes, cutoff)
+
+
+@pytest.mark.parametrize("model, error", [("affine-plane", DegeneratePairing),
+                                          ("exterior2", ModelMismatch)])
+def test_virasoro_refusals_match_the_per_vector_suite(model, error):
+    alg = builtin_model(model)
+    with pytest.raises(error) as got:
+        virasoro_check(alg, 1, 2)
+    with pytest.raises(error) as want:
+        ref.virasoro_check(alg, 1, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_wrong_euler_fails_exactly_the_central_probes():
+    # p2 with the Euler element 2 h^2 in place of 3 h^2: only the n + m = 0
+    # brackets with a nonzero (n^3 - n)/12 tr(e ab) can tell
+    data = builtin_model("p2").to_json()
+    data["euler"] = {"h2": ["2", "1"]}
+    alg = json_model(data)
+    report = virasoro_check(alg, 2, 3).to_json()
+    assert report == ref.virasoro_check(alg, 2, 3).to_json()
+    failed = [p["probe"] for p in report["probes"] if not p["equal"]]
+    assert failed == ["[L_-2(1), L_2(1)]", "[L_2(1), L_-2(1)]"]
+
+
+def columns(space: ColorSpace, block: tuple, d: int, shift: int) -> list[dict]:
+    """The columns of a block from weight d, lowering the weight by `shift`, as
+    {monomial: Fraction}."""
+    cols, den = block
+    rows = space.grade(d - shift)[0]
+    return [{rows[r]: Fraction(x, den) for r, x in col.items()} for col in cols]
+
+
+def applied(space: ColorSpace, op, d: int) -> list[dict]:
+    """`op.apply` of each monomial of weight d, as {monomial: Fraction}."""
+    return [{m: Fraction(c) for m, c in op.apply(FockVector(space, {mono: 1})).terms.items()}
+            for mono in space.grade(d)[0]]
+
+
+@pytest.mark.parametrize("model", ["point", "affine-plane", "p2", "exterior2"])
+def test_mode_blocks_are_the_applied_columns(model):
+    alg = builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    for i in range(alg.dim):
+        field = space.field(alg.basis(i))
+        for n in range(-3, 4):
+            for d in range(BLOCK_WEIGHT + 1):
+                assert columns(space, field.block(n, d), d, n) == applied(
+                    space, field.mode(n), d), (i, n, d)
+
+
+# the fraction-trace model gives blocks with denominators other than k!
+@pytest.mark.parametrize("model, k", [("point", 2), ("p2", 2), ("fraction-trace", 2),
+                                      ("point", 3), ("p2", 3)])
+def test_W_blocks_are_the_applied_columns(model, k):
+    alg = MODELS[model]()
+    space = ColorSpace.of_algebra(alg)
+    elements = [alg.basis(i) for i in range(alg.dim)] + [alg.element(
+        {lab: Fraction(c, 3) for lab, c in zip(alg.labels, (2, -1, 5))})]
+    weight = BLOCK_WEIGHT if k == 2 else 3
+    for alpha in elements:
+        for n in range(-3, 4):
+            op = W_operator(alg, k, n, alpha, weight, space)
+            for d in range(weight + 1):
+                assert columns(space, op.block(space, d), d, n) == applied(space, op, d)
+
+
+@pytest.mark.parametrize("labels", [("a", "b"), ("a", "ab", "b"), ("1", "a", "a")],
+                         ids="*".join)
+def test_odd_product_blocks_are_the_applied_columns(labels):
+    # the parity sign of the annihilation part, which no W operator reaches
+    alg = builtin_model("exterior2")
+    space = ColorSpace.of_algebra(alg)
+    factors = [alg.element({lab: 1}) for lab in labels]
+    fields = [_Field(space, f) for f in factors]
+    for n in range(-3, 4):
+        op = normal_order(alg, factors, BLOCK_WEIGHT, n, space)
+        for d in range(BLOCK_WEIGHT + 1):
+            assert columns(space, _nop_block(fields, n, d), d, n) == applied(space, op, d)
+
+
+def test_block_above_the_cutoff_is_refused_as_its_column_is():
+    alg = builtin_model("p2")
+    space = ColorSpace.of_algebra(alg)
+    for n in (-1, 0, 2):
+        op = W_operator(alg, 2, n, alg.unit, 3, space)
+        op.block(space, 3)
+        with pytest.raises(CutoffTooSmall) as by_block:
+            op.block(space, 4)
+        with pytest.raises(CutoffTooSmall) as by_column:
+            op.apply(FockVector(space, {space.grade(4)[0][0]: 1}))
+        assert str(by_block.value) == str(by_column.value) == (
+            f"W2_{n}: input weight 4 above cutoff 3")

@@ -10,7 +10,9 @@ no module reads an explicit group's `wreath_elements`, and only the tuple
 oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
 `WreathBatch.elements`) builds a `WreathElement`.  Permutations are enumerated
 once: only `wreath._permutation_rows` calls `itertools.permutations`, and S_n
-takes its table from the one fill.  Helpers that only the tests
+takes its table from the one fill.  The Fock bracket suites compare grade
+blocks: `fock.heisenberg_check` and `fock.virasoro_check` call no `apply`,
+and the per-vector `_basis_vectors` is gone.  Helpers that only the tests
 call live in `tests/reference_*.py`, and no module of `wfk` defines them."""
 
 import ast
@@ -127,3 +129,16 @@ def test_test_only_helpers_stay_out_of_src():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ONLY]
     assert defined == []
+
+
+def test_fock_suites_compare_blocks():
+    # the bracket suites compare grade blocks; no per-vector loop comes back
+    tree = ast.parse((SRC / "fock.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_basis_vectors" not in defined
+    for suite in ("heisenberg_check", "virasoro_check"):
+        calls = [node.func.attr for node in ast.walk(defined[suite])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+        assert "apply" not in calls, suite
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_basis_vectors" not in names

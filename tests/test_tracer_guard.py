@@ -27,13 +27,14 @@ codes = []
 for query in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.run(query.split()))
-print(codes, tracer.counts[sys.argv[1]] > 0)
+hook = sys.argv[1]
+print(codes, (tracer.counts[hook] or tracer.spans.get(hook, [0])[0]) > 0)
 """
 
 
 def run_traced(counter: str, *queries: str) -> str:
     """The first stdout line of the traced queries: their exit codes, and
-    whether `counter` moved."""
+    whether `counter` (a count, or the calls of a span) moved."""
     env = {k: v for k, v in os.environ.items() if k != "WFK_BUDGET"}
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}"
     proc = subprocess.run([sys.executable, "-c", SCRIPT, counter, *queries],
@@ -47,10 +48,17 @@ def test_traced_conv_cubic_and_lehn_sorger_exit_zero():
                       "verify lehn-sorger --n 3") == "[0, 0] True"
 
 
-# the modes of an algebra's space, and the p_k(gamma) of the colored space
-@pytest.mark.parametrize("query", [
-    "fock verify --model builtin:p2 --suite heisenberg --modes 1 --cutoff 2",
-    "verify heisenberg-transport --group builtin:cyclic:2 --modes 1",
-])
+# the modes of an algebra's space, which the suite compares as grade blocks
+# over the traced `monomial_basis`, and the p_k(gamma) of the colored space,
+# which `FockOperator.apply` applies
+TRACED_FOCK_HOOKS = {
+    "fock verify --model builtin:p2 --suite heisenberg --modes 1 --cutoff 2":
+        "fock.monomial_basis",
+    "verify heisenberg-transport --group builtin:cyclic:2 --modes 1":
+        "fock.FockOperator_apply.calls",
+}
+
+
+@pytest.mark.parametrize("query", TRACED_FOCK_HOOKS)
 def test_traced_fock_modes_exit_zero(query):
-    assert run_traced("fock.FockOperator_apply.calls", query) == "[0] True"
+    assert run_traced(TRACED_FOCK_HOOKS[query], query) == "[0] True"
