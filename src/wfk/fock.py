@@ -14,6 +14,7 @@ with e the Euler element sum_i b_i b^i of the algebra.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -305,10 +306,15 @@ class ColorSpace:
         """Heisenberg mode n of the field sum_b coeffs[b] b: multiplication by
         sum_b coeffs[b] a_{n}(b) for n < 0, the super-derivation contracting
         a_{-n}(b) with weight sum_a coeffs[a] kappa(a, b) for n > 0, zero for
-        n = 0; [mode(n, x), mode(m, y)] = n d_{n+m} kappa(x, y) Id."""
+        n = 0; [mode(n, x), mode(m, y)] = n d_{n+m} kappa(x, y) Id.
+
+        Its columns come from `create` and `annihilate`, for any scalars; its
+        blocks are built from the monomials of a grade, for rational ones."""
         coeffs, par = list(coeffs), _parity(self.parities, coeffs)
+        name = f"q{n}"
         if n == 0:
-            return FockOperator(lambda v: FockVector(self, {}), None, "q0")
+            return FockOperator(lambda v: FockVector(self, {}), None, name,
+                                lambda d: ([{} for _ in self.grade(d)[0]], 1))
         if n < 0:
             def fn(v: FockVector) -> FockVector:
                 acc: dict = {}
@@ -316,6 +322,19 @@ class ColorSpace:
                     if not _scalar_is_zero(c):
                         _add_into(acc, create(self, -n, b, v).terms, c)
                 return FockVector._of(self, acc)
+
+            def grade_block(d: int) -> tuple[list, int]:
+                nums, den = _over_one_denominator(name, coeffs)
+                gens = [((-n, b), x) for b, x in enumerate(nums) if x]
+                index, out = self.grade(d - n)[1], []
+                for mono in self.grade(d)[0]:
+                    col = {}
+                    for gen, x in gens:
+                        sign, new = _canonical_monomial((gen,) + mono, self.parities)
+                        if sign:
+                            col[index[new]] = sign * x
+                    out.append(col)
+                return out, den
         else:
             # over the nonzero kappa entries only, so that a weight keeps the
             # conductor of the coefficients it is made of
@@ -326,7 +345,28 @@ class ColorSpace:
             def fn(v: FockVector) -> FockVector:
                 return annihilate(self, n, weights, par, v)
 
-        return FockOperator(fn, None, f"q{n}")
+            def grade_block(d: int) -> tuple[list, int]:
+                nums, den = _over_one_denominator(name, [w * n for w in weights])
+                odd = self.parities
+                index, out = self.grade(d - n)[1], []
+                for mono in self.grade(d)[0]:
+                    col = {}
+                    # the parts of size n follow the generators of smaller size
+                    start = bisect.bisect_left(mono, (n, 0))
+                    sign = -1 if par and sum(odd[b] for _, b in mono[:start]) % 2 else 1
+                    for i in range(start, len(mono)):
+                        m, b = mono[i]
+                        if m != n:
+                            break
+                        if nums[b]:
+                            r = index[mono[:i] + mono[i + 1:]]
+                            col[r] = col.get(r, 0) + sign * nums[b]
+                        if par and odd[b]:
+                            sign = -sign
+                    out.append(col)
+                return out, den
+
+        return FockOperator(fn, None, name, grade_block)
 
     def field(self, alpha) -> "_Field":
         """The field of the element alpha, kept on this space with its modes."""
@@ -427,6 +467,17 @@ class FockVector:
         return " + ".join(bits)
 
 
+def _over_one_denominator(name: str, values) -> tuple[list[int], int]:
+    """The int numerators of rational `values` over their least common
+    denominator, and that denominator; an exact block holds no other scalars."""
+    values = [c.as_rational() if isinstance(c, CycNum) and c.is_rational() else c
+              for c in values]
+    if not all(isinstance(c, (int, Fraction)) for c in values):
+        raise ModelMismatch(f"{name}: an exact block needs rational coefficients")
+    den = math.lcm(1, *(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _scalar_is_zero(c) -> bool:
     if isinstance(c, CycNum):
         return c.is_zero()
@@ -510,15 +561,17 @@ class FockOperator(LinearOperator):
     carry no bound of their own: they raise `CutoffTooSmall` through it.
 
     `block(space, d)` is the operator from weight d of `space` as an exact
-    block (see `_BlockSum`), built by `grade_block(d)` when given, else from
-    the columns, and kept by weight: an operator belongs to one space.
+    block (see `_BlockSum`), built by `grade_block(d)` and kept by weight: an
+    operator belongs to one space.  An operator with no `fn` lowers the
+    weight by `lowers` and reads its columns off its blocks, as Fractions.
     """
 
-    def __init__(self, fn, max_weight=None, name="op", grade_block=None):
+    def __init__(self, fn, max_weight=None, name="op", grade_block=None, lowers=None):
         super().__init__(fn)
         self.max_weight = max_weight
         self.name = name
         self.grade_block = grade_block
+        self.lowers = lowers
         self.blocks: dict = {}
 
     # a method of this class itself, so that wrapping `FockOperator.apply`
@@ -526,12 +579,17 @@ class FockOperator(LinearOperator):
     apply = LinearOperator.apply
 
     def _column(self, v: FockVector, mono: tuple) -> FockVector:
-        if self.max_weight is not None:
-            weight = sum(n for n, _ in mono)
-            if weight > self.max_weight:
-                raise CutoffTooSmall(
-                    f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
-        return super()._column(v, mono)
+        weight = sum(n for n, _ in mono)
+        if self.max_weight is not None and weight > self.max_weight:
+            raise CutoffTooSmall(
+                f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
+        if self.fn is not None:
+            return super()._column(v, mono)
+        space = v.space
+        cols, den = self.block(space, weight)
+        rows = space.grade(weight - self.lowers)[0]
+        return FockVector._of(space, {rows[r]: Fraction(x, den)
+                                      for r, x in cols[space.grade(weight)[1][mono]].items()})
 
     def block(self, space: ColorSpace, d: int) -> tuple[list, int]:
         blk = self.blocks.get(d)
@@ -539,24 +597,10 @@ class FockOperator(LinearOperator):
             if self.max_weight is not None and d > self.max_weight:
                 raise CutoffTooSmall(
                     f"{self.name}: input weight {d} above cutoff {self.max_weight}")
-            blk = self.blocks[d] = (self.grade_block(d) if self.grade_block
-                                    else self._columns_block(space, d))
+            if self.grade_block is None:
+                raise ModelMismatch(f"{self.name}: no exact block")
+            blk = self.blocks[d] = self.grade_block(d)
         return blk
-
-    def _columns_block(self, space: ColorSpace, d: int) -> tuple[list, int]:
-        """The block from weight d, read off columns computed afresh (not kept
-        as vectors: the block replaces them).  Rational coefficients only."""
-        probe = FockVector._of(space, {})
-        cols = [self._column(probe, mono).terms for mono in space.grade(d)[0]]
-        den = math.lcm(1, *(c.denominator for col in cols for c in col.values()))
-        out = []
-        for col in cols:
-            if col:
-                # a homogeneous operator: every monomial of a column has one weight
-                index = space.grade(sum(n for n, _ in next(iter(col))))[1]
-                col = {index[m]: c.numerator * (den // c.denominator) for m, c in col.items()}
-            out.append(col)
-        return out, den
 
 
 class _BlockSum:
@@ -633,14 +677,13 @@ class _Field:
     """A weight-one field alpha(z): its parity and its modes q_n(alpha), each
     built once by the space and then kept by mode."""
 
-    __slots__ = ("space", "alpha", "parity", "modes", "_probe")
+    __slots__ = ("space", "alpha", "parity", "modes")
 
     def __init__(self, space: ColorSpace, alpha):
         self.space = space
         self.alpha = alpha
         self.parity = _parity(space.parities, alpha)
         self.modes: dict[int, FockOperator] = {}
-        self._probe = FockVector._of(space, {})  # the space `column` builds in
 
     def mode(self, n: int) -> FockOperator:
         op = self.modes.get(n)
@@ -648,68 +691,14 @@ class _Field:
             op = self.modes[n] = self.space.mode(n, self.alpha)
         return op
 
-    def apply_mode(self, n: int, terms: dict) -> dict:
-        """The terms of q_n(alpha) applied to the vector with these terms, summed
-        into a new dict from the mode's cached columns as `FockOperator.apply`
-        sums them."""
-        op, probe = self.mode(n), self._probe
-        out: dict = {}
-        for mono, c in terms.items():
-            _add_into(out, op.column(probe, mono).terms, c)
-        return out
-
     def block(self, n: int, d: int) -> tuple[list, int]:
         """The block of q_n(alpha) from weight d, kept by the mode."""
         return self.mode(n).block(self.space, d)
 
 
-def _nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
-    """Coefficient of z^(-mode - k) of the right-to-left normally ordered
-    product of the k weight-one fields, applied to the vector with these
-    terms; returns the terms of the result in a new dict.
-
-    A single-field step that can only give zero is skipped: one at mode 0,
-    and inside a product one at an annihilation mode j > 0 when no monomial
-    of the input has a part of size j (`_vanishes`).  Every other mode
-    application sums into a dict of its own before it is added, so cancelled
-    monomials come back at the end as in `FockVector.__add__`."""
-    first = fields[0]
-    if len(fields) == 1:
-        return first.apply_mode(mode, terms) if mode else {}
-    w, parts = 0, set()
-    for mono in terms:
-        sizes = [n for n, _ in mono]
-        parts.update(sizes)
-        w = max(w, sum(sizes))
-    rest = fields[1:]
-    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
-    acc: dict = {}
-    # creation part of the first field stays on the left
-    for m in range(mode - w, 0):
-        if not _vanishes(rest, mode - m, parts):
-            u = _nop_apply(rest, mode - m, terms)
-            if u:
-                _add_into(acc, first.apply_mode(m, u))
-    # annihilation part moves to the right (with the parity sign); the
-    # parts of first.apply_mode(m, terms) lie among those of terms
-    for m in sorted(parts):
-        if not _vanishes(rest, mode - m, parts):
-            u0 = first.apply_mode(m, terms)
-            if u0:
-                _add_into(acc, _nop_apply(rest, mode - m, u0), sign)
-    return acc
-
-
-def _vanishes(fields: list[_Field], mode: int, parts: set) -> bool:
-    """Whether the product of `fields` at `mode` is zero on every vector whose
-    monomials have their parts among `parts`: a single field at mode 0, or at
-    an annihilation mode that is no part size."""
-    return len(fields) == 1 and (mode == 0 or (mode > 0 and mode not in parts))
-
-
 def _nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
-    """The block from weight d of the normally ordered product that
-    `_nop_apply` applies."""
+    """The block from weight d of the z^(-mode - k) coefficient of the
+    right-to-left normally ordered product of the k weight-one fields."""
     if len(fields) == 1:
         return fields[0].block(mode, d)
     acc = _BlockSum(len(fields[0].space.grade(d)[0]))
@@ -718,9 +707,9 @@ def _nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
 
 
 def _nop_into(acc: _BlockSum, fields: list[_Field], mode: int, d: int, s) -> None:
-    """acc += s * `_nop_block(fields, mode, d)`, with the split of `_nop_apply`:
-    the creation modes of the first field on the left, its annihilation modes
-    on the right with the parity sign."""
+    """acc += s * `_nop_block(fields, mode, d)`: the creation modes of the
+    first field stay on the left, its annihilation modes move to the right
+    with the parity sign."""
     if len(fields) == 1:
         acc.add(fields[0].block(mode, d), s)
         return
@@ -738,8 +727,8 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     valid on vectors of weight <= `weight`."""
     space = space or ColorSpace.of_algebra(alg)
     resolved = [space.field(f) for f in fields]
-    return FockOperator(lambda v: FockVector._of(space, _nop_apply(resolved, mode, v.terms)),
-                        max_weight=weight, name=f"nop{mode}")
+    return FockOperator(None, weight, f"nop{mode}",
+                        lambda d: _nop_block(resolved, mode, d), lowers=mode)
 
 
 def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
@@ -784,15 +773,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
     space = space or ColorSpace.of_algebra(alg)
     terms = [(coeff, [space.field(f) for f in factors])
              for coeff, factors in coproduct_power(alg, alpha, k)]
-    factorial = 1
-    for i in range(2, k + 1):
-        factorial *= i
-
-    def fn(v: FockVector) -> FockVector:
-        acc: dict = {}
-        for coeff, fields in terms:
-            _add_into(acc, _nop_apply(fields, n, v.terms), coeff)
-        return FockVector._of(space, acc).scale(Fraction(1, factorial))
+    factorial = math.factorial(k)
 
     def grade_block(d: int) -> tuple[list, int]:
         acc = _BlockSum(len(space.grade(d)[0]))
@@ -800,7 +781,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
             _nop_into(acc, fields, n, d, coeff / factorial)
         return acc.block()
 
-    return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}", grade_block=grade_block)
+    return FockOperator(None, weight, f"W{k}_{n}", grade_block, lowers=n)
 
 
 def L_operator(alg: FrobeniusAlgebra, n: int, alpha, weight: int,

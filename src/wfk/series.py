@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -81,17 +81,25 @@ class PowerSeries:
             out[e] = out.get(e, Fraction(0)) - c
         return PowerSeries(self.variables, self.order, out)
 
+    def _numerators(self) -> tuple[list, int]:
+        """The (exponent, int numerator) pairs of the coefficients over their
+        least common denominator, and that denominator."""
+        den = lcm(1, *(c.denominator for c in self.coeffs.values()))
+        return [(e, c.numerator * (den // c.denominator)) for e, c in self.coeffs.items()], den
+
     def __mul__(self, other):
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        (left, lden), (right, rden) = self._numerators(), other._numerators()
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in left:
+            for e2, c2 in right:
                 if e1[0] + e2[0] > self.order:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return PowerSeries._of(self.variables, self.order, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        den = lden * rden
+        return PowerSeries._of(self.variables, self.order,
+                               {e: Fraction(c, den) for e, c in out.items() if c})
 
     def __eq__(self, other):
         return (isinstance(other, PowerSeries) and self.variables == other.variables

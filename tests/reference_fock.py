@@ -27,6 +27,14 @@ up to a weight, is a helper that only the tests call; it moved here from
 bracket to every basis vector, one vector at a time, before `wfk.fock`
 compared the operators grade by grade as exact integer blocks;
 `tests/test_fock_blocks.py` checks the block suites against them.
+
+`term_dict_nop_apply` is the term-dict kernel `_nop_apply` that followed
+`vector_nop_apply` (renamed, since `_nop_apply` above is the older
+kernel), with `_vanishes` and the `_Field.apply_mode` it called (here
+`apply_mode`, a function of the field).  `term_dict_W_operator` and
+`term_dict_normal_order` are the W^k_n and normal products that applied it,
+before `wfk.fock` read their columns off exact grade blocks;
+`tests/test_fock_reference.py` checks the block-read columns against them.
 """
 
 from __future__ import annotations
@@ -370,3 +378,89 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
                         f"[L_{n}({alg.labels[i]}), L_{m}({alg.labels[j]})]",
                         "bracket", f"({n - m})L_{n + m} + {central}*Id", ok)
     return report
+
+
+def apply_mode(field: _Field, n: int, terms: dict) -> dict:
+    """The terms of q_n(alpha) applied to the vector with these terms, summed
+    into a new dict from the mode's cached columns as `FockOperator.apply`
+    sums them."""
+    op, probe = field.mode(n), FockVector._of(field.space, {})
+    out: dict = {}
+    for mono, c in terms.items():
+        _add_into(out, op.column(probe, mono).terms, c)
+    return out
+
+
+def term_dict_nop_apply(fields: list[_Field], mode: int, terms: dict) -> dict:
+    """Coefficient of z^(-mode - k) of the right-to-left normally ordered
+    product of the k weight-one fields, applied to the vector with these
+    terms; returns the terms of the result in a new dict.
+
+    A single-field step that can only give zero is skipped: one at mode 0,
+    and inside a product one at an annihilation mode j > 0 when no monomial
+    of the input has a part of size j (`_vanishes`).  Every other mode
+    application sums into a dict of its own before it is added, so cancelled
+    monomials come back at the end as in `FockVector.__add__`."""
+    first = fields[0]
+    if len(fields) == 1:
+        return apply_mode(first, mode, terms) if mode else {}
+    w, parts = 0, set()
+    for mono in terms:
+        sizes = [n for n, _ in mono]
+        parts.update(sizes)
+        w = max(w, sum(sizes))
+    rest = fields[1:]
+    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
+    acc: dict = {}
+    # creation part of the first field stays on the left
+    for m in range(mode - w, 0):
+        if not _vanishes(rest, mode - m, parts):
+            u = term_dict_nop_apply(rest, mode - m, terms)
+            if u:
+                _add_into(acc, apply_mode(first, m, u))
+    # annihilation part moves to the right (with the parity sign); the
+    # parts of apply_mode(first, m, terms) lie among those of terms
+    for m in sorted(parts):
+        if not _vanishes(rest, mode - m, parts):
+            u0 = apply_mode(first, m, terms)
+            if u0:
+                _add_into(acc, term_dict_nop_apply(rest, mode - m, u0), sign)
+    return acc
+
+
+def _vanishes(fields: list[_Field], mode: int, parts: set) -> bool:
+    """Whether the product of `fields` at `mode` is zero on every vector whose
+    monomials have their parts among `parts`: a single field at mode 0, or at
+    an annihilation mode that is no part size."""
+    return len(fields) == 1 and (mode == 0 or (mode > 0 and mode not in parts))
+
+
+def term_dict_normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
+                           space: ColorSpace | None = None) -> FockOperator:
+    """Finite operator: the z^(-mode - k) coefficient of :f1(z)...fk(z):,
+    valid on vectors of weight <= `weight`."""
+    space = space or ColorSpace.of_algebra(alg)
+    resolved = [space.field(f) for f in fields]
+    return FockOperator(
+        lambda v: FockVector._of(space, term_dict_nop_apply(resolved, mode, v.terms)),
+        max_weight=weight, name=f"nop{mode}")
+
+
+def term_dict_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
+                         weight: int | None, space: ColorSpace | None = None) -> FockOperator:
+    """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
+    W^2 = the Virasoro mode L_n."""
+    space = space or ColorSpace.of_algebra(alg)
+    terms = [(coeff, [space.field(f) for f in factors])
+             for coeff, factors in coproduct_power(alg, alpha, k)]
+    factorial = 1
+    for i in range(2, k + 1):
+        factorial *= i
+
+    def fn(v: FockVector) -> FockVector:
+        acc: dict = {}
+        for coeff, fields in terms:
+            _add_into(acc, term_dict_nop_apply(fields, n, v.terms), coeff)
+        return FockVector._of(space, acc).scale(Fraction(1, factorial))
+
+    return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")

@@ -1,8 +1,10 @@
 """The Fock bracket suites compare operators grade by grade as exact integer
 blocks.  Here the block suites are checked against the per-basis-vector
 suites they replaced (`reference_fock.heisenberg_check` and
-`virasoro_check`), report for report, and every block is checked against
-`FockOperator.apply`, column by column."""
+`virasoro_check`), report for report.  Every mode block, built from the
+monomials of its grade, is checked against the mode's own columns
+(`create` and `annihilate`), and every W^k_n and normal-product block against
+the term-dict kernel `reference_fock.term_dict_nop_apply`, column by column."""
 
 import json
 from fractions import Fraction
@@ -10,6 +12,8 @@ from fractions import Fraction
 import pytest
 import reference_fock as ref
 
+from wfk.charmap import colored_space, fock_side_p
+from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
@@ -22,9 +26,10 @@ from wfk.fock import (
     _nop_block,
     builtin_model,
     heisenberg_check,
-    normal_order,
+    join_boundary,
     virasoro_check,
 )
+from wfk.groups import cyclic_group
 
 BLOCK_WEIGHT = 4
 
@@ -44,6 +49,7 @@ def json_model(data: dict) -> FrobeniusAlgebra:
 
 MODELS = {name: lambda name=name: builtin_model(name) for name in ("point", "p2", "exterior2")}
 MODELS["fraction-trace"] = lambda: json_model(FRACTION_TRACE_P2)
+MODE_MODELS = {"affine-plane": lambda: builtin_model("affine-plane"), **MODELS}
 
 
 def outcome(check, alg, modes, cutoff):
@@ -100,21 +106,36 @@ def columns(space: ColorSpace, block: tuple, d: int, shift: int) -> list[dict]:
 
 
 def applied(space: ColorSpace, op, d: int) -> list[dict]:
-    """`op.apply` of each monomial of weight d, as {monomial: Fraction}."""
-    return [{m: Fraction(c) for m, c in op.apply(FockVector(space, {mono: 1})).terms.items()}
+    """`op.apply` of each monomial of weight d, as {monomial: Fraction}; a
+    CycNum coefficient must be rational."""
+    return [{m: c.as_rational() if isinstance(c, CycNum) else Fraction(c)
+             for m, c in op.apply(FockVector(space, {mono: 1})).terms.items()}
             for mono in space.grade(d)[0]]
 
 
-@pytest.mark.parametrize("model", ["point", "affine-plane", "p2", "exterior2"])
+def homogeneous_elements(alg) -> list:
+    """The basis, and an element with Fraction coefficients of each parity
+    present."""
+    out = [alg.basis(i) for i in range(alg.dim)]
+    for parity in sorted(set(alg.parities)):
+        out.append(alg.element({lab: Fraction(c, 3) for c, (lab, p) in
+                                zip((2, -1, 5, 4), zip(alg.labels, alg.parities))
+                                if p == parity}))
+    return out
+
+
+@pytest.mark.parametrize("model", MODE_MODELS)
 def test_mode_blocks_are_the_applied_columns(model):
-    alg = builtin_model(model)
+    # the mode's columns come from `create` and `annihilate`, its block from
+    # the monomials of the grade
+    alg = MODE_MODELS[model]()
     space = ColorSpace.of_algebra(alg)
-    for i in range(alg.dim):
-        field = space.field(alg.basis(i))
+    for alpha in homogeneous_elements(alg):
+        field = space.field(alpha)
         for n in range(-3, 4):
             for d in range(BLOCK_WEIGHT + 1):
                 assert columns(space, field.block(n, d), d, n) == applied(
-                    space, field.mode(n), d), (i, n, d)
+                    space, field.mode(n), d), (alpha, n, d)
 
 
 # the fraction-trace model gives blocks with denominators other than k!
@@ -123,14 +144,13 @@ def test_mode_blocks_are_the_applied_columns(model):
 def test_W_blocks_are_the_applied_columns(model, k):
     alg = MODELS[model]()
     space = ColorSpace.of_algebra(alg)
-    elements = [alg.basis(i) for i in range(alg.dim)] + [alg.element(
-        {lab: Fraction(c, 3) for lab, c in zip(alg.labels, (2, -1, 5))})]
     weight = BLOCK_WEIGHT if k == 2 else 3
-    for alpha in elements:
+    for alpha in homogeneous_elements(alg):
         for n in range(-3, 4):
             op = W_operator(alg, k, n, alpha, weight, space)
+            reference = ref.term_dict_W_operator(alg, k, n, alpha, weight, space)
             for d in range(weight + 1):
-                assert columns(space, op.block(space, d), d, n) == applied(space, op, d)
+                assert columns(space, op.block(space, d), d, n) == applied(space, reference, d)
 
 
 @pytest.mark.parametrize("labels", [("a", "b"), ("a", "ab", "b"), ("1", "a", "a")],
@@ -142,9 +162,27 @@ def test_odd_product_blocks_are_the_applied_columns(labels):
     factors = [alg.element({lab: 1}) for lab in labels]
     fields = [_Field(space, f) for f in factors]
     for n in range(-3, 4):
-        op = normal_order(alg, factors, BLOCK_WEIGHT, n, space)
+        reference = ref.term_dict_normal_order(alg, factors, BLOCK_WEIGHT, n, space)
         for d in range(BLOCK_WEIGHT + 1):
-            assert columns(space, _nop_block(fields, n, d), d, n) == applied(space, op, d)
+            assert columns(space, _nop_block(fields, n, d), d, n) == applied(space, reference, d)
+
+
+def test_block_of_a_non_rational_mode_is_a_model_mismatch():
+    G = cyclic_group(3)
+    irreducibles = G.character_table().irreducibles
+    trivial = next(x for x in irreducibles if all(v.is_rational() for v in x.values))
+    chi = next(x for x in irreducibles if x is not trivial)
+    for k in (1, -1):
+        op = fock_side_p(G, k, chi)
+        with pytest.raises(ModelMismatch, match=f"q{-k}: an exact block needs rational"):
+            op.block(colored_space(G), 1)
+        # a character with rational values has a block, equal to its columns
+        op = fock_side_p(G, k, trivial)
+        space = colored_space(G)
+        for d in range(4):
+            assert columns(space, op.block(space, d), d, -k) == applied(space, op, d)
+    with pytest.raises(ModelMismatch, match="boundary-join: no exact block"):
+        join_boundary(ColorSpace(["x"], [0], [[1]])).block(colored_space(G), 1)
 
 
 def test_block_above_the_cutoff_is_refused_as_its_column_is():

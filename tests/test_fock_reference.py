@@ -1,9 +1,11 @@
 """The in-place accumulation of `wfk.fock` against the column-by-column
-application it replaced, and `ColorSpace.mode` against the three mode
-builders it replaced (`reference_fock.py`).  Every coefficient, its type
-and conductor, and the key order of the terms must agree, on every monomial
-up to weight 4 (weight 3 for the modes) and on seeded random vectors with
-Fraction and CycNum coefficients."""
+application it replaced, `ColorSpace.mode` against the three mode builders
+it replaced, and the W^k_n and normal-product columns read off grade blocks
+against the term-dict kernel they replaced (`reference_fock.py`).  Every
+coefficient, its type and conductor, and the key order of the terms must
+agree, on every monomial up to weight 4 (weight 3 for the modes, weight 5
+for the block-read columns) and on seeded random vectors with Fraction and
+CycNum coefficients."""
 
 import random
 from fractions import Fraction
@@ -22,7 +24,6 @@ from wfk.fock import (
     W_operator,
     _add_into,
     _Field,
-    _nop_apply,
     builtin_model,
     chern_series,
     coproduct_power,
@@ -279,19 +280,63 @@ def test_no_zero_coefficient_survives(u, v, s, n):
 
 
 # ---------------------------------------------------------------------------
-# the term-dict _nop_apply against the vector-level kernel it replaced, and
-# the unit rule of _add_into
+# the term-dict _nop_apply (reference_fock.term_dict_nop_apply) against the vector-level
+# kernel it replaced, the block-read W^k_n and normal-product columns against
+# the term-dict kernel, and the unit rule of _add_into
 # ---------------------------------------------------------------------------
 
 def assert_nop_same(space: ColorSpace, factors, modes, vectors) -> None:
-    """`_nop_apply` on the fields of `space` against `vector_nop_apply` on
-    fresh fields, whose modes cache their own columns."""
+    """The term-dict `term_dict_nop_apply` on the fields of `space` against
+    `vector_nop_apply` on fresh fields, whose modes cache their own columns."""
     fields = [space.field(f) for f in factors]
     ref_fields = [_Field(space, f) for f in factors]
     for n in modes:
         for x in vectors:
-            got = FockVector._of(space, _nop_apply(fields, n, x.terms))
+            got = FockVector._of(space, ref.term_dict_nop_apply(fields, n, x.terms))
             assert exact(got) == exact(ref.vector_nop_apply(ref_fields, n, x)), (n, x)
+
+
+COLUMN_WEIGHT = 5
+
+
+def fraction_elements(alg, rng: random.Random) -> list:
+    """The basis, and one random element with Fraction coefficients when the
+    model is even."""
+    out = [alg.basis(i) for i in range(alg.dim)]
+    if not any(alg.parities):
+        out.append(alg.element({lab: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for lab in alg.labels}))
+    return out
+
+
+# W^2 and W^3 only where coproduct_power allows, i.e. on even models
+@pytest.mark.parametrize("model,k", [("point", 1), ("point", 2), ("point", 3), ("p2", 1),
+                                     ("p2", 2), ("p2", 3), ("exterior2", 1)])
+def test_W_columns_from_blocks_match_the_term_dict_kernel(model, k):
+    rng = random.Random(f"W-columns-{model}-{k}")
+    alg = builtin_model(model)
+    for alpha in fraction_elements(alg, rng):
+        for n in range(-3, 4):
+            space = ColorSpace.of_algebra(alg)
+            assert_same(W_operator(alg, k, n, alpha, COLUMN_WEIGHT, space),
+                        ref.term_dict_W_operator(alg, k, n, alpha, COLUMN_WEIGHT, space),
+                        unit_vectors(space, COLUMN_WEIGHT))
+
+
+@pytest.mark.parametrize("model", ["point", "p2", "exterior2"])
+def test_W_columns_from_blocks_on_random_vectors(model):
+    # vectors of several weights with Fraction coefficients, applied through
+    # the column cache of each side
+    rng = random.Random(f"W-vectors-{model}")
+    alg = builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    vectors = random_vectors(space, rng, rational, count=10)
+    for k in (1,) if any(alg.parities) else (1, 2, 3):
+        for alpha in fraction_elements(alg, rng):
+            for n in range(-3, 4):
+                assert_same(W_operator(alg, k, n, alpha, MAX_WEIGHT, space),
+                            ref.term_dict_W_operator(alg, k, n, alpha, MAX_WEIGHT, space),
+                            vectors)
 
 
 def test_nop_apply_matches_vector_kernel_on_p2_virasoro():
@@ -348,6 +393,9 @@ def test_normal_order_matches_vector_kernel_with_odd_fields(labels):
         reference = FockOperator(lambda v, n=n: ref.vector_nop_apply(ref_fields, n, v),
                                  MAX_WEIGHT)
         assert_same(normal_order(alg, factors, MAX_WEIGHT, n, space), reference, vectors)
+        assert_same(normal_order(alg, factors, COLUMN_WEIGHT, n, space),
+                    ref.term_dict_normal_order(alg, factors, COLUMN_WEIGHT, n, space),
+                    unit_vectors(space, COLUMN_WEIGHT))
 
 
 def test_add_into_unit_fraction_scale():

@@ -12,8 +12,11 @@ oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
 once: only `wreath._permutation_rows` calls `itertools.permutations`, and S_n
 takes its table from the one fill.  The Fock bracket suites compare grade
 blocks: `fock.heisenberg_check` and `fock.virasoro_check` call no `apply`,
-and the per-vector `_basis_vectors` is gone.  Helpers that only the tests
-call live in `tests/reference_*.py`, and no module of `wfk` defines them."""
+and the per-vector `_basis_vectors` is gone.  The Fock side has one
+normal-product path, the grade blocks: the term-dict kernel (`_nop_apply`,
+`_vanishes`, `_Field.apply_mode`) and `FockOperator._columns_block` are gone
+from `wfk`.  Helpers that only the tests call live in
+`tests/reference_*.py`, and no module of `wfk` defines them."""
 
 import ast
 from pathlib import Path
@@ -142,3 +145,19 @@ def test_fock_suites_compare_blocks():
         assert "apply" not in calls, suite
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "_basis_vectors" not in names
+
+
+def test_one_normal_product_path():
+    # W^k_n and normal products read their columns off grade blocks, and mode
+    # blocks are built from the monomials of a grade; the term-dict kernel
+    # stays in `tests/reference_fock.py` as their gate
+    gone = {"_nop_apply", "_vanishes", "apply_mode", "_columns_block"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in gone:
+                found.append(f"{path.stem}.{name}")
+    assert found == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -298,5 +299,21 @@ def test_product_matches_init_in_key_order():
             got = a * b
             want = init_product(a, b)
             assert got.variables == want.variables and got.order == want.order
+            assert ([(e, type(c), c) for e, c in got.coeffs.items()]
+                    == [(e, type(c), c) for e, c in want.coeffs.items()])
+
+
+def test_fraction_product_matches_init_in_key_order():
+    # Fraction coefficients with unlike denominators, and sums that cancel:
+    # the product over one common denominator keeps the value, the Fraction
+    # type and the key order
+    rng = random.Random("series-fractions")
+    exponents = [(q, t) for q in range(5) for t in range(3)]
+    for _ in range(40):
+        a, b = (PowerSeries(("q", "t"), 4, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+                                            for e in rng.sample(exponents, 6)})
+                for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = x * y, init_product(x, y)
             assert ([(e, type(c), c) for e, c in got.coeffs.items()]
                     == [(e, type(c), c) for e, c in want.coeffs.items()])
