@@ -45,13 +45,17 @@ class ZeroPrefactor(ValueError):
 
 def colored_space(G: FiniteGroup) -> ColorSpace:
     """One even color per conjugacy class; contraction kappa(c, c') =
-    zeta_c when c' is the inverse class of c, else 0."""
-    cd = G.conjugacy()
-    r = len(cd)
-    kappa = [[cd.centralizer_orders[c] if cd.inverse_class[c] == b else 0
-              for b in range(r)] for c in range(r)]
-    return ColorSpace([f"c{c}" for c in range(r)], [0] * r, kappa,
-                      name=f"colors({G.name})")
+    zeta_c when c' is the inverse class of c, else 0.  Kept on G, so that
+    `ch` and the p-modes share one space and its grades."""
+    space = vars(G).get("colored_space")
+    if space is None:
+        cd = G.conjugacy()
+        r = len(cd)
+        kappa = [[cd.centralizer_orders[c] if cd.inverse_class[c] == b else 0
+                  for b in range(r)] for c in range(r)]
+        space = vars(G)["colored_space"] = ColorSpace(
+            [f"c{c}" for c in range(r)], [0] * r, kappa, name=f"colors({G.name})")
+    return space
 
 
 def type_monomial(rho: TypeFunction) -> tuple:
@@ -241,11 +245,12 @@ def delta_op(G: FiniteGroup, c: int, i: int = 1) -> LinearOperator:
 # ---------------------------------------------------------------------------
 
 def cubic_formula(cutoff: int) -> FockOperator:
-    """W^3_0(1) of the point model on the one-color space of the trivial group:
-    (1/2) sum_{n,m>0} (p_n p_m p_{-n-m} + p_{n+m} p_{-n} p_{-m}) in
-    creation-positive labels, valid up to weight `cutoff`."""
+    """W^3_0(1) of the point model, whose one color pairs with itself as the
+    class of the trivial group does: (1/2) sum_{n,m>0} (p_n p_m p_{-n-m} +
+    p_{n+m} p_{-n} p_{-m}) in creation-positive labels, valid up to weight
+    `cutoff`.  Built on a space of its own, which its mode blocks go with."""
     alg = point_model()
-    return W_operator(alg, 3, 0, alg.unit, cutoff, colored_space(trivial_group()))
+    return W_operator(alg, 3, 0, alg.unit, cutoff)
 
 
 def verify_conv_cubic(n_max: int) -> VerificationReport:

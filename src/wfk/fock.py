@@ -308,24 +308,15 @@ class ColorSpace:
         a_{-n}(b) with weight sum_a coeffs[a] kappa(a, b) for n > 0, zero for
         n = 0; [mode(n, x), mode(m, y)] = n d_{n+m} kappa(x, y) Id.
 
-        Its columns come from `create` and `annihilate`, for any scalars; its
-        blocks are built from the monomials of a grade, for rational ones."""
+        Its blocks are its one implementation, each built from the monomials
+        of a grade over rational or cyclotomic coefficients alike (see
+        `_over_one_denominator`); its columns are read off them."""
         coeffs, par = list(coeffs), _parity(self.parities, coeffs)
-        name = f"q{n}"
-        if n == 0:
-            return FockOperator(lambda v: FockVector(self, {}), None, name,
-                                lambda d: ([{} for _ in self.grade(d)[0]], 1))
         if n < 0:
-            def fn(v: FockVector) -> FockVector:
-                acc: dict = {}
-                for b, c in enumerate(coeffs):
-                    if not _scalar_is_zero(c):
-                        _add_into(acc, create(self, -n, b, v).terms, c)
-                return FockVector._of(self, acc)
+            nums, den = _over_one_denominator(coeffs)
+            gens = [((-n, b), x) for b, x in enumerate(nums) if not _scalar_is_zero(x)]
 
             def grade_block(d: int) -> tuple[list, int]:
-                nums, den = _over_one_denominator(name, coeffs)
-                gens = [((-n, b), x) for b, x in enumerate(nums) if x]
                 index, out = self.grade(d - n)[1], []
                 for mono in self.grade(d)[0]:
                     col = {}
@@ -335,18 +326,16 @@ class ColorSpace:
                             col[index[new]] = sign * x
                     out.append(col)
                 return out, den
-        else:
+        else:  # n = 0 too: no monomial has a part of size 0
             # over the nonzero kappa entries only, so that a weight keeps the
             # conductor of the coefficients it is made of
             weights = [sum((c * row[b] for c, row in zip(coeffs, self.kappa)
                             if row[b] != 0), Fraction(0))
                        for b in range(len(self.labels))]
-
-            def fn(v: FockVector) -> FockVector:
-                return annihilate(self, n, weights, par, v)
+            nums, den = _over_one_denominator([w * n for w in weights])
+            live = [not _scalar_is_zero(x) for x in nums]
 
             def grade_block(d: int) -> tuple[list, int]:
-                nums, den = _over_one_denominator(name, [w * n for w in weights])
                 odd = self.parities
                 index, out = self.grade(d - n)[1], []
                 for mono in self.grade(d)[0]:
@@ -358,7 +347,7 @@ class ColorSpace:
                         m, b = mono[i]
                         if m != n:
                             break
-                        if nums[b]:
+                        if live[b]:
                             r = index[mono[:i] + mono[i + 1:]]
                             col[r] = col.get(r, 0) + sign * nums[b]
                         if par and odd[b]:
@@ -366,7 +355,7 @@ class ColorSpace:
                     out.append(col)
                 return out, den
 
-        return FockOperator(fn, None, name, grade_block)
+        return FockOperator(None, None, f"q{n}", grade_block, lowers=n)
 
     def field(self, alpha) -> "_Field":
         """The field of the element alpha, kept on this space with its modes."""
@@ -467,13 +456,13 @@ class FockVector:
         return " + ".join(bits)
 
 
-def _over_one_denominator(name: str, values) -> tuple[list[int], int]:
-    """The int numerators of rational `values` over their least common
-    denominator, and that denominator; an exact block holds no other scalars."""
-    values = [c.as_rational() if isinstance(c, CycNum) and c.is_rational() else c
-              for c in values]
-    if not all(isinstance(c, (int, Fraction)) for c in values):
-        raise ModelMismatch(f"{name}: an exact block needs rational coefficients")
+def _over_one_denominator(values) -> tuple[list, int]:
+    """`values` as numerators over one positive int denominator, and that
+    denominator: the int numerators of rational values over their least
+    common denominator, or the values themselves over 1 when one is a CycNum,
+    so that a block entry keeps the type and conductor of its products."""
+    if any(isinstance(c, CycNum) for c in values):
+        return list(values), 1
     den = math.lcm(1, *(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
 
@@ -516,38 +505,6 @@ def vacuum(space: ColorSpace) -> FockVector:
     return FockVector(space, {(): 1})
 
 
-def create(space: ColorSpace, n: int, color: int, v: FockVector) -> FockVector:
-    """Multiply by the creation generator a_{-n}(color), n >= 1."""
-    out = {}
-    for mono, coeff in v.terms.items():
-        sign, new = _canonical_monomial(((n, color),) + mono, space.parities)
-        if sign:
-            out[new] = out.get(new, 0) + coeff * sign
-    return FockVector(space, out)
-
-
-def annihilate(space: ColorSpace, n: int, color_weights, parity: int,
-               v: FockVector) -> FockVector:
-    """Super-derivation mode n >= 1: contraction n * kappa-weight per generator.
-
-    `color_weights[b]` is the contraction coefficient against color b (already
-    including kappa); `parity` is the parity of the annihilating field.
-    """
-    out = {}
-    for mono, coeff in v.terms.items():
-        sign = 1
-        for i, (m, b) in enumerate(mono):
-            if m == n:
-                w = color_weights[b]
-                if not _scalar_is_zero(w):
-                    rest = mono[:i] + mono[i + 1:]
-                    contrib = coeff * w * n * sign
-                    out[rest] = out.get(rest, 0) + contrib
-            if parity and space.parities[b]:
-                sign = -sign
-    return FockVector(space, out)
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -562,8 +519,10 @@ class FockOperator(LinearOperator):
 
     `block(space, d)` is the operator from weight d of `space` as an exact
     block (see `_BlockSum`), built by `grade_block(d)` and kept by weight: an
-    operator belongs to one space.  An operator with no `fn` lowers the
-    weight by `lowers` and reads its columns off its blocks, as Fractions.
+    operator belongs to one space.  An operator with no `fn` (every
+    Heisenberg mode, W^k_n and normal product) lowers the weight by `lowers`
+    and reads its columns off its blocks: an int numerator as a Fraction over
+    the block's denominator, a CycNum numerator (over 1) as it is.
     """
 
     def __init__(self, fn, max_weight=None, name="op", grade_block=None, lowers=None):
@@ -588,7 +547,7 @@ class FockOperator(LinearOperator):
         space = v.space
         cols, den = self.block(space, weight)
         rows = space.grade(weight - self.lowers)[0]
-        return FockVector._of(space, {rows[r]: Fraction(x, den)
+        return FockVector._of(space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
                                       for r, x in cols[space.grade(weight)[1][mono]].items()})
 
     def block(self, space: ColorSpace, d: int) -> tuple[list, int]:
@@ -608,10 +567,13 @@ class _BlockSum:
 
     A block of an operator from weight d of a space is a pair (cols, den):
     one column per monomial of `ColorSpace.grade(d)`, each a dict from the
-    position of a monomial of the target weight to an int numerator, over
-    the one positive int denominator `den` of the whole block.  A sum keeps
-    its columns over one denominator, the least common multiple of those of
-    its terms, and may hold zero entries."""
+    position of a monomial of the target weight to a numerator, over the one
+    positive int denominator `den` of the whole block.  The numerators are
+    ints, or CycNums over 1 for a mode of cyclotomic coefficients; a sum
+    takes blocks of int numerators only, since no W^k_n or normal product is
+    built from cyclotomic fields.  A sum keeps its columns over one
+    denominator, the least common multiple of those of its terms, and may
+    hold zero entries."""
 
     __slots__ = ("cols", "den")
 
@@ -742,6 +704,7 @@ def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
         raise DegeneratePairing(f"{alg.name}: coproduct needs a nondegenerate trace")
     if any(alg.parities):
         raise ModelMismatch("coproduct powers are implemented for even models only")
+    duals = [alg.dual_basis(a) for a in range(alg.dim)]
     terms = [(Fraction(1), [alpha])]
     for _ in range(k - 1):
         new_terms = []
@@ -749,11 +712,9 @@ def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
             head = factors[0]
             for a in range(alg.dim):
                 for b in range(alg.dim):
-                    c = alg.trace(alg.mul(head, alg.mul(alg.basis(a), alg.basis(b))))
+                    c = alg.trace(alg.mul(head, alg._mul[a][b]))
                     if c != 0:
-                        new_terms.append((coeff * c,
-                                          [alg.dual_basis(a), alg.dual_basis(b)]
-                                          + factors[1:]))
+                        new_terms.append((coeff * c, [duals[a], duals[b]] + factors[1:]))
         terms = _merge_tensor_terms(new_terms)
     return terms
 
@@ -878,28 +839,26 @@ def exponential_series(space: ColorSpace, mode_coeffs: dict, alpha,
 
 
 def monomial_basis(space: ColorSpace, weight: int) -> list[tuple]:
-    """All canonical monomials of the given weight (odd colors multiplicity 1)."""
-    gens = [(n, c) for n in range(1, weight + 1) for c in range(len(space.labels))]
+    """All canonical monomials of the given weight (odd colors multiplicity 1),
+    each built sorted, in the lexicographic order of their multiplicities of
+    the generators in sorted order: the row order of every block."""
+    colors = len(space.labels)
+    gens = [(n, c) for n in range(1, weight + 1) for c in range(colors)]
     out = []
 
     def rec(idx, remaining, acc):
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append(acc)
             return
-        if idx == len(gens):
-            return
-        n, c = gens[idx]
-        rec(idx + 1, remaining, acc)
-        maxrep = 1 if space.parities[c] else remaining // n
-        cur = []
-        for rep in range(1, maxrep + 1):
-            if n * rep > remaining:
-                break
-            cur.append((n, c))
-            rec(idx + 1, remaining - n * rep, acc + cur)
+        # the generators from idx on of size at most `remaining`, last first
+        for j in range(remaining * colors - 1, idx - 1, -1):
+            gen = gens[j]
+            n, c = gen
+            for rep in range(1, 2 if space.parities[c] else remaining // n + 1):
+                rec(j + 1, remaining - n * rep, acc + (gen,) * rep)
 
-    rec(0, weight, [])
-    return [tuple(sorted(m)) for m in out]
+    rec(0, weight, ())
+    return out
 
 
 def graded_dimension(model, cutoff: int) -> list[int]:

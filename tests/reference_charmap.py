@@ -2,7 +2,8 @@
 
 `convolve_by_class` and `filtered_convolution` each had their own loop over
 class members; `delta_op` was built for one level and `delta1` was its i = 1
-case; `cubic_formula` was a hand-written split loop plus the join boundary.
+case; `cubic_formula` was a hand-written split loop (over the `create` and
+`annihilate` now kept in `reference_fock`) plus the join boundary.
 `class_convolution` is the one class-convolution loop over element tuples
 that the numpy element batches replaced.  The bodies below are kept as they
 were, so that `tests/test_charmap_reference.py` can check the one
@@ -25,7 +26,7 @@ from math import factorial
 from wfk.budget import BudgetExceeded
 from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
-from wfk.fock import FockOperator, FockVector, annihilate, create, join_boundary
+from wfk.fock import FockOperator, FockVector, join_boundary
 from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from wfk.wreath import (
     TypeFunction,
@@ -38,6 +39,7 @@ from wfk.wreath import (
     wreath_mult,
 )
 
+from reference_fock import annihilate, create
 from reference_wreath import representative_of_type
 
 _FILTERED_LIMIT = 5100  # the fixed order ceiling wfk's filtered convolution kept

@@ -35,6 +35,17 @@ kernel), with `_vanishes` and the `_Field.apply_mode` it called (here
 `term_dict_normal_order` are the W^k_n and normal products that applied it,
 before `wfk.fock` read their columns off exact grade blocks;
 `tests/test_fock_reference.py` checks the block-read columns against them.
+
+`create` and `annihilate` are the term-dict columns of a Heisenberg mode,
+and `term_dict_mode` is `ColorSpace.mode` with the two `fn` closures that
+applied them, before every mode read its columns off its grade blocks,
+rational and cyclotomic coefficients alike; `creation_op`, `q_mode` and the
+colored builders above call them.  `monomial_basis` is the enumeration that
+recursed once per skipped generator and sorted every monomial it built.
+`coproduct_power` is the coproduct that rebuilt every basis product and
+dual basis element for every pair; the reference W^k_n above use it.
+`tests/test_fock_blocks.py` and `tests/test_fock_reference.py` check the
+mode blocks and the grade bases of `wfk.fock` against them.
 """
 
 from __future__ import annotations
@@ -45,17 +56,18 @@ from wfk.charmap import colored_space
 from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
+    DegeneratePairing,
     FockOperator,
     FockVector,
     FrobeniusAlgebra,
+    ModelMismatch,
     W_operator,
     _add_into,
+    _canonical_monomial,
     _Field,
+    _merge_tensor_terms,
+    _parity,
     _scalar_is_zero,
-    annihilate,
-    coproduct_power,
-    create,
-    monomial_basis,
     vacuum,
 )
 from wfk.groups import ClassFunction, FiniteGroup
@@ -464,3 +476,115 @@ def term_dict_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
         return FockVector._of(space, acc).scale(Fraction(1, factorial))
 
     return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
+
+
+def create(space: ColorSpace, n: int, color: int, v: FockVector) -> FockVector:
+    """Multiply by the creation generator a_{-n}(color), n >= 1."""
+    out = {}
+    for mono, coeff in v.terms.items():
+        sign, new = _canonical_monomial(((n, color),) + mono, space.parities)
+        if sign:
+            out[new] = out.get(new, 0) + coeff * sign
+    return FockVector(space, out)
+
+
+def annihilate(space: ColorSpace, n: int, color_weights, parity: int,
+               v: FockVector) -> FockVector:
+    """Super-derivation mode n >= 1: contraction n * kappa-weight per generator.
+
+    `color_weights[b]` is the contraction coefficient against color b (already
+    including kappa); `parity` is the parity of the annihilating field.
+    """
+    out = {}
+    for mono, coeff in v.terms.items():
+        sign = 1
+        for i, (m, b) in enumerate(mono):
+            if m == n:
+                w = color_weights[b]
+                if not _scalar_is_zero(w):
+                    rest = mono[:i] + mono[i + 1:]
+                    contrib = coeff * w * n * sign
+                    out[rest] = out.get(rest, 0) + contrib
+            if parity and space.parities[b]:
+                sign = -sign
+    return FockVector(space, out)
+
+
+def term_dict_mode(space: ColorSpace, n: int, coeffs) -> FockOperator:
+    """Heisenberg mode n of the field sum_b coeffs[b] b, its columns from
+    `create` and `annihilate` for any scalars (`ColorSpace.mode` with its
+    `fn` closures, the space in place of `self`)."""
+    coeffs, par = list(coeffs), _parity(space.parities, coeffs)
+    name = f"q{n}"
+    if n == 0:
+        return FockOperator(lambda v: FockVector(space, {}), None, name)
+    if n < 0:
+        def fn(v: FockVector) -> FockVector:
+            acc: dict = {}
+            for b, c in enumerate(coeffs):
+                if not _scalar_is_zero(c):
+                    _add_into(acc, create(space, -n, b, v).terms, c)
+            return FockVector._of(space, acc)
+    else:
+        # over the nonzero kappa entries only, so that a weight keeps the
+        # conductor of the coefficients it is made of
+        weights = [sum((c * row[b] for c, row in zip(coeffs, space.kappa)
+                        if row[b] != 0), Fraction(0))
+                   for b in range(len(space.labels))]
+
+        def fn(v: FockVector) -> FockVector:
+            return annihilate(space, n, weights, par, v)
+
+    return FockOperator(fn, None, name)
+
+
+def monomial_basis(space: ColorSpace, weight: int) -> list[tuple]:
+    """All canonical monomials of the given weight (odd colors multiplicity 1)."""
+    gens = [(n, c) for n in range(1, weight + 1) for c in range(len(space.labels))]
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if idx == len(gens):
+            return
+        n, c = gens[idx]
+        rec(idx + 1, remaining, acc)
+        maxrep = 1 if space.parities[c] else remaining // n
+        cur = []
+        for rep in range(1, maxrep + 1):
+            if n * rep > remaining:
+                break
+            cur.append((n, c))
+            rec(idx + 1, remaining - n * rep, acc + cur)
+
+    rec(0, weight, [])
+    return [tuple(sorted(m)) for m in out]
+
+
+def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
+    """delta_k* alpha as a list of (coefficient, [factor elements]); determined
+    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return [(Fraction(1), [alpha])]
+    if not alg.nondegenerate:
+        raise DegeneratePairing(f"{alg.name}: coproduct needs a nondegenerate trace")
+    if any(alg.parities):
+        raise ModelMismatch("coproduct powers are implemented for even models only")
+    terms = [(Fraction(1), [alpha])]
+    for _ in range(k - 1):
+        new_terms = []
+        for coeff, factors in terms:
+            head = factors[0]
+            for a in range(alg.dim):
+                for b in range(alg.dim):
+                    c = alg.trace(alg.mul(head, alg.mul(alg.basis(a), alg.basis(b))))
+                    if c != 0:
+                        new_terms.append((coeff * c,
+                                          [alg.dual_basis(a), alg.dual_basis(b)]
+                                          + factors[1:]))
+        terms = _merge_tensor_terms(new_terms)
+    return terms

@@ -12,7 +12,9 @@ from wfk.charmap import (
     colored_space,
     cubic_formula,
     delta_op,
+    exponential_classes,
     filtered_convolution,
+    fock_side_p,
     fw_virasoro_check,
     k_class_type,
     lehn_sorger_check,
@@ -23,10 +25,11 @@ from wfk.charmap import (
     verify_conv_cubic,
     verify_heisenberg_transport,
 )
-from wfk.exact import cyc
+from wfk.exact import CycNum, cyc
 from wfk.fock import FockVector, vacuum
 from wfk.groups import (
     ClassFunction,
+    binary_dihedral,
     builtin_group,
     class_indicator,
     convolution,
@@ -345,3 +348,50 @@ def test_k_class_type_merges_identity():
     assert k_class_type(T, e, 1, 4) == TypeFunction([(e, (2, 1, 1))])
     assert k_class_type(T, e, 1, 1) is None
     assert transposition_type(5) == TypeFunction([(e, (2, 1, 1, 1))])
+
+
+def exact_terms(v: FockVector) -> list:
+    """The terms in key order, each coefficient with its type and, for a
+    CycNum, its canonical form at its conductor."""
+    return [(m, type(c), c.key() if isinstance(c, CycNum) else c) for m, c in v.terms.items()]
+
+
+def fock_images(G) -> list:
+    """ch of every class indicator up to level 3, each p_k(gamma) (k = +-1,
+    +-2) applied to it, and the exponential series of every irreducible."""
+    out = []
+    indicators = [(n, wcf_indicator(G, n, rho)) for n in range(4)
+                  for rho in wreath_level(G, n).types]
+    for gamma in G.character_table().irreducibles:
+        for signed in (False, True):
+            out += [exact_terms(v) for v in exponential_classes(G, gamma, signed, 3)]
+        for k in (-2, -1, 1, 2):
+            op = fock_side_p(G, k, gamma)
+            for n, f in indicators:
+                v = ch(G, n, f)
+                out += [exact_terms(v), exact_terms(op.apply(v))]
+    return out
+
+
+def test_colored_space_is_kept_on_the_group():
+    G = builtin_group("binary-dihedral:2")
+    space = colored_space(G)
+    assert colored_space(G) is space
+    gamma = G.character_table().irreducibles[-1]
+    for n in range(3):
+        for rho in wreath_level(G, n).types:
+            v = ch(G, n, wcf_indicator(G, n, rho))
+            assert v.space is space
+            assert fock_side_p(G, 1, gamma).apply(v).space is space
+    assert all(v.space is space for v in exponential_classes(G, gamma, True, 3))
+
+
+def test_a_fresh_group_gives_the_same_fock_images():
+    # the space kept on the cached group carries no state into a later call,
+    # and a group built afresh gets a space of its own with the same results
+    cached = builtin_group("binary-dihedral:2")
+    before = fock_images(cached)
+    fresh = binary_dihedral.__wrapped__(2)
+    assert fresh is not cached and colored_space(fresh) is not colored_space(cached)
+    assert fock_images(fresh) == before
+    assert fock_images(cached) == before

@@ -2,9 +2,11 @@
 blocks.  Here the block suites are checked against the per-basis-vector
 suites they replaced (`reference_fock.heisenberg_check` and
 `virasoro_check`), report for report.  Every mode block, built from the
-monomials of its grade, is checked against the mode's own columns
-(`create` and `annihilate`), and every W^k_n and normal-product block against
-the term-dict kernel `reference_fock.term_dict_nop_apply`, column by column."""
+monomials of its grade, is checked against the term-dict columns of the
+reference builders (`reference_fock.create` and `annihilate`), for rational
+and cyclotomic coefficients, and every W^k_n and normal-product block
+against the term-dict kernel `reference_fock.term_dict_nop_apply`, column by
+column."""
 
 import json
 from fractions import Fraction
@@ -29,7 +31,7 @@ from wfk.fock import (
     join_boundary,
     virasoro_check,
 )
-from wfk.groups import cyclic_group
+from wfk.groups import ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group
 
 BLOCK_WEIGHT = 4
 
@@ -106,10 +108,8 @@ def columns(space: ColorSpace, block: tuple, d: int, shift: int) -> list[dict]:
 
 
 def applied(space: ColorSpace, op, d: int) -> list[dict]:
-    """`op.apply` of each monomial of weight d, as {monomial: Fraction}; a
-    CycNum coefficient must be rational."""
-    return [{m: c.as_rational() if isinstance(c, CycNum) else Fraction(c)
-             for m, c in op.apply(FockVector(space, {mono: 1})).terms.items()}
+    """`op.apply` of each monomial of weight d, as {monomial: Fraction}."""
+    return [{m: Fraction(c) for m, c in op.apply(FockVector(space, {mono: 1})).terms.items()}
             for mono in space.grade(d)[0]]
 
 
@@ -126,16 +126,17 @@ def homogeneous_elements(alg) -> list:
 
 @pytest.mark.parametrize("model", MODE_MODELS)
 def test_mode_blocks_are_the_applied_columns(model):
-    # the mode's columns come from `create` and `annihilate`, its block from
-    # the monomials of the grade
+    # the mode's block comes from the monomials of the grade, the reference
+    # mode's columns from `create` and `annihilate`
     alg = MODE_MODELS[model]()
     space = ColorSpace.of_algebra(alg)
     for alpha in homogeneous_elements(alg):
         field = space.field(alpha)
         for n in range(-3, 4):
+            reference = ref.q_mode(alg, n, alpha, space)
             for d in range(BLOCK_WEIGHT + 1):
                 assert columns(space, field.block(n, d), d, n) == applied(
-                    space, field.mode(n), d), (alpha, n, d)
+                    space, reference, d), (alpha, n, d)
 
 
 # the fraction-trace model gives blocks with denominators other than k!
@@ -167,22 +168,46 @@ def test_odd_product_blocks_are_the_applied_columns(labels):
             assert columns(space, _nop_block(fields, n, d), d, n) == applied(space, reference, d)
 
 
-def test_block_of_a_non_rational_mode_is_a_model_mismatch():
-    G = cyclic_group(3)
-    irreducibles = G.character_table().irreducibles
-    trivial = next(x for x in irreducibles if all(v.is_rational() for v in x.values))
-    chi = next(x for x in irreducibles if x is not trivial)
-    for k in (1, -1):
-        op = fock_side_p(G, k, chi)
-        with pytest.raises(ModelMismatch, match=f"q{-k}: an exact block needs rational"):
-            op.block(colored_space(G), 1)
-        # a character with rational values has a block, equal to its columns
-        op = fock_side_p(G, k, trivial)
-        space = colored_space(G)
-        for d in range(4):
-            assert columns(space, op.block(space, d), d, -k) == applied(space, op, d)
+def exact_columns(space: ColorSpace, block: tuple, d: int, shift: int) -> list[list]:
+    """The entries of each column of a block of CycNum numerators over 1, in
+    key order, as (monomial, type, canonical form at its conductor)."""
+    cols, den = block
+    assert den == 1
+    rows = space.grade(d - shift)[0]
+    return [[(rows[r], type(x), x.key()) for r, x in col.items()] for col in cols]
+
+
+def reference_columns(space: ColorSpace, op, d: int) -> list[list]:
+    """The reference operator's column of each monomial of weight d, as
+    `exact_columns` gives them."""
+    return [[(m, type(c), c.key()) for m, c in op.fn(FockVector(space, {mono: 1})).terms.items()]
+            for mono in space.grade(d)[0]]
+
+
+def mixed_conductors(group) -> ClassFunction:
+    """A class function with values at conductors 1 and e."""
+    e = group.exponent()
+    return ClassFunction(group, [c + 1 if c % 2 == 0 else CycNum.zeta(e, c)
+                                 for c in range(len(group.conjugacy()))])
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), binary_dihedral(2), binary_tetrahedral()],
+                         ids=["Z3", "BD2", "BT"])
+def test_cyclotomic_mode_blocks_are_the_reference_columns(group):
+    # every p_k(gamma) has a block of CycNum numerators over 1, equal to the
+    # columns of the reference builders in value, type, conductor and key order
+    space = colored_space(group)
+    for gamma in [*group.character_table().irreducibles, mixed_conductors(group)]:
+        for k in (1, 2, 3):
+            for op, reference, shift in (
+                    (fock_side_p(group, k, gamma), ref.colored_creation_op(group, k, gamma), -k),
+                    (fock_side_p(group, -k, gamma), ref.colored_annihilation_op(group, k, gamma),
+                     k)):
+                for d in range(BLOCK_WEIGHT + 1):
+                    assert exact_columns(space, op.block(space, d), d, shift) == (
+                        reference_columns(space, reference, d)), (gamma, k, shift, d)
     with pytest.raises(ModelMismatch, match="boundary-join: no exact block"):
-        join_boundary(ColorSpace(["x"], [0], [[1]])).block(colored_space(G), 1)
+        join_boundary(ColorSpace(["x"], [0], [[1]])).block(space, 1)
 
 
 def test_block_above_the_cutoff_is_refused_as_its_column_is():

@@ -1,13 +1,16 @@
 """The in-place accumulation of `wfk.fock` against the column-by-column
 application it replaced, `ColorSpace.mode` against the three mode builders
-it replaced, and the W^k_n and normal-product columns read off grade blocks
-against the term-dict kernel they replaced (`reference_fock.py`).  Every
+it replaced and against its own term-dict columns (`term_dict_mode`), the
+W^k_n and normal-product columns read off grade blocks against the
+term-dict kernel they replaced, and `monomial_basis` against the sorting
+enumeration it replaced (`reference_fock.py`).  Every
 coefficient, its type and conductor, and the key order of the terms must
 agree, on every monomial up to weight 4 (weight 3 for the modes, weight 5
 for the block-read columns) and on seeded random vectors with Fraction and
 CycNum coefficients."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,12 +18,14 @@ import reference_fock as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfk.charmap import ch, colored_space, cubic_formula, exponential_classes, fock_side_p
+from wfk.charmap import (_p_field, ch, colored_space, cubic_formula, exponential_classes,
+                         fock_side_p)
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
     FockOperator,
     FockVector,
+    FrobeniusAlgebra,
     W_operator,
     _add_into,
     _Field,
@@ -122,8 +127,13 @@ def test_colored_modes_match_reference(group):
                + random_vectors(space, rng, rational, wmax=3))
     for gamma in group.character_table().irreducibles:
         for k in (1, 2):
-            for op in (fock_side_p(group, k, gamma), fock_side_p(group, -k, gamma)):
-                assert_same(op, ref.reference_op(op), vectors)
+            # the block-read columns against the reference builders' columns,
+            # applied column by column
+            assert_same(fock_side_p(group, k, gamma),
+                        ref.reference_op(ref.colored_creation_op(group, k, gamma)), vectors)
+            assert_same(fock_side_p(group, -k, gamma),
+                        ref.reference_op(ref.colored_annihilation_op(group, k, gamma)),
+                        vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +209,57 @@ def test_fock_side_p_matches_colored_builders(group):
                         ref.colored_annihilation_op(group, k, gamma), vectors)
         with pytest.raises(ValueError, match="mode 0"):
             fock_side_p(group, 0, gamma)
+
+
+def cyclotomic_elements(space: ColorSpace) -> list:
+    """Coefficient lists of one parity over the colors of `space`: a CycNum
+    of conductor 1, CycNums of conductors 3 and 4 beside Fractions, and zeros
+    beside them."""
+    odd = any(space.parities)
+    out = []
+    for values in ([CycNum.from_rational(2)], [CycNum.zeta(3), Fraction(-1, 2)],
+                   [Fraction(2, 3) + CycNum.zeta(4, 3), CycNum.zeta(3, 2), Fraction(0)]):
+        coeffs = [Fraction(0)] * len(space.labels)
+        slots = [b for b, p in enumerate(space.parities) if p == odd]
+        for b, x in zip(slots, values):
+            coeffs[b] = x
+        out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("name", ["point", "p2", "exterior2", "BD2"])
+def test_mode_matches_its_term_dict_columns(name):
+    # the block-read columns against the `create`/`annihilate` columns of the
+    # `fn` closures `ColorSpace.mode` had, for Fraction and CycNum coefficients
+    rng = random.Random(f"mode-{name}")
+    if name == "BD2":
+        group = binary_dihedral(2)
+        space = colored_space(group)
+        fields = [_p_field(group, gamma) for gamma in group.character_table().irreducibles]
+    else:
+        alg = builtin_model(name)
+        space = ColorSpace.of_algebra(alg)
+        fields = homogeneous_elements(alg, rng)
+    vectors = mode_vectors(space, rng, 12)
+    for coeffs in fields + cyclotomic_elements(space):
+        for n in range(-3, 4):
+            assert_same(space.mode(n, coeffs), ref.term_dict_mode(space, n, coeffs), vectors)
+
+
+MONOMIAL_WEIGHT = 8
+
+
+@pytest.mark.parametrize("name", ["point", "p2", "exterior2", "BT", "no colors"])
+def test_monomial_basis_matches_reference(name):
+    # the same monomials in the same order: the row order of every block
+    if name == "BT":
+        space = colored_space(binary_tetrahedral())
+    elif name == "no colors":
+        space = ColorSpace([], [], [])
+    else:
+        space = ColorSpace.of_algebra(builtin_model(name))
+    for w in range(MONOMIAL_WEIGHT + 1):
+        assert monomial_basis(space, w) == ref.monomial_basis(space, w), w
 
 
 def assert_same_series(series, ref_series) -> None:
@@ -307,6 +368,33 @@ def fraction_elements(alg, rng: random.Random) -> list:
         out.append(alg.element({lab: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                 for lab in alg.labels}))
     return out
+
+
+def typed(terms: list) -> list:
+    """Coproduct terms with the type of every scalar beside it."""
+    return [((type(c), c), [[(type(x), x) for x in f] for f in factors])
+            for c, factors in terms]
+
+
+@pytest.mark.parametrize("model", ["point", "p2", "fraction-trace", "exterior2", "affine"])
+def test_coproduct_power_matches_reference(model):
+    # the same terms in the same order, or the same refusal
+    rng = random.Random(f"coproduct-{model}")
+    if model == "fraction-trace":
+        data = builtin_model("p2").to_json()
+        data["trace"] = {"1": ["1", "5"], "h2": ["3", "2"]}
+        alg = FrobeniusAlgebra.from_json(data)
+    else:
+        alg = builtin_model(model)
+    for alpha in fraction_elements(alg, rng):
+        for k in range(1, 5):
+            try:
+                want = typed(ref.coproduct_power(alg, alpha, k))
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    coproduct_power(alg, alpha, k)
+                continue
+            assert typed(coproduct_power(alg, alpha, k)) == want, (alpha, k)
 
 
 # W^2 and W^3 only where coproduct_power allows, i.e. on even models

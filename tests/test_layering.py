@@ -15,13 +15,21 @@ blocks: `fock.heisenberg_check` and `fock.virasoro_check` call no `apply`,
 and the per-vector `_basis_vectors` is gone.  The Fock side has one
 normal-product path, the grade blocks: the term-dict kernel (`_nop_apply`,
 `_vanishes`, `_Field.apply_mode`) and `FockOperator._columns_block` are gone
-from `wfk`.  Helpers that only the tests call live in
-`tests/reference_*.py`, and no module of `wfk` defines them."""
+from `wfk`.  Every Heisenberg mode reads its columns off its grade blocks:
+the term-dict mode columns (`create`, `annihilate`) are gone from `wfk`, and
+no operator `ColorSpace.mode` returns has a column function.  Helpers that
+only the tests call live in `tests/reference_*.py`, and no module of `wfk`
+defines them."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import wfk
+from wfk.charmap import _p_field, colored_space, fock_side_p
+from wfk.exact import CycNum
+from wfk.fock import ColorSpace, builtin_model, q_mode
+from wfk.groups import cyclic_group
 
 SRC = Path(wfk.__file__).parent
 
@@ -147,17 +155,44 @@ def test_fock_suites_compare_blocks():
     assert "_basis_vectors" not in names
 
 
-def test_one_normal_product_path():
-    # W^k_n and normal products read their columns off grade blocks, and mode
-    # blocks are built from the monomials of a grade; the term-dict kernel
-    # stays in `tests/reference_fock.py` as their gate
-    gone = {"_nop_apply", "_vanishes", "apply_mode", "_columns_block"}
+def src_names(names: set[str]) -> list[str]:
+    """module.name for every definition, attribute or name of `names` in
+    `wfk`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name) else None)
-            if name in gone:
+            if name in names:
                 found.append(f"{path.stem}.{name}")
-    assert found == []
+    return found
+
+
+def test_one_normal_product_path():
+    # W^k_n and normal products read their columns off grade blocks, and mode
+    # blocks are built from the monomials of a grade; the term-dict kernel
+    # stays in `tests/reference_fock.py` as their gate
+    assert src_names({"_nop_apply", "_vanishes", "apply_mode", "_columns_block"}) == []
+
+
+def test_one_heisenberg_mode_path():
+    # every mode, of rational or cyclotomic coefficients, is its grade blocks;
+    # the term-dict columns stay in `tests/reference_fock.py` as their gate
+    assert src_names({"create", "annihilate"}) == []
+    alg = builtin_model("exterior2")
+    spaces = [(ColorSpace.of_algebra(alg), [alg.basis(i) for i in range(alg.dim)]),
+              (ColorSpace.of_algebra(builtin_model("p2")),
+               [[Fraction(1, 2), CycNum.zeta(3), 0]])]
+    G = cyclic_group(3)
+    space = colored_space(G)
+    spaces.append((space, [_p_field(G, gamma) for gamma in G.character_table().irreducibles]))
+    for space, fields in spaces:
+        for coeffs in fields:
+            for n in range(-2, 3):
+                assert space.mode(n, coeffs).fn is None, (space.name, coeffs, n)
+    for n in range(-2, 3):
+        assert q_mode(alg, n, alg.basis(1)).fn is None
+        assert ColorSpace.of_algebra(alg).field(alg.basis(1)).mode(n).fn is None
+        if n:
+            assert fock_side_p(G, n, G.character_table().irreducibles[1]).fn is None
