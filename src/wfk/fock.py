@@ -355,11 +355,12 @@ class ColorSpace:
                     out.append(col)
                 return out, den
 
-        return FockOperator(None, None, f"q{n}", grade_block, lowers=n)
+        return FockOperator(None, f"q{n}", grade_block, lowers=n)
 
     def field(self, alpha) -> "_Field":
-        """The field of the element alpha, kept on this space with its modes."""
-        key = tuple(alpha)
+        """The field of the element alpha, kept on this space with its modes
+        (by its coefficients, a CycNum by its canonical form `key()`)."""
+        key = tuple(c.key() if isinstance(c, CycNum) else c for c in alpha)
         f = self.fields.get(key)
         if f is None:
             f = self.fields[key] = _Field(self, alpha)
@@ -510,23 +511,20 @@ def vacuum(space: ColorSpace) -> FockVector:
 # ---------------------------------------------------------------------------
 
 class FockOperator(LinearOperator):
-    """Linear operator on Fock vectors, valid on monomials of weight at most
-    `max_weight` (any weight when it is None).
+    """Linear operator on the Fock vectors of one space, lowering the weight by
+    `lowers` and valid on monomials of weight at most `max_weight` (any
+    weight when it is None).
 
-    The bound is checked once per monomial, when its column is computed, and
-    once per grade, when its block is built.  Operators combined from this one
-    carry no bound of their own: they raise `CutoffTooSmall` through it.
+    `block(d)` is the operator from weight d as an exact block (see
+    `_BlockSum`), built by `grade_block(d)` and kept by weight; the bound is
+    checked there, once per grade.  The blocks are the operator's one
+    implementation: its columns are read off them, an int numerator as a
+    Fraction over the block's denominator, a CycNum numerator (over 1) as it
+    is.  Combined operators are plain `LinearOperator`s: they raise
+    `CutoffTooSmall` through this one."""
 
-    `block(space, d)` is the operator from weight d of `space` as an exact
-    block (see `_BlockSum`), built by `grade_block(d)` and kept by weight: an
-    operator belongs to one space.  An operator with no `fn` (every
-    Heisenberg mode, W^k_n and normal product) lowers the weight by `lowers`
-    and reads its columns off its blocks: an int numerator as a Fraction over
-    the block's denominator, a CycNum numerator (over 1) as it is.
-    """
-
-    def __init__(self, fn, max_weight=None, name="op", grade_block=None, lowers=None):
-        super().__init__(fn)
+    def __init__(self, max_weight, name, grade_block, lowers):
+        self._columns: dict = {}
         self.max_weight = max_weight
         self.name = name
         self.grade_block = grade_block
@@ -538,26 +536,18 @@ class FockOperator(LinearOperator):
     apply = LinearOperator.apply
 
     def _column(self, v: FockVector, mono: tuple) -> FockVector:
-        weight = sum(n for n, _ in mono)
-        if self.max_weight is not None and weight > self.max_weight:
-            raise CutoffTooSmall(
-                f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
-        if self.fn is not None:
-            return super()._column(v, mono)
-        space = v.space
-        cols, den = self.block(space, weight)
+        space, weight = v.space, sum(n for n, _ in mono)
+        cols, den = self.block(weight)
         rows = space.grade(weight - self.lowers)[0]
         return FockVector._of(space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
                                       for r, x in cols[space.grade(weight)[1][mono]].items()})
 
-    def block(self, space: ColorSpace, d: int) -> tuple[list, int]:
+    def block(self, d: int) -> tuple[list, int]:
         blk = self.blocks.get(d)
         if blk is None:
             if self.max_weight is not None and d > self.max_weight:
                 raise CutoffTooSmall(
                     f"{self.name}: input weight {d} above cutoff {self.max_weight}")
-            if self.grade_block is None:
-                raise ModelMismatch(f"{self.name}: no exact block")
             blk = self.blocks[d] = self.grade_block(d)
         return blk
 
@@ -570,10 +560,10 @@ class _BlockSum:
     position of a monomial of the target weight to a numerator, over the one
     positive int denominator `den` of the whole block.  The numerators are
     ints, or CycNums over 1 for a mode of cyclotomic coefficients; a sum
-    takes blocks of int numerators only, since no W^k_n or normal product is
-    built from cyclotomic fields.  A sum keeps its columns over one
-    denominator, the least common multiple of those of its terms, and may
-    hold zero entries."""
+    takes int numerators only (a zero CycNum is true, so `block` would keep
+    it), and `W_operator` and `normal_order` refuse cyclotomic elements.  A
+    sum keeps its columns over one denominator, the least common multiple of
+    those of its terms, and may hold zero entries."""
 
     __slots__ = ("cols", "den")
 
@@ -653,16 +643,12 @@ class _Field:
             op = self.modes[n] = self.space.mode(n, self.alpha)
         return op
 
-    def block(self, n: int, d: int) -> tuple[list, int]:
-        """The block of q_n(alpha) from weight d, kept by the mode."""
-        return self.mode(n).block(self.space, d)
-
 
 def _nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
     """The block from weight d of the z^(-mode - k) coefficient of the
     right-to-left normally ordered product of the k weight-one fields."""
     if len(fields) == 1:
-        return fields[0].block(mode, d)
+        return fields[0].mode(mode).block(d)
     acc = _BlockSum(len(fields[0].space.grade(d)[0]))
     _nop_into(acc, fields, mode, d, 1)
     return acc.block()
@@ -673,24 +659,30 @@ def _nop_into(acc: _BlockSum, fields: list[_Field], mode: int, d: int, s) -> Non
     first field stay on the left, its annihilation modes move to the right
     with the parity sign."""
     if len(fields) == 1:
-        acc.add(fields[0].block(mode, d), s)
+        acc.add(fields[0].mode(mode).block(d), s)
         return
     first, rest = fields[0], fields[1:]
     sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
     for m in range(mode - d, 0):
-        acc.add_product(first.block(m, d - mode + m), _nop_block(rest, mode - m, d), s)
+        acc.add_product(first.mode(m).block(d - mode + m), _nop_block(rest, mode - m, d), s)
     for m in range(1, d + 1):
-        acc.add_product(_nop_block(rest, mode - m, d - m), first.block(m, d), s * sign)
+        acc.add_product(_nop_block(rest, mode - m, d - m), first.mode(m).block(d), s * sign)
+
+
+def _refuse_cyclotomic(elements: list, name: str) -> None:
+    """A `_BlockSum` holds int numerators: refuse CycNum coefficients."""
+    if any(isinstance(c, CycNum) for e in elements for c in e):
+        raise ModelMismatch(f"{name}: a block sum needs rational coefficients")
 
 
 def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
                  space: ColorSpace | None = None) -> FockOperator:
     """Finite operator: the z^(-mode - k) coefficient of :f1(z)...fk(z):,
     valid on vectors of weight <= `weight`."""
+    _refuse_cyclotomic(fields, f"nop{mode}")
     space = space or ColorSpace.of_algebra(alg)
     resolved = [space.field(f) for f in fields]
-    return FockOperator(None, weight, f"nop{mode}",
-                        lambda d: _nop_block(resolved, mode, d), lowers=mode)
+    return FockOperator(weight, f"nop{mode}", lambda d: _nop_block(resolved, mode, d), lowers=mode)
 
 
 def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
@@ -731,6 +723,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
                weight: int | None, space: ColorSpace | None = None) -> FockOperator:
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
+    _refuse_cyclotomic([alpha], f"W{k}_{n}")
     space = space or ColorSpace.of_algebra(alg)
     terms = [(coeff, [space.field(f) for f in factors])
              for coeff, factors in coproduct_power(alg, alpha, k)]
@@ -742,7 +735,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
             _nop_into(acc, fields, n, d, coeff / factorial)
         return acc.block()
 
-    return FockOperator(None, weight, f"W{k}_{n}", grade_block, lowers=n)
+    return FockOperator(weight, f"W{k}_{n}", grade_block, lowers=n)
 
 
 def L_operator(alg: FrobeniusAlgebra, n: int, alpha, weight: int,
@@ -751,36 +744,39 @@ def L_operator(alg: FrobeniusAlgebra, n: int, alpha, weight: int,
 
 
 def join_boundary(space: ColorSpace) -> FockOperator:
-    """-(1/2) sum_{n,m>0} n m a_{n+m} d/da_n d/da_m on a one-color space."""
-    if len(space.labels) != 1:
-        raise ModelMismatch("the join boundary operator needs a single color")
+    """-(1/2) sum_{n,m>0} n m a_{n+m} d/da_n d/da_m on a space of one even
+    color: its block adds, for each pair i < j of parts of a monomial,
+    -n_i n_j at the monomial with the two parts joined, over denominator 1."""
+    if len(space.labels) != 1 or space.parities[0]:
+        raise ModelMismatch("the join boundary operator needs a single even color")
 
-    def fn(v: FockVector) -> FockVector:
-        out = {}
-        for mono, coeff in v.terms.items():
-            parts = [n for n, _ in mono]
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    rest = [parts[t] for t in range(len(parts)) if t not in (i, j)]
-                    joined = tuple(sorted((p, 0) for p in rest + [parts[i] + parts[j]]))
-                    w = -parts[i] * parts[j] * coeff
-                    out[joined] = out.get(joined, 0) + w
-        return FockVector(space, out)
+    def grade_block(d: int) -> tuple[list, int]:
+        index, out = space.grade(d)[1], []
+        for mono in space.grade(d)[0]:
+            col = {}
+            for i in range(len(mono)):
+                for j in range(i + 1, len(mono)):
+                    (m, _), (n, _) = mono[i], mono[j]
+                    rest = mono[:i] + mono[i + 1:j] + mono[j + 1:]
+                    r = index[tuple(sorted(rest + ((m + n, 0),)))]
+                    col[r] = col.get(r, 0) - m * n
+            out.append(col)
+        return out, 1
 
-    return FockOperator(fn, None, "boundary-join")
+    return FockOperator(None, "boundary-join", grade_block, lowers=0)
 
 
 def boundary_operator(alg: FrobeniusAlgebra, kind: str, weight: int | None = None,
                       space: ColorSpace | None = None) -> FockOperator:
-    """'projective-with-trivial-K': -W^3_0(1), valid up to `weight` (any
-    weight when it is None); 'affine-plane': the join form."""
+    """'projective-with-trivial-K': -W^3_0(1) = W^3_0(-1), valid up to `weight`
+    (any weight when it is None); 'affine-plane': the join form."""
     space = space or ColorSpace.of_algebra(alg)
     if kind == "projective-with-trivial-K":
         if not alg.nondegenerate:
             raise ModelMismatch("projective boundary needs a nondegenerate trace")
         if alg.canonical is not None and any(c != 0 for c in alg.canonical):
             raise ModelMismatch("projective boundary requires trivial canonical class")
-        return W_operator(alg, 3, 0, alg.unit, weight, space).scale(-1)
+        return W_operator(alg, 3, 0, alg.scale(alg.unit, -1), weight, space)
     if kind == "affine-plane":
         return join_boundary(space)
     raise ModelMismatch(f"unknown boundary model {kind!r}")
@@ -892,13 +888,13 @@ def _bracket_holds(space: ColorSpace, a: FockOperator, n: int, b: FockOperator, 
     of `expected` (x None: the identity) on weight d, exactly; a lowers the
     weight by n and b by m."""
     acc = _BlockSum(len(space.grade(d)[0]))
-    acc.add_product(a.block(space, d - m), b.block(space, d))
-    acc.add_product(b.block(space, d - n), a.block(space, d), sign)
+    acc.add_product(a.block(d - m), b.block(d))
+    acc.add_product(b.block(d - n), a.block(d), sign)
     for s, x in expected:
         if x is None:
             acc.add_identity(-s)
         else:
-            acc.add(x.block(space, d), -s)
+            acc.add(x.block(d), -s)
     return acc.is_zero()
 
 

@@ -1,9 +1,9 @@
 """Linear operators given by their columns, shared by both sides.
 
 Like `exact`, this module holds no mathematics of either side.  An operator
-is a function `fn` on basis vectors; it is applied to any vector by summing
-its cached columns, scaled by the vector's coefficients.  A vector type
-supplies the rest:
+is given by its columns (a function `fn` on basis vectors, or a subclass's
+`_column`); it is applied to any vector by summing its cached columns,
+scaled by the vector's coefficients.  A vector type supplies the rest:
 
     v.terms                 dict from basis term to nonzero coefficient
     v.basis_vector(term)    the basis vector of `term`, in the space of v
@@ -22,7 +22,7 @@ class LinearOperator:
 
     Each column, `fn` of one basis vector, is computed once and cached by its
     term, so repeated use inside commutators costs one evaluation per term.
-    Combined operators are of the same class and cache their own columns.
+    Combined operators are plain `LinearOperator`s and cache their own columns.
     """
 
     def __init__(self, fn):
@@ -49,16 +49,16 @@ class LinearOperator:
         return self.apply(v)
 
     def __add__(self, other):
-        return type(self)(lambda v: self.apply(v) + other.apply(v))
+        return LinearOperator(lambda v: self.apply(v) + other.apply(v))
 
     def __sub__(self, other):
-        return type(self)(lambda v: self.apply(v) - other.apply(v))
+        return LinearOperator(lambda v: self.apply(v) - other.apply(v))
 
     def scale(self, s):
-        return type(self)(lambda v: self.apply(v).scale(s))
+        return LinearOperator(lambda v: self.apply(v).scale(s))
 
     def compose(self, other):
-        return type(self)(lambda v: self.apply(other.apply(v)))
+        return LinearOperator(lambda v: self.apply(other.apply(v)))
 
     def commutator(self, other):
-        return type(self)(lambda v: self.apply(other.apply(v)) - other.apply(self.apply(v)))
+        return LinearOperator(lambda v: self.apply(other.apply(v)) - other.apply(self.apply(v)))

@@ -2,10 +2,10 @@
 
 `convolve_by_class` and `filtered_convolution` each had their own loop over
 class members; `delta_op` was built for one level and `delta1` was its i = 1
-case; `cubic_formula` was a hand-written split loop (over the `create` and
-`annihilate` now kept in `reference_fock`) plus the join boundary.
-`class_convolution` is the one class-convolution loop over element tuples
-that the numpy element batches replaced.  The bodies below are kept as they
+case; `cubic_formula` was a hand-written split loop plus the join boundary
+(over the `create`, `annihilate` and term-dict `join_boundary` now kept in
+`reference_fock`).  `class_convolution` is the one class-convolution loop
+over element tuples that the numpy element batches replaced.  The bodies below are kept as they
 were, so that `tests/test_charmap_reference.py` can check the one
 class-convolution loop, the one Delta operator and the cubic as W^3_0(1)
 against them, value by value and in key order.  The loops read the class
@@ -26,7 +26,7 @@ from math import factorial
 from wfk.budget import BudgetExceeded
 from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
-from wfk.fock import FockOperator, FockVector, join_boundary
+from wfk.fock import FockVector
 from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from wfk.wreath import (
     TypeFunction,
@@ -39,7 +39,7 @@ from wfk.wreath import (
     wreath_mult,
 )
 
-from reference_fock import annihilate, create
+from reference_fock import FnFockOperator, annihilate, create, join_boundary
 from reference_wreath import representative_of_type
 
 _FILTERED_LIMIT = 5100  # the fixed order ceiling wfk's filtered convolution kept
@@ -111,7 +111,7 @@ def delta1(G: FiniteGroup, n: int, c: int):
     return delta_op(G, n, c, 1)
 
 
-def cubic_formula(cutoff: int) -> FockOperator:
+def cubic_formula(cutoff: int) -> FnFockOperator:
     """(1/2) sum_{n,m>0} (p_n p_m p_{-n-m} + p_{n+m} p_{-n} p_{-m}) in
     creation-positive labels, on the one-color space with kappa = 1."""
     T = trivial_group()
@@ -136,7 +136,7 @@ def cubic_formula(cutoff: int) -> FockOperator:
                 out = out + piece.scale(factor)
         return out - join(v)
 
-    return FockOperator(fn, max_weight=cutoff, name="cubic")
+    return FnFockOperator(fn, max_weight=cutoff, name="cubic")
 
 
 def filtered_convolution(f: GradedClassFunction,

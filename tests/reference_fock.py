@@ -46,6 +46,13 @@ recursed once per skipped generator and sorted every monomial it built.
 dual basis element for every pair; the reference W^k_n above use it.
 `tests/test_fock_blocks.py` and `tests/test_fock_reference.py` check the
 mode blocks and the grade bases of `wfk.fock` against them.
+
+`FnFockOperator` is the `FockOperator` whose columns came from a function
+`fn` on basis vectors, with its weight bound checked once per column; every
+reference operator here is one.  `join_boundary` is the join boundary of
+that time, its `fn` summing over the pairs of parts of each monomial, before
+`wfk.fock` built it as a grade block; `tests/test_fock_blocks.py` checks the
+block against it and `reference_charmap.cubic_formula` calls its `fn`.
 """
 
 from __future__ import annotations
@@ -57,7 +64,6 @@ from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
     DegeneratePairing,
-    FockOperator,
     FockVector,
     FrobeniusAlgebra,
     ModelMismatch,
@@ -71,11 +77,31 @@ from wfk.fock import (
     vacuum,
 )
 from wfk.groups import ClassFunction, FiniteGroup
+from wfk.linop import LinearOperator
 from wfk.report import VerificationReport
 
 
-class ReferenceFockOperator(FockOperator):
-    """A FockOperator with the column-by-column `apply`."""
+class FnFockOperator(LinearOperator):
+    """Linear operator on Fock vectors given by `fn` on basis vectors, valid
+    on monomials of weight at most `max_weight` (any weight when it is
+    None); the bound is checked once per monomial, when its column is
+    computed."""
+
+    def __init__(self, fn, max_weight=None, name="op"):
+        super().__init__(fn)
+        self.max_weight = max_weight
+        self.name = name
+
+    def _column(self, v: FockVector, mono: tuple) -> FockVector:
+        weight = sum(n for n, _ in mono)
+        if self.max_weight is not None and weight > self.max_weight:
+            raise CutoffTooSmall(
+                f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
+        return super()._column(v, mono)
+
+
+class ReferenceFockOperator(FnFockOperator):
+    """An `FnFockOperator` with the column-by-column `apply`."""
 
     def apply(self, v: FockVector) -> FockVector:
         if self.max_weight is not None and v.weight() > self.max_weight:
@@ -92,7 +118,7 @@ class ReferenceFockOperator(FockOperator):
         return out
 
 
-def reference_op(op: FockOperator) -> ReferenceFockOperator:
+def reference_op(op: FnFockOperator) -> ReferenceFockOperator:
     """The operator computing the same columns as `op` (its `fn`), applied
     column by column."""
     return ReferenceFockOperator(op.fn, op.max_weight, op.name)
@@ -105,7 +131,7 @@ def reference_add(u: FockVector, v: FockVector) -> FockVector:
     return FockVector(u.space, out)
 
 
-def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FockOperator:
+def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FnFockOperator:
     """Multiplication by sum_b coeffs[b] a_{-k}(b), k >= 1."""
 
     def fn(v: FockVector) -> FockVector:
@@ -115,17 +141,18 @@ def creation_op(space: ColorSpace, k: int, coeffs, name: str) -> FockOperator:
                 _add_into(acc, create(space, k, b, v).terms, c)
         return FockVector._of(space, acc)
 
-    return FockOperator(fn, None, name)
+    return FnFockOperator(fn, None, name)
 
 
-def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
+def q_mode(alg: FrobeniusAlgebra, n: int, alpha,
+           space: ColorSpace | None = None) -> FnFockOperator:
     """Heisenberg mode q_n(alpha): creation for n < 0, super-derivation for
     n > 0, zero for n = 0; satisfies [q_n(a), q_m(b)] = n d_{n+m} trace(ab) Id."""
     space = space or ColorSpace.of_algebra(alg)
     coeffs, par = list(alpha), alg.parity_of(alpha)
 
     if n == 0:
-        return FockOperator(lambda v: FockVector(space, {}), None, "q0")
+        return FnFockOperator(lambda v: FockVector(space, {}), None, "q0")
     if n < 0:
         return creation_op(space, -n, coeffs, f"q{n}")
 
@@ -135,10 +162,10 @@ def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None
     def fn_ann(v: FockVector) -> FockVector:
         return annihilate(space, n, weights, par, v)
 
-    return FockOperator(fn_ann, None, f"q{n}")
+    return FnFockOperator(fn_ann, None, f"q{n}")
 
 
-def _q_cached(alg, mode, alpha, space) -> FockOperator:
+def _q_cached(alg, mode, alpha, space) -> FnFockOperator:
     # a dict of its own on the space, apart from the library's field cache
     q_modes = space.__dict__.setdefault("reference_q_modes", {})
     key = (alg, mode, tuple(alpha))
@@ -179,7 +206,7 @@ def _nop_apply(alg: FrobeniusAlgebra, space: ColorSpace, fields: list, mode: int
 
 
 def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
-               weight: int, space: ColorSpace | None = None) -> FockOperator:
+               weight: int, space: ColorSpace | None = None) -> FnFockOperator:
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
     space = space or ColorSpace.of_algebra(alg)
@@ -199,7 +226,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
     return ReferenceFockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
 
 
-def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
+def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FnFockOperator:
     """Multiplication by p_{-k}(gamma) = sum_c (gamma(c)/zeta_c) a_{-k}(c)."""
     cd = G.conjugacy()
     space = colored_space(G)
@@ -208,12 +235,12 @@ def colored_creation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOpe
     return creation_op(space, k, coeffs, f"p[-{k}]")
 
 
-def colored_annihilation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FockOperator:
+def colored_annihilation_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> FnFockOperator:
     """Contraction of the generator (k, c') with weight k * gamma(c'^-1)."""
     cd = G.conjugacy()
     space = colored_space(G)
     weights = [gamma.values[cd.inverse_class[b]] for b in range(len(cd))]
-    return FockOperator(lambda v: annihilate(space, k, weights, 0, v), None, f"p[{k}]")
+    return FnFockOperator(lambda v: annihilate(space, k, weights, 0, v), None, f"p[{k}]")
 
 
 def exponential_series(space: ColorSpace, mode_coeffs: dict, creation,
@@ -309,7 +336,7 @@ def vector_nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVect
     return FockVector._of(first.space, acc)
 
 
-def operators_equal_below(a: FockOperator, b: FockOperator, space: ColorSpace,
+def operators_equal_below(a: LinearOperator, b: LinearOperator, space: ColorSpace,
                           weight: int) -> bool:
     for w in range(weight + 1):
         for mono in monomial_basis(space, w):
@@ -448,18 +475,18 @@ def _vanishes(fields: list[_Field], mode: int, parts: set) -> bool:
 
 
 def term_dict_normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
-                           space: ColorSpace | None = None) -> FockOperator:
+                           space: ColorSpace | None = None) -> FnFockOperator:
     """Finite operator: the z^(-mode - k) coefficient of :f1(z)...fk(z):,
     valid on vectors of weight <= `weight`."""
     space = space or ColorSpace.of_algebra(alg)
     resolved = [space.field(f) for f in fields]
-    return FockOperator(
+    return FnFockOperator(
         lambda v: FockVector._of(space, term_dict_nop_apply(resolved, mode, v.terms)),
         max_weight=weight, name=f"nop{mode}")
 
 
 def term_dict_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
-                         weight: int | None, space: ColorSpace | None = None) -> FockOperator:
+                         weight: int | None, space: ColorSpace | None = None) -> FnFockOperator:
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
     W^2 = the Virasoro mode L_n."""
     space = space or ColorSpace.of_algebra(alg)
@@ -475,7 +502,7 @@ def term_dict_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
             _add_into(acc, term_dict_nop_apply(fields, n, v.terms), coeff)
         return FockVector._of(space, acc).scale(Fraction(1, factorial))
 
-    return FockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
+    return FnFockOperator(fn, max_weight=weight, name=f"W{k}_{n}")
 
 
 def create(space: ColorSpace, n: int, color: int, v: FockVector) -> FockVector:
@@ -510,14 +537,14 @@ def annihilate(space: ColorSpace, n: int, color_weights, parity: int,
     return FockVector(space, out)
 
 
-def term_dict_mode(space: ColorSpace, n: int, coeffs) -> FockOperator:
+def term_dict_mode(space: ColorSpace, n: int, coeffs) -> FnFockOperator:
     """Heisenberg mode n of the field sum_b coeffs[b] b, its columns from
     `create` and `annihilate` for any scalars (`ColorSpace.mode` with its
     `fn` closures, the space in place of `self`)."""
     coeffs, par = list(coeffs), _parity(space.parities, coeffs)
     name = f"q{n}"
     if n == 0:
-        return FockOperator(lambda v: FockVector(space, {}), None, name)
+        return FnFockOperator(lambda v: FockVector(space, {}), None, name)
     if n < 0:
         def fn(v: FockVector) -> FockVector:
             acc: dict = {}
@@ -535,7 +562,7 @@ def term_dict_mode(space: ColorSpace, n: int, coeffs) -> FockOperator:
         def fn(v: FockVector) -> FockVector:
             return annihilate(space, n, weights, par, v)
 
-    return FockOperator(fn, None, name)
+    return FnFockOperator(fn, None, name)
 
 
 def monomial_basis(space: ColorSpace, weight: int) -> list[tuple]:
@@ -588,3 +615,23 @@ def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
                                           + factors[1:]))
         terms = _merge_tensor_terms(new_terms)
     return terms
+
+
+def join_boundary(space: ColorSpace) -> FnFockOperator:
+    """-(1/2) sum_{n,m>0} n m a_{n+m} d/da_n d/da_m on a one-color space."""
+    if len(space.labels) != 1:
+        raise ModelMismatch("the join boundary operator needs a single color")
+
+    def fn(v: FockVector) -> FockVector:
+        out = {}
+        for mono, coeff in v.terms.items():
+            parts = [n for n, _ in mono]
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    rest = [parts[t] for t in range(len(parts)) if t not in (i, j)]
+                    joined = tuple(sorted((p, 0) for p in rest + [parts[i] + parts[j]]))
+                    w = -parts[i] * parts[j] * coeff
+                    out[joined] = out.get(joined, 0) + w
+        return FockVector(space, out)
+
+    return FnFockOperator(fn, None, "boundary-join")

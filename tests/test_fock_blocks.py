@@ -6,7 +6,9 @@ monomials of its grade, is checked against the term-dict columns of the
 reference builders (`reference_fock.create` and `annihilate`), for rational
 and cyclotomic coefficients, and every W^k_n and normal-product block
 against the term-dict kernel `reference_fock.term_dict_nop_apply`, column by
-column."""
+column.  The join boundary block is checked against the term-dict join of
+`reference_fock.join_boundary`, and the projective boundary W^3_0(-1)
+against the -W^3_0(1) wrapper it replaced, in value, type and key order."""
 
 import json
 from fractions import Fraction
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 import reference_fock as ref
 
-from wfk.charmap import colored_space, fock_side_p
+from wfk.charmap import _p_field, colored_space, fock_side_p
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
@@ -26,9 +28,11 @@ from wfk.fock import (
     W_operator,
     _Field,
     _nop_block,
+    boundary_operator,
     builtin_model,
     heisenberg_check,
     join_boundary,
+    normal_order,
     virasoro_check,
 )
 from wfk.groups import ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group
@@ -135,7 +139,7 @@ def test_mode_blocks_are_the_applied_columns(model):
         for n in range(-3, 4):
             reference = ref.q_mode(alg, n, alpha, space)
             for d in range(BLOCK_WEIGHT + 1):
-                assert columns(space, field.block(n, d), d, n) == applied(
+                assert columns(space, field.mode(n).block(d), d, n) == applied(
                     space, reference, d), (alpha, n, d)
 
 
@@ -151,7 +155,7 @@ def test_W_blocks_are_the_applied_columns(model, k):
             op = W_operator(alg, k, n, alpha, weight, space)
             reference = ref.term_dict_W_operator(alg, k, n, alpha, weight, space)
             for d in range(weight + 1):
-                assert columns(space, op.block(space, d), d, n) == applied(space, reference, d)
+                assert columns(space, op.block(d), d, n) == applied(space, reference, d)
 
 
 @pytest.mark.parametrize("labels", [("a", "b"), ("a", "ab", "b"), ("1", "a", "a")],
@@ -204,10 +208,80 @@ def test_cyclotomic_mode_blocks_are_the_reference_columns(group):
                     (fock_side_p(group, -k, gamma), ref.colored_annihilation_op(group, k, gamma),
                      k)):
                 for d in range(BLOCK_WEIGHT + 1):
-                    assert exact_columns(space, op.block(space, d), d, shift) == (
+                    assert exact_columns(space, op.block(d), d, shift) == (
                         reference_columns(space, reference, d)), (gamma, k, shift, d)
-    with pytest.raises(ModelMismatch, match="boundary-join: no exact block"):
-        join_boundary(ColorSpace(["x"], [0], [[1]])).block(space, 1)
+
+
+def test_cyclotomic_field_is_kept_and_refused_in_block_sums():
+    # the field of a p-element keys its CycNum coefficients by their canonical
+    # form; a block sum holds int numerators, so products of it are refused
+    group = cyclic_group(3)
+    space = colored_space(group)
+    for gamma in group.character_table().irreducibles:
+        p = _p_field(group, gamma)
+        field = space.field(p)
+        assert space.field(list(p)) is field
+        op, want = field.mode(-1), fock_side_p(group, 1, gamma)
+        for d in range(BLOCK_WEIGHT + 1):
+            for mono in space.grade(d)[0]:
+                v = FockVector(space, {mono: 1})
+                assert [(m, type(c), c.key()) for m, c in op.apply(v).terms.items()] == [
+                    (m, type(c), c.key()) for m, c in want.apply(v).terms.items()], mono
+        with pytest.raises(ModelMismatch, match="nop0: a block sum needs rational"):
+            normal_order(None, [p, p], BLOCK_WEIGHT, 0, space)
+        with pytest.raises(ModelMismatch, match="W1_-1: a block sum needs rational"):
+            W_operator(None, 1, -1, p, BLOCK_WEIGHT, space)
+
+
+def test_join_boundary_block_is_the_reference_join():
+    # the block holds the old `fn`'s int values over 1, in its key order; the
+    # columns read off it are those values as Fractions
+    space = ColorSpace(["x"], [0], [[1]])
+    op, reference = join_boundary(space), ref.join_boundary(space)
+    for d in range(9):
+        cols, den = op.block(d)
+        assert den == 1 and all(type(x) is int for col in cols for x in col.values())
+        for mono in space.grade(d)[0]:
+            v = FockVector(space, {mono: 1})
+            got, want = op.apply(v).terms, reference.fn(v).terms
+            assert list(got.items()) == list(want.items()), mono
+            assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("space", [ColorSpace(["x"], [1], [[1]]),
+                                   ColorSpace(["x", "y"], [0, 0], [[1, 0], [0, 1]])],
+                         ids=["odd", "two-colors"])
+def test_join_boundary_needs_one_even_color(space):
+    # on an odd color the old `fn` gave non-canonical monomials:
+    # ((1,0),(2,0),(3,0)) went to a term ((3,0),(3,0))
+    with pytest.raises(ModelMismatch, match="the join boundary operator needs"):
+        join_boundary(space)
+    if space.parities == [1]:
+        image = ref.join_boundary(space).fn(FockVector(space, {((1, 0), (2, 0), (3, 0)): 1}))
+        assert ((3, 0), (3, 0)) in image.terms
+
+
+@pytest.mark.parametrize("weight", [6, None])
+def test_projective_boundary_is_the_scaled_cubic(weight):
+    # W^3_0(-1) against the old -W^3_0(1) wrapper, in value, type and key order
+    alg = builtin_model("p2")
+    space = ColorSpace.of_algebra(alg)
+    op = boundary_operator(alg, "projective-with-trivial-K", weight, space)
+    old = W_operator(alg, 3, 0, alg.unit, weight, space).scale(-1)
+    for d in range(7):
+        for mono in space.grade(d)[0]:
+            v = FockVector(space, {mono: 1})
+            got, want = op.apply(v).terms, old.apply(v).terms
+            assert [(m, type(c), c) for m, c in got.items()] == [
+                (m, type(c), c) for m, c in want.items()], mono
+    if weight is not None:
+        above = FockVector(space, {space.grade(7)[0][0]: 1})
+        with pytest.raises(CutoffTooSmall) as by_block:
+            op.apply(above)
+        with pytest.raises(CutoffTooSmall) as by_wrapper:
+            old.apply(above)
+        assert str(by_block.value) == str(by_wrapper.value) == (
+            "W3_0: input weight 7 above cutoff 6")
 
 
 def test_block_above_the_cutoff_is_refused_as_its_column_is():
@@ -215,9 +289,9 @@ def test_block_above_the_cutoff_is_refused_as_its_column_is():
     space = ColorSpace.of_algebra(alg)
     for n in (-1, 0, 2):
         op = W_operator(alg, 2, n, alg.unit, 3, space)
-        op.block(space, 3)
+        op.block(3)
         with pytest.raises(CutoffTooSmall) as by_block:
-            op.block(space, 4)
+            op.block(4)
         with pytest.raises(CutoffTooSmall) as by_column:
             op.apply(FockVector(space, {space.grade(4)[0][0]: 1}))
         assert str(by_block.value) == str(by_column.value) == (

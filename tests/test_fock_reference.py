@@ -23,7 +23,6 @@ from wfk.charmap import (_p_field, ch, colored_space, cubic_formula, exponential
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
-    FockOperator,
     FockVector,
     FrobeniusAlgebra,
     W_operator,
@@ -45,6 +44,7 @@ from wfk.groups import (
     cyclic_group,
     trivial_group,
 )
+from wfk.linop import LinearOperator
 from wfk.wreath import wcf_indicator, wreath_level
 
 MAX_WEIGHT = 4
@@ -87,7 +87,7 @@ def random_vectors(space: ColorSpace, rng: random.Random, scalar, count: int = 6
             for _ in range(count)]
 
 
-def assert_same(op: FockOperator, ref_op: FockOperator, vectors) -> None:
+def assert_same(op: LinearOperator, ref_op: LinearOperator, vectors) -> None:
     for x in vectors:
         assert exact(op.apply(x)) == exact(ref_op.apply(x)), x
 
@@ -289,7 +289,7 @@ def test_cancelled_monomial_returns_at_the_end():
     space = ColorSpace(["x"], [0], [[1]])
     m1, m2, m3, a, b = (((n, 0),) for n in range(1, 6))
     cols = {m1: {a: 1, b: 1}, m2: {a: -1}, m3: {a: 2}}
-    op = FockOperator(lambda v: FockVector(space, cols[next(iter(v.terms))]))
+    op = ref.FnFockOperator(lambda v: FockVector(space, cols[next(iter(v.terms))]))
     x = FockVector(space, {m1: 1, m2: 1, m3: 1})
     assert list(op.apply(x).terms) == [b, a]
     assert exact(op.apply(x)) == exact(ref.reference_op(op).apply(x))
@@ -478,8 +478,8 @@ def test_normal_order_matches_vector_kernel_with_odd_fields(labels):
     assert_nop_same(space, factors, range(-3, 4), vectors)
     ref_fields = [_Field(space, f) for f in factors]
     for n in range(-3, 4):
-        reference = FockOperator(lambda v, n=n: ref.vector_nop_apply(ref_fields, n, v),
-                                 MAX_WEIGHT)
+        reference = ref.FnFockOperator(lambda v, n=n: ref.vector_nop_apply(ref_fields, n, v),
+                                       MAX_WEIGHT)
         assert_same(normal_order(alg, factors, MAX_WEIGHT, n, space), reference, vectors)
         assert_same(normal_order(alg, factors, COLUMN_WEIGHT, n, space),
                     ref.term_dict_normal_order(alg, factors, COLUMN_WEIGHT, n, space),

@@ -17,18 +17,24 @@ normal-product path, the grade blocks: the term-dict kernel (`_nop_apply`,
 `_vanishes`, `_Field.apply_mode`) and `FockOperator._columns_block` are gone
 from `wfk`.  Every Heisenberg mode reads its columns off its grade blocks:
 the term-dict mode columns (`create`, `annihilate`) are gone from `wfk`, and
-no operator `ColorSpace.mode` returns has a column function.  Helpers that
-only the tests call live in `tests/reference_*.py`, and no module of `wfk`
-defines them."""
+no operator `ColorSpace.mode` returns has a column function.  A
+`FockOperator` is its grade blocks: its constructor takes no column
+function, `block` takes only the weight, and the join and projective
+boundary operators, the cubic, every W^k_n and every normal product
+`wfk` builds has a `grade_block`; the column-function operator stays in
+`tests/reference_fock.py` as the gate.  Helpers that only the tests call
+live in `tests/reference_*.py`, and no module of `wfk` defines them."""
 
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import wfk
-from wfk.charmap import _p_field, colored_space, fock_side_p
+from wfk.charmap import _p_field, colored_space, cubic_formula, fock_side_p
 from wfk.exact import CycNum
-from wfk.fock import ColorSpace, builtin_model, q_mode
+from wfk.fock import (ColorSpace, FockOperator, W_operator, boundary_operator, builtin_model,
+                      join_boundary, normal_order, q_mode)
 from wfk.groups import cyclic_group
 
 SRC = Path(wfk.__file__).parent
@@ -190,9 +196,35 @@ def test_one_heisenberg_mode_path():
     for space, fields in spaces:
         for coeffs in fields:
             for n in range(-2, 3):
-                assert space.mode(n, coeffs).fn is None, (space.name, coeffs, n)
+                assert is_block_operator(space.mode(n, coeffs)), (space.name, coeffs, n)
     for n in range(-2, 3):
-        assert q_mode(alg, n, alg.basis(1)).fn is None
-        assert ColorSpace.of_algebra(alg).field(alg.basis(1)).mode(n).fn is None
+        assert is_block_operator(q_mode(alg, n, alg.basis(1)))
+        assert is_block_operator(ColorSpace.of_algebra(alg).field(alg.basis(1)).mode(n))
         if n:
-            assert fock_side_p(G, n, G.character_table().irreducibles[1]).fn is None
+            assert is_block_operator(fock_side_p(G, n, G.character_table().irreducibles[1]))
+
+
+def is_block_operator(op) -> bool:
+    """Whether `op` is a `FockOperator` with grade blocks and no column
+    function."""
+    return isinstance(op, FockOperator) and callable(op.grade_block) and not hasattr(op, "fn")
+
+
+def test_fock_operator_is_its_grade_blocks():
+    # the constructor takes no column function and `block` only the weight;
+    # the term-dict operator stays in `tests/reference_fock.py` as the gate
+    assert list(inspect.signature(FockOperator).parameters) == [
+        "max_weight", "name", "grade_block", "lowers"]
+    assert list(inspect.signature(FockOperator.block).parameters) == ["self", "d"]
+    p2 = builtin_model("p2")
+    point = ColorSpace(["x"], [0], [[1]])
+    ops = [join_boundary(point),
+           boundary_operator(builtin_model("affine-plane"), "affine-plane"),
+           boundary_operator(p2, "projective-with-trivial-K"),
+           boundary_operator(p2, "projective-with-trivial-K", 4),
+           cubic_formula(4),
+           W_operator(p2, 2, 1, p2.unit, 4),
+           W_operator(p2, 3, 0, p2.unit, None),
+           normal_order(p2, [p2.unit, p2.unit], 4, 0)]
+    for op in ops:
+        assert is_block_operator(op), op.name

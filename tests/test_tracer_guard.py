@@ -49,13 +49,14 @@ def test_traced_conv_cubic_and_lehn_sorger_exit_zero():
 
 
 # the modes of an algebra's space, which the suite compares as grade blocks
-# over the traced `monomial_basis`, and the p_k(gamma) of the colored space,
-# which `FockOperator.apply` applies
+# over the traced `monomial_basis`, and the p_k(gamma) of the colored space
+# and the join boundary block, which `FockOperator.apply` applies
 TRACED_FOCK_HOOKS = {
     "fock verify --model builtin:p2 --suite heisenberg --modes 1 --cutoff 2":
         "fock.monomial_basis",
     "verify heisenberg-transport --group builtin:cyclic:2 --modes 1":
         "fock.FockOperator_apply.calls",
+    "verify lehn-sorger --n 3": "fock.FockOperator_apply.calls",
 }
 
 
