@@ -409,3 +409,34 @@ def cyc(x) -> CycNum:
 
 def conjugate(a: CycNum) -> CycNum:
     return cyc(a).conjugate()
+
+
+def dot(xs, ys, weights, den: int = 1) -> CycNum:
+    """sum_i weights[i] * xs[i] * ys[i] / den, for sequences xs and ys of
+    CycNums, a sequence of int weights and a positive int den, as one CycNum.
+
+    The result lives at n = lcm(1, the conductors of every operand), where
+    the same sum taken left to right from `cyc(0)` ends, so the two agree in
+    `key()`.  zeta_N^i is zeta_n^(i n/N): every product of numerators goes
+    into one int list indexed by its exponent mod n, over a running common
+    denominator, and the list is reduced modulo Phi_n and put in lowest terms
+    once, at the end, not once per product and per partial sum."""
+    n = lcm(*{x.conductor for x in xs}, *{y.conductor for y in ys})
+    acc, common = [0] * n, 1
+    for x, y, w in zip(xs, ys, weights):
+        d = x.den * y.den
+        if d != common:
+            grown = lcm(common, d)
+            if grown != common:
+                up = grown // common
+                acc = [c * up for c in acc]
+                common = grown
+            w *= common // d
+        kx, ky = n // x.conductor, n // y.conductor
+        y_terms = [(j * ky, b * w) for j, b in enumerate(y.nums) if b]
+        for i, a in enumerate(x.nums):
+            if a:
+                i *= kx
+                for j, b in y_terms:
+                    acc[(i + j) % n] += a * b
+    return _canonical(n, _reduce(acc, n, euler_phi(n)), common * den)

@@ -355,7 +355,7 @@ class ColorSpace:
                     out.append(col)
                 return out, den
 
-        return FockOperator(None, f"q{n}", grade_block, lowers=n)
+        return FockOperator(self, None, f"q{n}", grade_block, lowers=n)
 
     def field(self, alpha) -> "_Field":
         """The field of the element alpha, kept on this space with its modes
@@ -511,9 +511,12 @@ def vacuum(space: ColorSpace) -> FockVector:
 # ---------------------------------------------------------------------------
 
 class FockOperator(LinearOperator):
-    """Linear operator on the Fock vectors of one space, lowering the weight by
-    `lowers` and valid on monomials of weight at most `max_weight` (any
-    weight when it is None).
+    """Linear operator on the Fock vectors of the color space `space`,
+    lowering the weight by `lowers` and valid on monomials of weight at most
+    `max_weight` (any weight when it is None).  A vector of another space is
+    taken only when that space has the same parities and pairing kappa, so
+    that its grades list the same monomials; any other raises
+    `ModelMismatch`.
 
     `block(d)` is the operator from weight d as an exact block (see
     `_BlockSum`), built by `grade_block(d)` and kept by weight; the bound is
@@ -523,8 +526,9 @@ class FockOperator(LinearOperator):
     is.  Combined operators are plain `LinearOperator`s: they raise
     `CutoffTooSmall` through this one."""
 
-    def __init__(self, max_weight, name, grade_block, lowers):
+    def __init__(self, space, max_weight, name, grade_block, lowers):
         self._columns: dict = {}
+        self.space = space
         self.max_weight = max_weight
         self.name = name
         self.grade_block = grade_block
@@ -536,11 +540,15 @@ class FockOperator(LinearOperator):
     apply = LinearOperator.apply
 
     def _column(self, v: FockVector, mono: tuple) -> FockVector:
-        space, weight = v.space, sum(n for n, _ in mono)
+        space, weight = self.space, sum(n for n, _ in mono)
+        if v.space is not space and (v.space.parities != space.parities
+                                     or v.space.kappa != space.kappa):
+            raise ModelMismatch(f"{self.name}: an operator on {space.name} "
+                                f"applied to a vector of {v.space.name}")
         cols, den = self.block(weight)
         rows = space.grade(weight - self.lowers)[0]
-        return FockVector._of(space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
-                                      for r, x in cols[space.grade(weight)[1][mono]].items()})
+        return FockVector._of(v.space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
+                                        for r, x in cols[space.grade(weight)[1][mono]].items()})
 
     def block(self, d: int) -> tuple[list, int]:
         blk = self.blocks.get(d)
@@ -682,7 +690,8 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     _refuse_cyclotomic(fields, f"nop{mode}")
     space = space or ColorSpace.of_algebra(alg)
     resolved = [space.field(f) for f in fields]
-    return FockOperator(weight, f"nop{mode}", lambda d: _nop_block(resolved, mode, d), lowers=mode)
+    return FockOperator(space, weight, f"nop{mode}", lambda d: _nop_block(resolved, mode, d),
+                        lowers=mode)
 
 
 def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
@@ -735,7 +744,7 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
             _nop_into(acc, fields, n, d, coeff / factorial)
         return acc.block()
 
-    return FockOperator(weight, f"W{k}_{n}", grade_block, lowers=n)
+    return FockOperator(space, weight, f"W{k}_{n}", grade_block, lowers=n)
 
 
 def L_operator(alg: FrobeniusAlgebra, n: int, alpha, weight: int,
@@ -763,7 +772,7 @@ def join_boundary(space: ColorSpace) -> FockOperator:
             out.append(col)
         return out, 1
 
-    return FockOperator(None, "boundary-join", grade_block, lowers=0)
+    return FockOperator(space, None, "boundary-join", grade_block, lowers=0)
 
 
 def boundary_operator(alg: FrobeniusAlgebra, kind: str, weight: int | None = None,

@@ -16,7 +16,7 @@ from math import factorial, gcd, isqrt
 import numpy as np
 
 from .budget import BudgetExceeded, budget, check_budget
-from .exact import CycNum, cyc
+from .exact import CycNum, cyc, dot
 
 _BLOCK_ENTRIES = 1 << 20  # table entries read per numpy step of a block loop
 
@@ -53,8 +53,9 @@ def _generate(mult: np.ndarray, targets: np.ndarray, identity: int):
         gens.append(int(missing.argmax()))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(mult[frontier[:, None], gens])
-            frontier = step[~reached[step]]
+            step = np.zeros(len(mult), dtype=bool)
+            step[mult[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
     return gens, reached
 
@@ -166,7 +167,7 @@ class FiniteGroup:
             raise ValueError("matrix model size mismatch")
         one = CycNum.from_rational(1)
         for mat in mats:
-            if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != one:
+            if _det(mat) != one:
                 raise NonInvertibleMatrix("matrix model entry with determinant != 1")
         for a in self.generators or [self.identity]:
             for b in range(self.order):
@@ -252,8 +253,9 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
         if class_of[x] >= 0:
             continue
         gx = m[:, x]               # g*x for all g
-        orbit = m[gx, inv]         # (g*x)*g^-1
-        members = np.unique(orbit)
+        in_orbit = np.zeros(n, dtype=bool)
+        in_orbit[m[gx, inv]] = True  # (g*x)*g^-1
+        members = np.flatnonzero(in_orbit)
         cls = len(reps)
         for y in members.tolist():
             class_of[y] = cls
@@ -334,15 +336,12 @@ class ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> CycNum:
-    """<f,g> = (1/|G|) sum_x f(x) g(x^-1), evaluated classwise."""
+    """<f,g> = (1/|G|) sum_x f(x) g(x^-1), evaluated classwise as one `dot`."""
     f._check(g)
     G = f.group
     cd = G.conjugacy()
-    total = cyc(0)
-    for c in range(len(cd)):
-        w = Fraction(cd.class_sizes[c], G.order)
-        total = total + f.values[c] * g.values[cd.inverse_class[c]] * w
-    return total
+    g_inv = [g.values[c] for c in cd.inverse_class]
+    return dot(f.values, g_inv, cd.class_sizes, G.order)
 
 
 def _structure_constants(G: FiniteGroup):
@@ -677,8 +676,14 @@ def _product_table(G: FiniteGroup) -> list[ClassFunction]:
 # ---------------------------------------------------------------------------
 
 def _mat_mul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
+    """The product of two 2x2 CycNum matrices, each entry one `dot`."""
+    cols = ((b[0][0], b[1][0]), (b[0][1], b[1][1]))
+    return [[dot(row, col, (1, 1)) for col in cols] for row in a]
+
+
+def _det(m) -> CycNum:
+    """The determinant of a 2x2 CycNum matrix, one `dot`."""
+    return dot((m[0][0], m[0][1]), (m[1][1], m[1][0]), (1, -1))
 
 
 def _mat_key(m):
@@ -698,7 +703,7 @@ def build_from_generators(gens, bound: int = 1000, name: str = "matrix-group") -
     idm = embed([[1, 0], [0, 1]])
     gens = [embed(g) for g in gens]
     for g in gens:
-        d = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        d = _det(g)
         if d.is_zero():
             raise NonInvertibleMatrix("generator has determinant 0")
         if d != one:

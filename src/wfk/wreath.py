@@ -379,8 +379,16 @@ class WreathLevel:
             length += live
         keys = (class_of[prod] * n + length - 1).reshape(rows, n)
         keys.sort(axis=1)
-        seen, where = np.unique(keys @ radix, return_inverse=True)
-        return np.array([index[code] for code in seen.tolist()], dtype=np.intp)[where.reshape(-1)]
+        # each distinct code is looked up once: sort the codes, mark the first
+        # of each run, and send every row to the rank of its run
+        codes = keys @ radix
+        order = np.argsort(codes)
+        ranked = codes[order]
+        first = np.ones(rows, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        where = np.empty(rows, dtype=np.intp)
+        where[order] = np.cumsum(first) - 1
+        return np.array([index[code] for code in ranked[first].tolist()], dtype=np.intp)[where]
 
     @functools.cached_property
     def _type_codes(self):

@@ -23,6 +23,11 @@ loops `wfk.groups` ran on a nested-list copy of the table before every
 reader moved to the one `mult` array; `tests/test_tables.py` checks the
 array readers against them value by value.
 
+`inner_product` and `_mat_mul` are the sums of `CycNum` products, one new
+value per product and per partial sum, that `wfk.groups` ran before both
+became `wfk.exact.dot`; `tests/test_tables.py` checks that the two give the
+same `key()`.
+
 `symmetric_group` is the comprehension over every pair of
 `itertools.permutations` that built S_n before `wfk.groups.symmetric_group`
 took its table and action from the one permutation-table fill,
@@ -35,14 +40,14 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 from wfk.budget import BudgetExceeded
 from wfk.exact import CycNum, cyc
-from wfk.groups import (ClassFunction, DiagonalizationFailure, FiniteGroup,
-                        NonInvertibleMatrix, _mat_mul)
+from wfk.groups import ClassFunction, DiagonalizationFailure, FiniteGroup, NonInvertibleMatrix
 from wfk.linalg import row_reduce
 
 linalg = sys.modules[__name__]
@@ -369,3 +374,20 @@ def symmetric_group(n: int) -> FiniteGroup:
     action = [list(p) for p in perms]
     return FiniteGroup(mult, labels=[str(p) for p in perms],
                        perm_actions=[action], name=f"S{n}")
+
+
+def inner_product(f: ClassFunction, g: ClassFunction) -> CycNum:
+    """<f,g> = (1/|G|) sum_x f(x) g(x^-1), evaluated classwise."""
+    f._check(g)
+    G = f.group
+    cd = G.conjugacy()
+    total = cyc(0)
+    for c in range(len(cd)):
+        w = Fraction(cd.class_sizes[c], G.order)
+        total = total + f.values[c] * g.values[cd.inverse_class[c]] * w
+    return total
+
+
+def _mat_mul(a, b):
+    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
+            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]

@@ -1,5 +1,6 @@
 """Property tests for CycNum: field laws, inverses, embeddings, Galois maps,
-JSON round trips and the canonical integer form."""
+JSON round trips and the canonical integer form, and the dot-product kernel
+against the left-to-right sum of CycNum products."""
 
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfk.exact import CycNum, euler_phi
+from wfk.exact import CycNum, cyc, dot, euler_phi
 
 bounded = settings(max_examples=60, deadline=None)
 
@@ -105,3 +106,19 @@ def test_results_are_canonical(a, b, s):
     for x in results:
         assert canonical(x), x.key()
     assert (a - a).key() == (a.conductor, (0,) * euler_phi(a.conductor), 1)
+
+
+@bounded
+@given(st.lists(st.tuples(cycnums(CONDUCTORS + (9, 10, 15, 16, 20)), cycnums(),
+                          st.integers(-6, 6)), max_size=7),
+       st.integers(1, 24))
+def test_dot_is_the_left_to_right_sum(terms, den):
+    # the sum `groups.inner_product` took, term by term from cyc(0): same
+    # value, conductor, numerators and denominator, zero weights included
+    total = cyc(0)
+    for x, y, w in terms:
+        total = total + x * y * Fraction(w, den)
+    xs, ys, weights = (list(column) for column in zip(*terms)) if terms else ([], [], [])
+    got = dot(xs, ys, weights, den)
+    assert got.key() == total.key()
+    assert canonical(got)

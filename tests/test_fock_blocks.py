@@ -8,15 +8,17 @@ and cyclotomic coefficients, and every W^k_n and normal-product block
 against the term-dict kernel `reference_fock.term_dict_nop_apply`, column by
 column.  The join boundary block is checked against the term-dict join of
 `reference_fock.join_boundary`, and the projective boundary W^3_0(-1)
-against the -W^3_0(1) wrapper it replaced, in value, type and key order."""
+against the -W^3_0(1) wrapper it replaced, in value, type and key order.
+An operator refuses a vector of a space whose grades differ from its own."""
 
 import json
 from fractions import Fraction
 
 import pytest
+import reference_charmap
 import reference_fock as ref
 
-from wfk.charmap import _p_field, colored_space, fock_side_p
+from wfk.charmap import _p_field, colored_space, cubic_formula, fock_side_p
 from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
@@ -35,7 +37,8 @@ from wfk.fock import (
     normal_order,
     virasoro_check,
 )
-from wfk.groups import ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group
+from wfk.groups import (ClassFunction, binary_dihedral, binary_tetrahedral, cyclic_group,
+                        trivial_group)
 
 BLOCK_WEIGHT = 4
 
@@ -296,3 +299,28 @@ def test_block_above_the_cutoff_is_refused_as_its_column_is():
             op.apply(FockVector(space, {space.grade(4)[0][0]: 1}))
         assert str(by_block.value) == str(by_column.value) == (
             f"W2_{n}: input weight 4 above cutoff 3")
+
+
+def test_operator_refuses_a_vector_of_another_space():
+    # a block is read by positions in its own space's grades: a vector of a
+    # space with other parities or another pairing is refused, one whose
+    # grades list the same monomials is taken (the cubic of the point model
+    # reads `ch` vectors of the trivial group's colored space)
+    p2 = builtin_model("p2")
+    op = W_operator(p2, 2, 0, p2.unit, 4)
+    x = ColorSpace(["x"], [0], [[1]], name="x")
+    with pytest.raises(ModelMismatch, match="W2_0: an operator on p2 applied to a vector of x"):
+        op.apply(FockVector(x, {((1, 0), (1, 0)): 1}))
+    other_pairing = ColorSpace(p2.labels, p2.parities, [[0, 0, 2], [0, 2, 0], [2, 0, 0]])
+    with pytest.raises(ModelMismatch, match="an operator on p2 applied to a vector of colors"):
+        op.apply(FockVector(other_pairing, {((1, 0),): 1}))
+    same = ColorSpace.of_algebra(p2)
+    v = FockVector(same, {((1, 1), (1, 2)): 3})
+    assert op.apply(v) == W_operator(p2, 2, 0, p2.unit, 4, same).apply(v)
+    cubic = cubic_formula(4)
+    trivial = colored_space(trivial_group())
+    for d in range(5):
+        for mono in trivial.grade(d)[0]:
+            w = FockVector(trivial, {mono: 1})
+            assert cubic.apply(w).space is trivial
+            assert cubic.apply(w) == reference_charmap.cubic_formula(4).apply(w)

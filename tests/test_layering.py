@@ -23,10 +23,15 @@ function, `block` takes only the weight, and the join and projective
 boundary operators, the cubic, every W^k_n and every normal product
 `wfk` builds has a `grade_block`; the column-function operator stays in
 `tests/reference_fock.py` as the gate.  Helpers that only the tests call
-live in `tests/reference_*.py`, and no module of `wfk` defines them."""
+live in `tests/reference_*.py`, and no module of `wfk` defines them.  No
+module calls `np.unique`, whose first call imports `numpy.ma`, and a run
+over the groups, their tables and the Gamma_n labels imports no `numpy.ma`."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,7 +219,7 @@ def test_fock_operator_is_its_grade_blocks():
     # the constructor takes no column function and `block` only the weight;
     # the term-dict operator stays in `tests/reference_fock.py` as the gate
     assert list(inspect.signature(FockOperator).parameters) == [
-        "max_weight", "name", "grade_block", "lowers"]
+        "space", "max_weight", "name", "grade_block", "lowers"]
     assert list(inspect.signature(FockOperator.block).parameters) == ["self", "d"]
     p2 = builtin_model("p2")
     point = ColorSpace(["x"], [0], [[1]])
@@ -228,3 +233,24 @@ def test_fock_operator_is_its_grade_blocks():
            normal_order(p2, [p2.unit, p2.unit], 4, 0)]
     for op in ops:
         assert is_block_operator(op), op.name
+
+
+def test_no_numpy_ma():
+    # the first `np.unique` call of a process imports `numpy.ma` (numpy 2.4),
+    # about 10 ms and 0.5 MB; a run that closes an SL2 group, computes its
+    # classes and table and labels the elements of Gamma_n loads none
+    assert src_names({"unique"}) == []
+    script = ("import contextlib, io, sys\n"
+              "from wfk import cli\n"
+              "for query in sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.run(query.split()) == 0, query\n"
+              "print('numpy.ma' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k != "WFK_BUDGET"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", script,
+                           "mckay --group builtin:binary-tetrahedral", "verify conv-cubic --n 4",
+                           "chartable --group builtin:symmetric:4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -6,7 +6,13 @@ must give the verdicts of the all-rows checks they replaced
 entries of one row swapped.  The group readers on the one `mult` array
 (inverses, element orders, power classes, the commutator subgroup, linear
 characters, structure constants) must equal the loops over a nested-list
-copy of the table that they replaced, in value, order and Python-int type."""
+copy of the table that they replaced, in value, order and Python-int type.
+`inner_product`, the 2x2 matrix product and the determinant, each one
+`wfk.exact.dot`, must give the `key()` of the sums of `CycNum` products they
+replaced, at mixed conductors."""
+
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from hypothesis import strategies as st
 from test_linear_characters import plain_product
 
 import wfk.groups as groups
-from wfk.exact import CycNum
+from wfk.exact import CycNum, cyc
 from wfk.groups import (
     ClassFunction,
     FiniteGroup,
@@ -27,10 +33,12 @@ from wfk.groups import (
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    builtin_group,
     class_indicator,
     convolution,
     cyclic_group,
     direct_product,
+    inner_product,
     power_class,
     symmetric_group,
     trivial_group,
@@ -471,3 +479,59 @@ def test_matrix_model_verdicts_match_all_pairs():
             holder = FiniteGroup(G.mult, matrix_model=mats, validate=False)
             want = verdict(ref._validate_matrix_model, holder)
             assert want is not None and verdict(holder._validate_matrix_model) == want
+
+
+# -- one dot product -------------------------------------------------------------
+
+# the finite SL2(C) subgroups and the two tables of the benchmark's sl2-tables
+DOT_GROUPS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:5", "cyclic:16", "binary-dihedral:2",
+              "binary-dihedral:3", "binary-dihedral:5", "binary-tetrahedral",
+              "binary-octahedral", "binary-icosahedral", "symmetric:5"]
+
+
+def at_mixed_conductors(values, rng):
+    """Each value re-embedded at a random multiple of its conductor."""
+    return [v.embed(v.conductor * rng.choice((1, 1, 2, 3, 4))) for v in values]
+
+
+def virtual_characters(G, rng, count=6):
+    """The irreducibles of G and `count` random rational multiples of integer
+    combinations of them, every value at a mixed conductor."""
+    irr = G.character_table().irreducibles
+    r = len(irr)
+    out = [ClassFunction(G, at_mixed_conductors(chi.values, rng)) for chi in irr]
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in irr]
+        scale = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        values = [sum((chi.values[c] * a for chi, a in zip(irr, coeffs)), cyc(0)) * scale
+                  for c in range(r)]
+        out.append(ClassFunction(G, at_mixed_conductors(values, rng)))
+    return out
+
+
+@pytest.mark.parametrize("spec", DOT_GROUPS)
+def test_inner_product_is_the_sum_it_replaced(spec):
+    G = builtin_group(spec)
+    rng = random.Random(spec)
+    pool = virtual_characters(G, rng)
+    for f in pool:
+        for g in pool:
+            assert inner_product(f, g).key() == ref.inner_product(f, g).key()
+
+
+def entry_keys(mat):
+    return [[x.key() for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("spec", [spec for spec in DOT_GROUPS if spec != "symmetric:5"])
+def test_matrix_product_and_determinant_are_the_sums_they_replaced(spec):
+    G = builtin_group(spec)
+    rng = random.Random(spec)
+    mats = G.matrix_model
+    mixed = [[at_mixed_conductors(row, rng) for row in m] for m in mats]
+    pairs = [(a, b) for a in range(G.order) for b in range(G.order)]
+    for a, b in pairs if G.order <= 24 else rng.sample(pairs, 600):
+        for x, y in ((mats[a], mats[b]), (mixed[a], mixed[b]), (mats[a], mixed[b])):
+            assert entry_keys(groups._mat_mul(x, y)) == entry_keys(ref._mat_mul(x, y))
+    for m in mats + mixed:
+        assert groups._det(m).key() == (m[0][0] * m[1][1] - m[0][1] * m[1][0]).key()

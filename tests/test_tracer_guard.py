@@ -1,9 +1,10 @@
-"""The benchmark tracer (`perfbench/tracer.py`) wraps charmap, fock and wreath
-functions by name and reads their arguments in its hooks.  A rename or a new
-signature there breaks a traced run, not the untraced tests, so traced
-conv-cubic and lehn-sorger runs, and traced runs of the Fock modes on both
-sides of `ch`, are checked here, in a fresh process as the benchmark worker
-runs them."""
+"""The benchmark tracer (`perfbench/tracer.py`) wraps charmap, fock, groups
+and wreath functions by name and reads their arguments in its hooks.  A
+rename or a new signature there breaks a traced run, not the untraced tests,
+so traced conv-cubic and lehn-sorger runs, traced runs of the Fock modes on
+both sides of `ch`, and a traced McKay run, whose multiplicities are
+`groups.inner_product` calls, are checked here, in a fresh process as the
+benchmark worker runs them."""
 
 import os
 import subprocess
@@ -63,3 +64,10 @@ TRACED_FOCK_HOOKS = {
 @pytest.mark.parametrize("query", TRACED_FOCK_HOOKS)
 def test_traced_fock_modes_exit_zero(query):
     assert run_traced(TRACED_FOCK_HOOKS[query], query) == "[0] True"
+
+
+def test_traced_mckay_counts_inner_products():
+    # the tracer rebinds `groups.inner_product` by that name, in `groups` and
+    # in every module that imported it (mckay, wreath); `dot` is not traced
+    assert run_traced("groups.inner_product.calls",
+                      "mckay --group builtin:binary-tetrahedral") == "[0] True"
