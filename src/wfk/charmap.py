@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from .fock import (ColorSpace, FockOperator, FockVector, W_operator, exponential_series,
@@ -23,12 +21,9 @@ from .report import VerificationReport
 from .wreath import (
     TypeFunction,
     WreathClassFunction,
-    batch_inverse,
-    batch_mult,
     centralizer_order,
     eta_eps_characters,
     heisenberg_p,
-    pair_batches,
     wcf_indicator,
     wcf_zero,
     wreath_level,
@@ -184,26 +179,16 @@ def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
     """sum_sigma g(sigma) sum_{y in K_sigma} f(z y^-1) at the representative z
     of each type in `types`, as a class function of Gamma_n.
 
-    The products z y^-1 of each sigma are labelled in batches; counting
-    their types turns the inner sum into sum_t count_t f(t), which has the
-    value and the conductor (the lcm of the nonzero summands') of the
-    running sum."""
+    The rows of each class table (`WreathLevel.class_counts`) turn the inner
+    sum into sum_t count_t f(t), which has the value and the conductor (the
+    lcm of the nonzero summands') of the running sum."""
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
-    reps = lvl.representatives.take([lvl.type_index[rho] for rho in types])
+    rows = [lvl.type_index[rho] for rho in types]
     support = [(lvl.type_index[t], v) for t, v in f.values.items() if t in lvl.type_index]
-    width = len(lvl.types)
-    sums = []
-    for sigma, gv in g.items():
-        inverses = batch_inverse(G, lvl.class_elements(sigma))
-        k = len(inverses)
-        counts = np.zeros(len(types) * width, dtype=np.int64)
-        for i, j in pair_batches(len(types), k):
-            zy = batch_mult(G, reps.take(i), inverses.take(j))
-            counts += np.bincount(i * width + lvl.label(zy), minlength=len(counts))
-        counts = counts.reshape(len(types), width)
-        sums.append((counts[:, [t for t, _ in support]].tolist(), gv))
+    cols = [t for t, _ in support]
+    sums = [(lvl.class_counts(sigma, rows)[:, cols].tolist(), gv) for sigma, gv in g.items()]
     out = {}
     for i, rho in enumerate(types):
         acc = cyc(0)
@@ -297,7 +282,13 @@ def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                       m_levels: int = 4) -> VerificationReport:
     """Residuals of the Virasoro relations for the bracket-extracted L_n, with
     L_0 := (1/2)[L_1, L_-1]; checked on indicator bases of levels <= m_levels.
-    The class c defaults to the first nontrivial self-inverse class, else 0."""
+    The class c defaults to the first nontrivial self-inverse class, else 0.
+
+    p_k(gamma) is the Fock-side creation mode a_{-k}, so for n != 0 this L_n
+    is ch^-1 L^F_{-n} ch, L^F = W^2 on the Fock side, and this L_0 is -L^F_0.
+    [L^F_a, L^F_b] = (a-b) L^F_{a+b} + (a^3-a)/12 d_{a+b,0} Id, central
+    charge 1 per irreducible, gives [L_n, L_m] = (m-n) L_{n+m} when n, m and
+    n+m are nonzero, else (n-m) L_{n+m} - d_{n+m,0} (n^3-n)/12 Id."""
     cd = G.conjugacy()
     if c is None:
         c = next((i for i, rep in enumerate(cd.class_reps)
@@ -349,29 +340,14 @@ def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                 if gi != gj or n == m:
                     expected = lambda f: f.scale(0)
                 elif (gi, n + m) in ls:
-                    expected = lambda f, t=ls[(gi, n + m)], s=n - m: t(f).scale(s)
-                elif n + m == 0:
-                    expected = lambda f, s=-Fraction(n ** 3 - n, 12): f.scale(s)
+                    s = n - m if 0 in (n, m, n + m) else m - n
+                    central = Fraction(n ** 3 - n, 12) if n + m == 0 else 0
+                    expected = lambda f, t=ls[(gi, n + m)], s=s, z=central: \
+                        t(f).scale(s) - f.scale(z)
                 else:
                     continue
                 check(br, expected, f"[L_{n}(g{gi}), L_{m}(g{gj})]")
     return report
-
-
-def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int, b: ClassFunction):
-    """[Delta_1(a), p_n(b)] on every level, with Delta_1 extended linearly
-    over the class-sum coefficients of a."""
-    pop = _p_op(G, n, b)
-    brackets = [(coeff, delta_op(G, c).commutator(pop))
-                for c, coeff in enumerate(a.values) if not coeff.is_zero()]
-
-    def fn(f):
-        out = wcf_zero(G, f.n)
-        for coeff, br in brackets:
-            out = out + br(f).scale(coeff)
-        return out
-
-    return LinearOperator(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,7 @@ from .groups import (
 )
 from . import linalg
 from .report import VerificationReport
-from .wreath import (
-    eta_eps_characters,
-    weighted_form,
-    wreath_level,
-    wcf_from_class_function,
-)
+from .wreath import eta_eps_characters, wreath_level
 
 
 class MissingMatrixModel(ValueError):
@@ -181,16 +176,3 @@ def quiver_dimension(G: FiniteGroup, n: int) -> dict:
         raise ValueError(f"quiver dimension {dim} != 2n = {2 * n}")
     return {"v": v, "w": w, "dim": dim, "cartan_v": cv, "null": all(x == 0 for x in cv)}
 
-
-def weighted_gram_wreath(G: FiniteGroup, n: int) -> list[list]:
-    """Gram matrix of the xi-weighted form on the irreducible characters of
-    the explicit wreath group Gamma_n; n = 1 reproduces the Cartan matrix."""
-    from .wreath import build_wreath
-    xi = trivial_character(G).scale(2) - defining_character(G)
-    W = build_wreath(G, n)
-    table = W.character_table()
-    rows = [wcf_from_class_function(W, f) for f in table.irreducibles]
-    gram = []
-    for fi in rows:
-        gram.append([weighted_form(G, n, fi, fj, xi) for fj in rows])
-    return gram

@@ -12,8 +12,8 @@ the (i // |Gamma|^n)-th permutation in lexicographic order with g the
 base-|Gamma| digits of i % |Gamma|^n.  Every element loop reads its elements
 from the level as a `WreathBatch`, B elements as two (B, n) int arrays: the
 orbifold count in `series` the whole level a chunk at a time against one
-element per type, the class convolution in `charmap` a class
-(`WreathLevel.class_elements`), and the induction oracle and the Koszul-Thom
+element per type, the class tables a class (`WreathLevel.class_counts`
+over `class_elements`), and the induction oracle and the Koszul-Thom
 check one element per type (`WreathLevel.representatives`).  The explicit
 table `wreath_table` reads the whole level at once.  It is the one fill of a
 permutation table, under the budget and the explicit-table ceiling, and it
@@ -41,9 +41,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .budget import BudgetExceeded, check_budget
-from .exact import CycNum, cyc
+from .exact import CycNum, cyc, dot
 from .groups import _BLOCK_ENTRIES, ClassFunction, FiniteGroup, GroupMismatch, inner_product
-from .linop import LinearOperator
 
 # ---------------------------------------------------------------------------
 # partitions and types
@@ -326,6 +325,7 @@ class WreathLevel:
         self.types = enumerate_types(G, n)
         self.type_index = {t: i for i, t in enumerate(self.types)}
         self._class_elements: dict[TypeFunction, WreathBatch] = {}
+        self._class_counts: dict[TypeFunction, dict[int, np.ndarray]] = {}
         self._z: dict[TypeFunction, int] = {}
 
     def z(self, rho: TypeFunction) -> int:
@@ -445,6 +445,25 @@ class WreathLevel:
             raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
         return out
+
+    def class_counts(self, sigma: TypeFunction, rows: list[int]) -> np.ndarray:
+        """Rows `rows` of the class table of sigma, whose entry [i, t] counts
+        the y of type sigma with z y^-1 of type `types[t]`, z the
+        representative of `types[i]`.  The table is kept on the level, and
+        each row is counted once, the first time it is asked for: the
+        products are labelled a batch of (z, y) pairs at a time."""
+        members, width = self.class_elements(sigma), len(self.types)
+        known = self._class_counts.setdefault(sigma, {})
+        missing = [r for r in dict.fromkeys(rows) if r not in known]
+        if missing:
+            G, reps = self.group, self.representatives.take(missing)
+            inverses = batch_inverse(G, members)
+            counts = np.zeros(len(missing) * width, dtype=np.int64)
+            for i, j in pair_batches(len(missing), len(inverses)):
+                zy = batch_mult(G, reps.take(i), inverses.take(j))
+                counts += np.bincount(i * width + self.label(zy), minlength=len(counts))
+            known.update(zip(missing, counts.reshape(len(missing), width)))
+        return np.array([known[r] for r in rows])
 
 
 def wreath_level(G: FiniteGroup, n: int) -> WreathLevel:
@@ -677,17 +696,6 @@ def wreath_pairing(f: WreathClassFunction, g: WreathClassFunction) -> CycNum:
     return total
 
 
-def wcf_from_class_function(W: FiniteGroup, f: ClassFunction) -> WreathClassFunction:
-    types = wreath_class_types(W)
-    return WreathClassFunction(W.wreath_base, W.wreath_n,
-                               {t: f.values[c] for c, t in enumerate(types)})
-
-
-def wcf_to_class_function(W: FiniteGroup, f: WreathClassFunction) -> ClassFunction:
-    types = wreath_class_types(W)
-    return ClassFunction(W, [f.value(t) for t in types])
-
-
 # ---------------------------------------------------------------------------
 # sigma, induction, restriction, Heisenberg operators
 # ---------------------------------------------------------------------------
@@ -701,13 +709,6 @@ def sigma_n(G: FiniteGroup, n: int, gamma: ClassFunction) -> WreathClassFunction
         rho = TypeFunction([(c, (n,))])
         vals[rho] = gamma.values[c] * n
     return WreathClassFunction(G, n, vals)
-
-
-def _in_level_order(G: FiniteGroup, n: int, acc: dict) -> WreathClassFunction:
-    """The class function with values `acc`, keyed in the order of the types
-    of level n (reports print `values`, so the key order reaches stdout)."""
-    index = wreath_level(G, n).type_index
-    return WreathClassFunction(G, n, {rho: acc[rho] for rho in sorted(acc, key=index.__getitem__)})
 
 
 def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
@@ -733,7 +734,9 @@ def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
             rho = alpha.union(beta)
             w = Fraction(z_h(rho), z_alpha * z_g(beta))
             acc[rho] = acc.get(rho, cyc(0)) + fv * gv * w
-    return _in_level_order(G, n + m, acc)
+    # keyed in level order: reports print `values`, so the key order reaches stdout
+    index = wreath_level(G, n + m).type_index
+    return WreathClassFunction(G, n + m, {r: acc[r] for r in sorted(acc, key=index.__getitem__)})
 
 
 def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
@@ -794,9 +797,23 @@ def restrict(G: FiniteGroup, n: int, m: int,
     return out
 
 
+def _level_sum(G: FiniteGroup, n: int, terms) -> dict[TypeFunction, CycNum]:
+    """{types[u]: sum of w x y over the terms (u, x, y, w) with that u} for
+    the types of level n: one `dot` per type, in level order."""
+    rows: dict[int, list] = {}
+    for u, *term in terms:
+        rows.setdefault(u, []).append(term)
+    types = wreath_level(G, n).types if rows else []
+    return {types[u]: dot(*zip(*rows[u])) for u in sorted(rows)}
+
+
 class HeisenbergOperator:
-    """p_k(gamma): creation (k>0) by induction against sigma_k(gamma),
-    annihilation (k<0) by restriction paired against sigma_{-k}(gamma)."""
+    """p_k(gamma) as its level blocks: `block(m)` lists, for each type of
+    level m, its column {type index at level m + k: value}, built once.
+    Creation (k > 0) is induction against sigma_k(gamma); annihilation
+    (k < 0) takes a part -k of class c^-1 off a type, with weight
+    gamma(c) / zeta_c.  `apply` is block x vector, whose `dot`s sum the
+    operands the formulas sum, so values and conductors agree with them."""
 
     def __init__(self, G: FiniteGroup, k: int, gamma: ClassFunction):
         if k == 0:
@@ -804,32 +821,44 @@ class HeisenbergOperator:
         self.group = G
         self.k = k
         self.gamma = gamma
+        self._blocks: dict[int, list[dict[int, CycNum]]] = {}
+
+    def block(self, m: int) -> list[dict[int, CycNum]]:
+        if m not in self._blocks:
+            self._blocks[m] = self._columns(m)
+        return self._blocks[m]
+
+    def _columns(self, m: int) -> list[dict[int, CycNum]]:
+        G, k = self.group, self.k
+        types = wreath_level(G, m).types
+        if k > 0:
+            sigma, index = sigma_n(G, k, self.gamma), wreath_level(G, m + k).type_index
+            return [{index[rho]: v for rho, v in induce(G, k, m, sigma, wcf_indicator(G, m, beta))
+                     .values.items()} for beta in types]
+        npos, cd = -k, G.conjugacy()
+        index = wreath_level(G, m - npos).type_index if m >= npos else {}
+        out = []
+        for rho in types:
+            col = {}
+            for c_inv, parts in rho:
+                c = cd.inverse_class[c_inv]
+                if npos in parts and not self.gamma.values[c].is_zero():
+                    rest = list(parts)
+                    rest.remove(npos)
+                    beta = TypeFunction((ci, rest if ci == c_inv else p) for ci, p in rho)
+                    col[index[beta]] = self.gamma.values[c] * Fraction(1, cd.centralizer_orders[c])
+            out.append(col)
+        return out
 
     def apply(self, f: WreathClassFunction) -> WreathClassFunction:
-        G, k = self.group, self.k
+        G, target = self.group, f.n + self.k
         if f.group is not G:
             raise GroupMismatch("operator and argument on different base groups")
-        cd = G.conjugacy()
-        if k > 0:
-            return induce(G, k, f.n, sigma_n(G, k, self.gamma), f)
-        npos = -k
-        if f.n < npos:
+        if target < 0:
             return wcf_zero(G, 0)
-        # rho = {c': (npos,)} u beta for each class c' of rho with a part npos
-        acc: dict[TypeFunction, CycNum] = {}
-        for rho, v in f.values.items():
-            for c_inv, parts in rho:
-                if npos not in parts:
-                    continue
-                c = cd.inverse_class[c_inv]
-                gc = self.gamma.values[c]
-                if gc.is_zero():
-                    continue
-                rest = list(parts)
-                rest.remove(npos)
-                beta = TypeFunction((ci, rest if ci == c_inv else p) for ci, p in rho)
-                acc[beta] = acc.get(beta, cyc(0)) + gc * v * Fraction(1, cd.centralizer_orders[c])
-        return _in_level_order(G, f.n - npos, acc)
+        block, index = self.block(f.n), wreath_level(G, f.n).type_index
+        return WreathClassFunction(G, target, _level_sum(G, target, (
+            (t, v, e, 1) for rho, v in f.values.items() for t, e in block[index[rho]].items())))
 
 
 def heisenberg_p(G: FiniteGroup, k: int, gamma: ClassFunction) -> HeisenbergOperator:
@@ -866,17 +895,29 @@ def weighted_form(G: FiniteGroup, n: int, f: WreathClassFunction,
     return wreath_pairing(eta.pointwise(f), g)
 
 
+def _bracket_column(pk: HeisenbergOperator, pl: HeisenbergOperator, m: int,
+                    i: int) -> dict[TypeFunction, CycNum]:
+    """The nonzero entries of column i of [p_k, p_l] at level m: the block
+    products P_k P_l - P_l P_k, one `dot` per type of level m + k + l."""
+    terms = ((u, x, y, sign) for outer, inner, sign in ((pk, pl, 1), (pl, pk, -1))
+             if m + inner.k >= 0 for t, y in inner.block(m)[i].items()
+             for u, x in outer.block(m + inner.k)[t].items())
+    column = _level_sum(pk.group, m + pk.k + pl.k, terms)
+    return {rho: v for rho, v in column.items() if not v.is_zero()}
+
+
 def heisenberg_check(G: FiniteGroup, modes: int, levels: int):
     """[p_k(gamma), p_l(gamma')] = -k d_{k,-l} <gamma, gamma'> Id, checked on
     the indicator basis of every level <= `levels` for all |k|, |l| <= modes
-    and all pairs of irreducible characters."""
+    and all pairs of irreducible characters, as products of level blocks; each
+    probe prints the nonzero entries of its bracket column."""
     from .report import VerificationReport
 
     report = VerificationReport(f"heisenberg({G.name}, modes<={modes}, levels<={levels})")
     gammas = G.character_table().irreducibles
     mode_list = [k for k in range(-modes, modes + 1) if k != 0]
-    # each p_k(gamma) once, its columns cached across every pair it meets
-    ops = {(gi, k): LinearOperator(heisenberg_p(G, k, gamma).apply)
+    # each p_k(gamma) once, its blocks kept across every pair it meets
+    ops = {(gi, k): heisenberg_p(G, k, gamma)
            for gi, gamma in enumerate(gammas) for k in mode_list}
     for gi, ga in enumerate(gammas):
         for gj, gb in enumerate(gammas):
@@ -885,11 +926,10 @@ def heisenberg_check(G: FiniteGroup, modes: int, levels: int):
                 for l in mode_list:
                     pk, pl = ops[gi, k], ops[gj, l]
                     for m in range(levels + 1):
-                        for rho in wreath_level(G, m).types:
-                            f = wcf_indicator(G, m, rho)
-                            br = pk.apply(pl.apply(f)) - pl.apply(pk.apply(f))
-                            expected = f.scale(-k * scal) if k == -l else wcf_zero(G, m)
-                            report.add(
-                                f"[p_{k}(g{gi}), p_{l}(g{gj})] level {m} {rho}",
-                                br.values, expected.values, br == expected)
+                        for i, rho in enumerate(wreath_level(G, m).types):
+                            br = _bracket_column(pk, pl, m, i)
+                            expected = wcf_indicator(G, m, rho).scale(-k * scal).values \
+                                if k == -l else {}
+                            report.add(f"[p_{k}(g{gi}), p_{l}(g{gj})] level {m} {rho}",
+                                       br, expected, br == expected)
     return report

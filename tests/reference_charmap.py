@@ -15,7 +15,17 @@ representatives from `reference_wreath.representative_of_type`.
 `delta1_explicit_group`, the K_i(c, n) indicator on an explicit wreath group,
 is a helper that only the tests call; it moved here from `wfk.charmap` as it
 was, with its function-level import of `wreath_class_types` made a module
-import.
+import.  `transfer_bracket`, [Delta_1(a), p_n(b)] extended linearly over the
+class sums of a, is another; it moved here as it was, with `delta_op` and
+`_p_op` read off `wfk.charmap`, since this module's `delta_op` is the
+one-level copy above.
+
+`_class_convolution` is the numpy class convolution as it was before the
+class tables moved onto the level: every call labels the products of the
+representatives of `types` with the whole class of each sigma.
+`tests/test_charmap_reference.py` checks that the rows of
+`WreathLevel.class_counts` give the same class functions, value by value,
+conductor by conductor and in key order.
 """
 
 from __future__ import annotations
@@ -23,14 +33,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
+from wfk import charmap
 from wfk.budget import BudgetExceeded
 from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
 from wfk.fock import FockVector
 from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
+from wfk.linop import LinearOperator
 from wfk.wreath import (
     TypeFunction,
     WreathClassFunction,
+    batch_inverse,
+    batch_mult,
+    pair_batches,
     type_of,
     wcf_zero,
     wreath_class_types,
@@ -175,3 +192,59 @@ def delta1_explicit_group(W: FiniteGroup, c: int, i: int = 1) -> ClassFunction:
     types = wreath_class_types(W)
     vals = [1 if (kappa is not None and t == kappa) else 0 for t in types]
     return ClassFunction(W, vals)
+
+
+def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
+                       types) -> WreathClassFunction:
+    """sum_sigma g(sigma) sum_{y in K_sigma} f(z y^-1) at the representative z
+    of each type in `types`, as a class function of Gamma_n.
+
+    The products z y^-1 of each sigma are labelled in batches; counting
+    their types turns the inner sum into sum_t count_t f(t), which has the
+    value and the conductor (the lcm of the nonzero summands') of the
+    running sum."""
+    if not types:
+        return wcf_zero(G, n)
+    lvl = wreath_level(G, n)
+    reps = lvl.representatives.take([lvl.type_index[rho] for rho in types])
+    support = [(lvl.type_index[t], v) for t, v in f.values.items() if t in lvl.type_index]
+    width = len(lvl.types)
+    sums = []
+    for sigma, gv in g.items():
+        inverses = batch_inverse(G, lvl.class_elements(sigma))
+        k = len(inverses)
+        counts = np.zeros(len(types) * width, dtype=np.int64)
+        for i, j in pair_batches(len(types), k):
+            zy = batch_mult(G, reps.take(i), inverses.take(j))
+            counts += np.bincount(i * width + lvl.label(zy), minlength=len(counts))
+        counts = counts.reshape(len(types), width)
+        sums.append((counts[:, [t for t, _ in support]].tolist(), gv))
+    out = {}
+    for i, rho in enumerate(types):
+        acc = cyc(0)
+        for counts, gv in sums:
+            s = cyc(0)
+            for count, (_, v) in zip(counts[i], support):
+                if count:
+                    s = s + v * count
+            if not s.is_zero():
+                acc = acc + s * gv
+        if not acc.is_zero():
+            out[rho] = acc
+    return WreathClassFunction(G, n, out)
+
+
+def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int, b: ClassFunction):
+    """[Delta_1(a), p_n(b)] on every level, with Delta_1 extended linearly
+    over the class-sum coefficients of a."""
+    pop = charmap._p_op(G, n, b)
+    brackets = [(coeff, charmap.delta_op(G, c).commutator(pop))
+                for c, coeff in enumerate(a.values) if not coeff.is_zero()]
+
+    def fn(f):
+        out = wcf_zero(G, f.n)
+        for coeff, br in brackets:
+            out = out + br(f).scale(coeff)
+        return out
+
+    return LinearOperator(fn)

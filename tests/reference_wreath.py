@@ -24,7 +24,20 @@ for byte and the unit skip of `WreathClassFunction.sum_scaled` value by
 value, conductor by conductor and in key order.
 
 `p_minus_adjoint`, p_{-n}(gamma) as the adjoint of p_n(gamma), is a helper
-that only the tests call; it moved here from `wfk.wreath` as it was.
+that only the tests call; it moved here from `wfk.wreath` as it was.  So did
+`weighted_gram_wreath`, the xi-weighted Gram matrix on the irreducibles of
+the explicit Gamma_n, from `wfk.mckay`, with `build_wreath` read off
+`wfk.wreath` (this module's `build_wreath` is the row-by-row copy), and the
+two conversions between class functions of the explicit group and by type
+that only it and the tests called, `wcf_from_class_function` and
+`wcf_to_class_function`, from `wfk.wreath`, with `wreath_class_types` read
+off `wfk.wreath` as well.
+
+`heisenberg_check` is the bracket suite as it was before p_k(gamma) became
+its level blocks: every p_k(gamma) wrapped in a `LinearOperator` column
+cache, and each bracket applied to one indicator at a time as dict columns.
+`tests/test_wreath_reference.py` checks that the block brackets of
+`wfk.wreath.heisenberg_check` give the same report, probe by probe.
 """
 
 from __future__ import annotations
@@ -38,13 +51,16 @@ import numpy as np
 from wfk import wreath
 from wfk.budget import BudgetExceeded, check_budget
 from wfk.exact import CycNum, cyc
-from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch
+from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, defining_character,
+                        inner_product, trivial_character)
+from wfk.linop import LinearOperator
+from wfk.report import VerificationReport
 from wfk.series import GSet
 from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction,
                         WreathElement, WreathLevel, centralizer_order, heisenberg_p,
                         partition_multiplicities, perm_inverse, sigma_n, type_of,
-                        wcf_indicator, wcf_zero, wreath_inverse, wreath_level, wreath_mult,
-                        wreath_pairing)
+                        wcf_indicator, wcf_zero, weighted_form,
+                        wreath_inverse, wreath_level, wreath_mult, wreath_pairing)
 
 
 def elements(self: WreathLevel):
@@ -353,3 +369,54 @@ def p_minus_adjoint(G: FiniteGroup, n: int, gamma: ClassFunction,
         cd = G.conjugacy()
         out[rho.inverse(cd.inverse_class)] = val * z
     return WreathClassFunction(G, f.n - n, out)
+
+
+def heisenberg_check(G: FiniteGroup, modes: int, levels: int):
+    """[p_k(gamma), p_l(gamma')] = -k d_{k,-l} <gamma, gamma'> Id, checked on
+    the indicator basis of every level <= `levels` for all |k|, |l| <= modes
+    and all pairs of irreducible characters."""
+    report = VerificationReport(f"heisenberg({G.name}, modes<={modes}, levels<={levels})")
+    gammas = G.character_table().irreducibles
+    mode_list = [k for k in range(-modes, modes + 1) if k != 0]
+    # each p_k(gamma) once, its columns cached across every pair it meets
+    ops = {(gi, k): LinearOperator(heisenberg_p(G, k, gamma).apply)
+           for gi, gamma in enumerate(gammas) for k in mode_list}
+    for gi, ga in enumerate(gammas):
+        for gj, gb in enumerate(gammas):
+            scal = inner_product(ga, gb)
+            for k in mode_list:
+                for l in mode_list:
+                    pk, pl = ops[gi, k], ops[gj, l]
+                    for m in range(levels + 1):
+                        for rho in wreath_level(G, m).types:
+                            f = wcf_indicator(G, m, rho)
+                            br = pk.apply(pl.apply(f)) - pl.apply(pk.apply(f))
+                            expected = f.scale(-k * scal) if k == -l else wcf_zero(G, m)
+                            report.add(
+                                f"[p_{k}(g{gi}), p_{l}(g{gj})] level {m} {rho}",
+                                br.values, expected.values, br == expected)
+    return report
+
+
+def wcf_from_class_function(W: FiniteGroup, f: ClassFunction) -> WreathClassFunction:
+    types = wreath.wreath_class_types(W)
+    return WreathClassFunction(W.wreath_base, W.wreath_n,
+                               {t: f.values[c] for c, t in enumerate(types)})
+
+
+def wcf_to_class_function(W: FiniteGroup, f: WreathClassFunction) -> ClassFunction:
+    types = wreath.wreath_class_types(W)
+    return ClassFunction(W, [f.value(t) for t in types])
+
+
+def weighted_gram_wreath(G: FiniteGroup, n: int) -> list[list]:
+    """Gram matrix of the xi-weighted form on the irreducible characters of
+    the explicit wreath group Gamma_n; n = 1 reproduces the Cartan matrix."""
+    xi = trivial_character(G).scale(2) - defining_character(G)
+    W = wreath.build_wreath(G, n)
+    table = W.character_table()
+    rows = [wcf_from_class_function(W, f) for f in table.irreducibles]
+    gram = []
+    for fi in rows:
+        gram.append([weighted_form(G, n, fi, fj, xi) for fj in rows])
+    return gram

@@ -15,18 +15,18 @@ from wfk.charmap import (
     exponential_classes,
     filtered_convolution,
     fock_side_p,
+    fw_l_operator,
     fw_virasoro_check,
     k_class_type,
     lehn_sorger_check,
     monomial_type,
-    transfer_bracket,
     transposition_type,
     type_monomial,
     verify_conv_cubic,
     verify_heisenberg_transport,
 )
 from wfk.exact import CycNum, cyc
-from wfk.fock import FockVector, vacuum
+from wfk.fock import FockVector, L_operator, point_model, vacuum
 from wfk.groups import (
     ClassFunction,
     binary_dihedral,
@@ -44,12 +44,12 @@ from wfk.wreath import (
     induce,
     sigma_n,
     wcf_indicator,
-    wcf_from_class_function,
     wreath_pairing,
     wreath_level,
 )
 
-from reference_charmap import delta1_explicit_group
+from reference_charmap import delta1_explicit_group, transfer_bracket
+from reference_wreath import wcf_to_class_function
 
 
 def test_ch_of_sigma_is_single_creation():
@@ -175,7 +175,6 @@ def test_delta1_matches_explicit_group_convolution():
     # symbolic class-sum convolution against groups.convolution on the table
     for G, n in ((trivial_group(), 3), (cyclic_group(2), 2)):
         W = build_wreath(G, n)
-        from wfk.wreath import wcf_to_class_function, wreath_class_types
         e_cls = G.conjugacy().class_of[G.identity]
         for c in range(len(G.conjugacy())):
             op = delta_op(G, c)
@@ -248,6 +247,34 @@ def test_fw_virasoro_z2_small():
     rep = fw_virasoro_check(G, tau_cls, n_modes=1, m_levels=2)
     assert rep.passed
     assert len(rep.probes) > 0
+
+
+# `--modes 2` reaches [L_{+-2}, L_{-+1}], whose expected value has the sign
+# m - n, and [L_2, L_-2], whose expected value has the central term
+@pytest.mark.parametrize("spec, c, levels, probes", [
+    ("cyclic:1", None, 3, 140), ("cyclic:2", None, 2, 720), ("cyclic:3", 0, 1, 840),
+    ("cyclic:3", 1, 1, 840), ("cyclic:3", 2, 1, 840)])
+def test_fw_virasoro_two_modes(spec, c, levels, probes):
+    rep = fw_virasoro_check(builtin_group(spec), c, n_modes=2, m_levels=levels)
+    assert rep.passed
+    assert len(rep.probes) == probes
+
+
+def test_fw_l_is_the_fock_virasoro_mode_of_opposite_index():
+    # on the trivial group L_n(gamma_0) = ch^-1 L^Fock_{-n} ch, L^Fock the W^2
+    # modes of the point model on the colored space: the derivation of the
+    # expected brackets of `fw_virasoro_check`
+    T = trivial_group()
+    one = T.character_table().irreducibles[0]
+    alg = point_model()
+    for n in (-2, -1, 1, 2):
+        group_side = fw_l_operator(T, 0, n, one, 1)
+        fock_side = L_operator(alg, -n, alg.unit, 10, colored_space(T))
+        for m in range(5):
+            for rho in enumerate_types(T, m):
+                f = wcf_indicator(T, m, rho)
+                image = ch_inverse(T, m + n, fock_side.apply(ch(T, m, f)))
+                assert group_side(f) == image, (n, rho)
 
 
 @pytest.mark.parametrize("c", [2, 7, -1])

@@ -2,7 +2,10 @@
 ones they replaced (`reference_charmap.py`): Delta_i(K_c) on every level,
 `filtered_convolution` through the one class-convolution loop, and the cubic
 as W^3_0(1), and the class convolution on numpy element batches against the
-tuple loop it replaced.  Reports print `WreathClassFunction.values` as they
+tuple loop it replaced.  The class convolution reads rows of the class
+tables kept on the level; it must agree with the per-call sweep it replaced
+on class functions whose values have mixed conductors, and a table is built
+once per level and class.  Reports print `WreathClassFunction.values` as they
 are, so the group-side results must agree in value, conductor, level and key
 order."""
 
@@ -13,11 +16,12 @@ import pytest
 import reference_charmap as ref
 
 from wfk.charmap import (GradedClassFunction, _class_convolution, colored_space,
-                         cubic_formula, delta_op, filtered_convolution, transposition_type)
+                         cubic_formula, delta_op, filtered_convolution, transposition_type,
+                         verify_conv_cubic)
 from wfk.exact import CycNum
 from wfk.fock import FockVector, monomial_basis
 from wfk.groups import binary_dihedral, cyclic_group, trivial_group
-from wfk.wreath import WreathClassFunction, wcf_indicator, wreath_level
+from wfk.wreath import WreathClassFunction, WreathLevel, wcf_indicator, wreath_level
 
 # (name, base group, top level): every indicator up to the top level
 DELTA_CASES = [("trivial", trivial_group, 6), ("Z2", lambda: cyclic_group(2), 3),
@@ -103,3 +107,40 @@ def test_class_convolution_matches_tuple_loop(name, make, top):
             for subset in (types, rng.sample(types, rng.randint(0, len(types))), []):
                 assert exact(_class_convolution(G, n, g, f, subset)) == \
                     exact(ref.class_convolution(G, n, g, f, subset)), (n, subset)
+
+
+def mixed_value(rng: random.Random, e: int):
+    """A small value at conductor 1, e or 3 (mixed with e), zero about a
+    third of the time."""
+    return random_value(rng, rng.choice((1, e, 3)))
+
+
+@pytest.mark.parametrize("name,make,top", CONVOLUTION_CASES,
+                         ids=[c[0] for c in CONVOLUTION_CASES])
+def test_class_tables_match_per_call_sweep(name, make, top):
+    # rows are asked for in random order and subsets, so a table is read
+    # partly filled, then filled further, then whole
+    G = make()
+    e = G.exponent()
+    rng = random.Random(31 + sum(map(ord, name)))
+    for n in range(top + 1):
+        types = wreath_level(G, n).types
+        for _ in range(3):
+            f = WreathClassFunction(G, n, {t: mixed_value(rng, e)
+                                           for t in rng.sample(types, rng.randint(1, len(types)))})
+            g = {t: mixed_value(rng, e) or 1 for t in rng.sample(types, min(3, len(types)))}
+            for subset in (rng.sample(types, rng.randint(0, len(types))), types):
+                assert exact(_class_convolution(G, n, g, f, subset)) == \
+                    exact(ref._class_convolution(G, n, g, f, subset)), (n, subset)
+
+
+def test_conv_cubic_builds_each_class_table_once(monkeypatch):
+    # conv-cubic convolves every class of S_n with the transpositions: one
+    # table per level, and reading it again labels no element
+    verify_conv_cubic(6)
+    T = trivial_group()
+    for n in range(2, 7):
+        lvl = wreath_level(T, n)
+        assert len(lvl._class_counts[transposition_type(n)]) == len(lvl.types)
+    monkeypatch.setattr(WreathLevel, "label", None)
+    verify_conv_cubic(6)

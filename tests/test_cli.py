@@ -524,3 +524,39 @@ def test_operator_output_is_pinned(capsys, query):
     code, out = capture(capsys, ["verify", *query.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OPERATOR_SHA256[query]
+
+
+# each suite once past its default size (`--modes 2` where it takes the
+# option, `--modes 3` for the Fock suites, whose default is 2): a verdict or
+# a typed refusal, never a failing verdict on valid input
+PAST_DEFAULT = [
+    "verify heisenberg --group builtin:cyclic:3 --modes 2 --levels 2",
+    "verify heisenberg-transport --group builtin:cyclic:3 --modes 2",
+    "verify conv-cubic --n 5",
+    "verify fw-virasoro --group builtin:cyclic:2 --modes 2 --levels 2",
+    "verify fw-virasoro --group builtin:cyclic:3 --modes 2 --levels 1",
+    "verify lehn-sorger --n 5",
+    "verify koszul-thom --group builtin:cyclic:3 --n 4",
+    "verify eq-sign --group builtin:cyclic:3 --n 4",
+    "fock verify --model builtin:p2 --suite heisenberg --modes 3 --cutoff 4",
+    "fock verify --model builtin:p2 --suite virasoro --modes 3 --cutoff 4",
+    "fock verify --model builtin:exterior2 --suite heisenberg --modes 3 --cutoff 4",
+    # refused: exterior2 has no coproduct
+    "fock verify --model builtin:exterior2 --suite virasoro --modes 3 --cutoff 4",
+]
+
+
+def test_past_default_covers_every_suite():
+    from wfk.cli import _VERIFY_SUITES
+    verify = {q.split()[1] for q in PAST_DEFAULT if q.startswith("verify ")}
+    fock = {q.split()[q.split().index("--suite") + 1] for q in PAST_DEFAULT
+            if q.startswith("fock ")}
+    assert verify == set(_VERIFY_SUITES)
+    assert fock == {"heisenberg", "virasoro"}
+
+
+@pytest.mark.parametrize("query", PAST_DEFAULT)
+def test_suites_past_their_default_never_fail(capsys, query):
+    code = run(query.split())
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith("wfk: error: ")), (code, err)

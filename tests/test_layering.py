@@ -22,7 +22,11 @@ no operator `ColorSpace.mode` returns has a column function.  A
 function, `block` takes only the weight, and the join and projective
 boundary operators, the cubic, every W^k_n and every normal product
 `wfk` builds has a `grade_block`; the column-function operator stays in
-`tests/reference_fock.py` as the gate.  Helpers that only the tests call
+`tests/reference_fock.py` as the gate.  On the group side p_k(gamma) is its
+level blocks: `wreath.heisenberg_check` calls no `apply`,
+`HeisenbergOperator.block` takes only the level, and the only
+`LinearOperator(<x>.apply)` left in `wfk` is `charmap._p_op`, whose column
+sums fw-virasoro prints.  Helpers that only the tests call
 live in `tests/reference_*.py`, and no module of `wfk` defines them.  No
 module calls `np.unique`, whose first call imports `numpy.ma`, and a run
 over the groups, their tables and the Gamma_n labels imports no `numpy.ma`."""
@@ -41,6 +45,7 @@ from wfk.exact import CycNum
 from wfk.fock import (ColorSpace, FockOperator, W_operator, boundary_operator, builtin_model,
                       join_boundary, normal_order, q_mode)
 from wfk.groups import cyclic_group
+from wfk.wreath import HeisenbergOperator
 
 SRC = Path(wfk.__file__).parent
 
@@ -72,14 +77,14 @@ def test_sides_share_only_neutral_layers():
 
 class Reads(ast.NodeVisitor):
     """The scopes (module.Class.function) that read `.rows`, `.mult.tolist`
-    or `.wreath_elements`, or that call `WreathElement` or
-    `itertools.permutations`."""
+    or `.wreath_elements`, or that call `WreathElement`,
+    `itertools.permutations` or `LinearOperator(<x>.apply)`."""
 
     def __init__(self, module: str):
         self.scope = [module]
         self.found: dict[str, list[str]] = {
             "rows": [], "mult.tolist": [], "wreath_elements": [], "WreathElement()": [],
-            "permutations()": []}
+            "permutations()": [], "LinearOperator(.apply)": []}
 
     def visit_scope(self, node):
         self.scope.append(node.name)
@@ -106,6 +111,9 @@ class Reads(ast.NodeVisitor):
                 isinstance(func, ast.Attribute) and func.attr == "permutations"
                 and isinstance(func.value, ast.Name) and func.value.id == "itertools"):
             self.found["permutations()"].append(where)
+        if (isinstance(func, ast.Name) and func.id == "LinearOperator"
+                and any(isinstance(a, ast.Attribute) and a.attr == "apply" for a in node.args)):
+            self.found["LinearOperator(.apply)"].append(where)
         self.generic_visit(node)
 
 
@@ -142,7 +150,9 @@ def test_one_permutation_enumeration():
 
 
 # test-only helpers, kept in the `tests/reference_*.py` module of their side
-TEST_ONLY = {"p_minus_adjoint", "delta1_explicit_group", "cyc_arith", "operators_equal_below"}
+TEST_ONLY = {"p_minus_adjoint", "delta1_explicit_group", "cyc_arith", "operators_equal_below",
+             "transfer_bracket", "weighted_gram_wreath", "wcf_from_class_function",
+             "wcf_to_class_function"}
 
 
 def test_test_only_helpers_stay_out_of_src():
@@ -164,6 +174,21 @@ def test_fock_suites_compare_blocks():
         assert "apply" not in calls, suite
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "_basis_vectors" not in names
+
+
+def test_wreath_suite_compares_level_blocks():
+    # p_k(gamma) is its level blocks, and the bracket suite multiplies them
+    tree = ast.parse((SRC / "wreath.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = [node.func.attr for node in ast.walk(defined["heisenberg_check"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "apply" not in calls
+    assert list(inspect.signature(HeisenbergOperator.block).parameters) == ["self", "m"]
+
+
+def test_one_apply_wrapper():
+    # the only column cache around an `apply` is the p_k(gamma) of fw-virasoro
+    assert src_reads()["LinearOperator(.apply)"] == ["charmap._p_op"]
 
 
 def src_names(names: set[str]) -> list[str]:

@@ -23,8 +23,9 @@ from wfk.mckay import (
     koszul_thom_check,
     mckay_data,
     quiver_dimension,
-    weighted_gram_wreath,
 )
+
+from reference_wreath import weighted_gram_wreath
 
 
 def test_z2_cartan_frozen():

@@ -34,7 +34,7 @@ from wfk.wreath import (
     WreathClassFunction,
 )
 
-from reference_wreath import p_minus_adjoint
+from reference_wreath import p_minus_adjoint, wcf_to_class_function
 
 
 def irreducibles(G):
@@ -395,7 +395,6 @@ def test_eta_eps_are_genuine_characters():
     # non-negative integers
     G = cyclic_group(2)
     from wfk.groups import defining_character
-    from wfk.wreath import wcf_to_class_function
     for n in (1, 2, 3):
         W = build_wreath(G, n)
         tab = W.character_table()

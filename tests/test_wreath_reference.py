@@ -18,7 +18,9 @@ against `elements`, and the class types and the wreath GSet of the explicit
 groups against the tuple `wreath_class_types` and `wreath_gset`.
 `WreathClassFunction.sum_scaled`, which takes a value as it is when the
 coefficient is a `CycNum` one of a dividing conductor, must agree with the
-full products in value, conductor and key order."""
+full products in value, conductor and key order.  The bracket suite, which
+multiplies the level blocks of the p_k(gamma), must print the report of the
+dict-column loop it replaced, probe by probe."""
 
 import random
 from fractions import Fraction
@@ -32,8 +34,8 @@ from wfk.groups import (ClassFunction, FiniteGroup, binary_dihedral, cyclic_grou
                         trivial_group)
 from wfk.series import GSet, orbifold_euler_bruteforce, swap_action, wreath_gset
 from wfk.wreath import (TypeFunction, WreathClassFunction, WreathElement, WreathLevel,
-                        build_wreath, enumerate_types, heisenberg_p, induce,
-                        induce_bruteforce, wreath_class_types, wreath_level)
+                        build_wreath, enumerate_types, heisenberg_check, heisenberg_p,
+                        induce, induce_bruteforce, wreath_class_types, wreath_level)
 
 GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
           "BD2": lambda: binary_dihedral(2)}
@@ -313,3 +315,10 @@ def test_sum_scaled_takes_values_as_they_are_for_a_unit():
     got = col.sum_scaled([(col, CycNum.from_rational(1).embed(3))])
     assert got.values == col.values
     assert {v.conductor for v in got.values.values()} == {12}
+
+
+@pytest.mark.parametrize("name,modes,levels", [("Z2", 2, 2), ("Z3", 2, 2), ("BD2", 1, 2)])
+def test_block_brackets_match_dict_column_loop(name, modes, levels):
+    G = GROUPS[name]()
+    assert heisenberg_check(G, modes, levels).to_json() == \
+        ref.heisenberg_check(G, modes, levels).to_json()
