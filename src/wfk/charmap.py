@@ -413,7 +413,7 @@ def lehn_sorger_check(n_max: int) -> VerificationReport:
                 lhs = FockVector(space, {})
             else:
                 t_ind = GradedClassFunction.indicator(n, tcls)
-                cup = filtered_convolution(t_ind, f)
+                cup = filtered_convolution(f, t_ind)
                 lhs = ch(T, n, cup.wcf)
             rhs = boundary.apply(ch(T, n, f.wcf)).scale(LEHN_SORGER_SIGN)
             report.add(f"S_{n} class {rho}", lhs, rhs, lhs == rhs)

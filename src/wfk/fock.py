@@ -19,6 +19,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exact import CycNum
 from .linop import LinearOperator
@@ -50,7 +51,8 @@ class FrobeniusAlgebra:
 
     Elements are coefficient tuples over the basis.  When the trace pairing
     (a,b) -> trace(ab) is invertible, a dual basis and the Euler element
-    sum_i b_i b^i are available.
+    sum_i b_i b^i are available.  The algebra owns its Fock space `space`,
+    and with it every mode and normal product built on that space.
     """
 
     def __init__(self, labels, degrees, parities, unit_label, products, trace,
@@ -71,6 +73,12 @@ class FrobeniusAlgebra:
         self._validate()
         self.pairing = [[self.trace(self.mul(self.basis(i), self.basis(j)))
                          for j in range(self.dim)] for i in range(self.dim)]
+        # triple_trace[i][a][b] = trace(e_i e_a e_b), read by `coproduct_power`
+        self.triple_trace = [[[sum((c * self.pairing[i][k]
+                                    for k, c in enumerate(self._mul[a][b]) if c),
+                                   Fraction(0))
+                               for b in range(self.dim)] for a in range(self.dim)]
+                             for i in range(self.dim)]
         try:
             self._pairing_inv = linalg.invert(
                 [[Fraction(x) for x in row] for row in self.pairing],
@@ -86,6 +94,8 @@ class FrobeniusAlgebra:
         else:
             self.euler = None
         self.canonical = self._vec(canonical) if canonical is not None else None
+        self.space = ColorSpace(self.labels, self.parities,
+                                [list(row) for row in self.pairing], name=self.name)
 
     # -- element helpers -----------------------------------------------------
 
@@ -264,7 +274,8 @@ _BUILTIN_MODELS = {
 @functools.cache
 def builtin_model(name: str) -> FrobeniusAlgebra:
     """The built-in model `name`, built once per process: no caller changes
-    an algebra once built, and every Fock space is built fresh from it."""
+    an algebra once built, so its Fock space `space`, with the modes and
+    normal products kept on it, serves every caller of the process."""
     if name not in _BUILTIN_MODELS:
         raise ValueError(f"unknown builtin model {name!r}")
     return _BUILTIN_MODELS[name]()
@@ -283,7 +294,11 @@ def load_model(spec: str) -> FrobeniusAlgebra:
 # ---------------------------------------------------------------------------
 
 class ColorSpace:
-    """Creation colors with parities and a contraction pairing kappa(a,b)."""
+    """Creation colors with parities and a contraction pairing kappa(a,b).
+
+    The space keeps what is built on it: its grades, its fields with their
+    modes, and the normal products of its fields.  Two spaces are equal when
+    their labels, parities, pairing and name are, whatever they keep."""
 
     def __init__(self, labels, parities, kappa, name="colors"):
         self.labels = list(labels)
@@ -292,6 +307,13 @@ class ColorSpace:
         self.name = name
         self.fields: dict = {}  # tuple(alpha) -> _Field of alpha on this space
         self.grades: dict = {}  # weight -> (monomials, position of each)
+        self.products: dict = {}  # (fields, mode) -> normal product of the fields
+
+    def __eq__(self, other):
+        if not isinstance(other, ColorSpace):
+            return NotImplemented
+        return (self.labels, self.parities, self.kappa, self.name) == \
+            (other.labels, other.parities, other.kappa, other.name)
 
     def grade(self, d: int) -> tuple[list, dict]:
         """The monomials of weight d in `monomial_basis` order (none for d < 0)
@@ -324,7 +346,7 @@ class ColorSpace:
                         sign, new = _canonical_monomial((gen,) + mono, self.parities)
                         if sign:
                             col[index[new]] = sign * x
-                    out.append(col)
+                    out.append(col or _EMPTY)
                 return out, den
         else:  # n = 0 too: no monomial has a part of size 0
             # over the nonzero kappa entries only, so that a weight keeps the
@@ -352,7 +374,7 @@ class ColorSpace:
                             col[r] = col.get(r, 0) + sign * nums[b]
                         if par and odd[b]:
                             sign = -sign
-                    out.append(col)
+                    out.append(col or _EMPTY)
                 return out, den
 
         return FockOperator(self, None, f"q{n}", grade_block, lowers=n)
@@ -366,11 +388,29 @@ class ColorSpace:
             f = self.fields[key] = _Field(self, alpha)
         return f
 
+    def product(self, fields: tuple, mode: int) -> "FockOperator":
+        """The z^(-mode - k) coefficient of the right-to-left normally ordered
+        product of the k >= 1 fields `fields` of this space: the field's own
+        mode for k = 1, else an operator kept on the space by the fields
+        themselves and the mode, valid at every weight, whose blocks read
+        the kept product of the fields after the first."""
+        if len(fields) == 1:
+            return fields[0].mode(mode)
+        op = self.products.get((fields, mode))
+        if op is None:
+            def grade_block(d: int) -> tuple[list, int]:
+                acc = _BlockSum(len(self.grade(d)[0]))
+                _nop_into(acc, fields, mode, d)
+                return acc.block()
+
+            op = self.products[fields, mode] = FockOperator(
+                self, None, f"nop{mode}", grade_block, lowers=mode)
+        return op
+
     @staticmethod
     def of_algebra(alg: FrobeniusAlgebra) -> "ColorSpace":
-        return ColorSpace(alg.labels, alg.parities,
-                          [[alg.pairing[i][j] for j in range(alg.dim)]
-                           for i in range(alg.dim)], name=alg.name)
+        """The Fock space the algebra owns."""
+        return alg.space
 
 
 def _canonical_monomial(gens, parities):
@@ -466,6 +506,10 @@ def _over_one_denominator(values) -> tuple[list, int]:
         return list(values), 1
     den = math.lcm(1, *(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+# the one column of every block with no entry; no block writes to a column
+_EMPTY = MappingProxyType({})
 
 
 def _scalar_is_zero(c) -> bool:
@@ -571,7 +615,8 @@ class _BlockSum:
     takes int numerators only (a zero CycNum is true, so `block` would keep
     it), and `W_operator` and `normal_order` refuse cyclotomic elements.  A
     sum keeps its columns over one denominator, the least common multiple of
-    those of its terms, and may hold zero entries."""
+    those of its terms, and may hold zero entries; `block` drops them and
+    gives every column left empty as the one shared `_EMPTY`."""
 
     __slots__ = ("cols", "den")
 
@@ -597,8 +642,10 @@ class _BlockSum:
         cols, den = block
         f = self._factor(s, den)
         for out, col in zip(self.cols, cols):
-            for r, x in col.items():
-                out[r] = out.get(r, 0) + f * x
+            if col:
+                get = out.get
+                for r, x in col.items():
+                    out[r] = get(r, 0) + f * x
 
     def add_product(self, a: tuple, b: tuple, s=1) -> None:
         """self += s * a b, the block a applied after the block b."""
@@ -606,10 +653,15 @@ class _BlockSum:
         bcols, bden = b
         f = self._factor(s, aden * bden)
         for out, col in zip(self.cols, bcols):
+            if not col:
+                continue
+            get = out.get
             for k, x in col.items():
-                x *= f
-                for r, y in acols[k].items():
-                    out[r] = out.get(r, 0) + x * y
+                acol = acols[k]
+                if acol:
+                    x *= f
+                    for r, y in acol.items():
+                        out[r] = get(r, 0) + x * y
 
     def add_identity(self, s) -> None:
         """self += s * Id, for a sum from one weight to itself."""
@@ -621,7 +673,7 @@ class _BlockSum:
         return not any(x for col in self.cols for x in col.values())
 
     def block(self) -> tuple[list, int]:
-        return [{r: x for r, x in col.items() if x} for col in self.cols], self.den
+        return [{r: x for r, x in col.items() if x} or _EMPTY for col in self.cols], self.den
 
 
 def q_mode(alg: FrobeniusAlgebra, n: int, alpha, space: ColorSpace | None = None) -> FockOperator:
@@ -652,29 +704,18 @@ class _Field:
         return op
 
 
-def _nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
-    """The block from weight d of the z^(-mode - k) coefficient of the
-    right-to-left normally ordered product of the k weight-one fields."""
-    if len(fields) == 1:
-        return fields[0].mode(mode).block(d)
-    acc = _BlockSum(len(fields[0].space.grade(d)[0]))
-    _nop_into(acc, fields, mode, d, 1)
-    return acc.block()
-
-
-def _nop_into(acc: _BlockSum, fields: list[_Field], mode: int, d: int, s) -> None:
-    """acc += s * `_nop_block(fields, mode, d)`: the creation modes of the
-    first field stay on the left, its annihilation modes move to the right
-    with the parity sign."""
-    if len(fields) == 1:
-        acc.add(fields[0].mode(mode).block(d), s)
-        return
+def _nop_into(acc: _BlockSum, fields: tuple, mode: int, d: int) -> None:
+    """acc += the block from weight d of `ColorSpace.product(fields, mode)`,
+    for two or more fields: the creation modes of the first field stay on the
+    left, its annihilation modes move to the right with the parity sign, and
+    the product of the other fields is the one kept on the space."""
     first, rest = fields[0], fields[1:]
+    space = first.space
     sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
     for m in range(mode - d, 0):
-        acc.add_product(first.mode(m).block(d - mode + m), _nop_block(rest, mode - m, d), s)
+        acc.add_product(first.mode(m).block(d - mode + m), space.product(rest, mode - m).block(d))
     for m in range(1, d + 1):
-        acc.add_product(_nop_block(rest, mode - m, d - m), first.mode(m).block(d), s * sign)
+        acc.add_product(space.product(rest, mode - m).block(d - m), first.mode(m).block(d), sign)
 
 
 def _refuse_cyclotomic(elements: list, name: str) -> None:
@@ -689,14 +730,15 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
     valid on vectors of weight <= `weight`."""
     _refuse_cyclotomic(fields, f"nop{mode}")
     space = space or ColorSpace.of_algebra(alg)
-    resolved = [space.field(f) for f in fields]
-    return FockOperator(space, weight, f"nop{mode}", lambda d: _nop_block(resolved, mode, d),
-                        lowers=mode)
+    product = space.product(tuple(space.field(f) for f in fields), mode)
+    return FockOperator(space, weight, f"nop{mode}", product.block, lowers=mode)
 
 
 def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
     """delta_k* alpha as a list of (coefficient, [factor elements]); determined
-    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k)."""
+    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k).  Each
+    step splits the first factor x by trace(x e_a e_b), read off the
+    algebra's `triple_trace`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
@@ -710,10 +752,10 @@ def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
     for _ in range(k - 1):
         new_terms = []
         for coeff, factors in terms:
-            head = factors[0]
+            live = [(x, alg.triple_trace[i]) for i, x in enumerate(factors[0]) if x != 0]
             for a in range(alg.dim):
                 for b in range(alg.dim):
-                    c = alg.trace(alg.mul(head, alg._mul[a][b]))
+                    c = sum((x * t[a][b] for x, t in live), Fraction(0))
                     if c != 0:
                         new_terms.append((coeff * c, [duals[a], duals[b]] + factors[1:]))
         terms = _merge_tensor_terms(new_terms)
@@ -731,17 +773,26 @@ def _merge_tensor_terms(terms):
 def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
                weight: int | None, space: ColorSpace | None = None) -> FockOperator:
     """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
-    W^2 = the Virasoro mode L_n."""
+    W^2 = the Virasoro mode L_n.
+
+    The terms of delta_k* alpha with the same factors in any order are one
+    term, since `coproduct_power` takes even models only and normal products
+    of even fields commute; each block adds the block of each term's normal
+    product, the one kept on the space."""
     _refuse_cyclotomic([alpha], f"W{k}_{n}")
     space = space or ColorSpace.of_algebra(alg)
-    terms = [(coeff, [space.field(f) for f in factors])
-             for coeff, factors in coproduct_power(alg, alpha, k)]
+    merged: dict = {}
+    for coeff, factors in coproduct_power(alg, alpha, k):
+        key = tuple(sorted(tuple(f) for f in factors))
+        merged[key] = merged.get(key, 0) + coeff
     factorial = math.factorial(k)
+    terms = [(space.product(tuple(space.field(f) for f in key), n), coeff / factorial)
+             for key, coeff in merged.items() if coeff]
 
     def grade_block(d: int) -> tuple[list, int]:
         acc = _BlockSum(len(space.grade(d)[0]))
-        for coeff, fields in terms:
-            _nop_into(acc, fields, n, d, coeff / factorial)
+        for product, s in terms:
+            acc.add(product.block(d), s)
         return acc.block()
 
     return FockOperator(space, weight, f"W{k}_{n}", grade_block, lowers=n)
@@ -900,6 +951,8 @@ def _bracket_holds(space: ColorSpace, a: FockOperator, n: int, b: FockOperator, 
     acc.add_product(a.block(d - m), b.block(d))
     acc.add_product(b.block(d - n), a.block(d), sign)
     for s, x in expected:
+        if s == 0:
+            continue
         if x is None:
             acc.add_identity(-s)
         else:

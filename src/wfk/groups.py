@@ -579,7 +579,7 @@ def _peel_table(G: FiniteGroup) -> list[ClassFunction]:
             m = inner_product(rem, g)
             mi = _as_int(m)
             if mi:
-                rem = rem - g.scale(mi)
+                rem = ClassFunction(G, [a - b * mi for a, b in zip(rem.values, g.values)])
         return rem
 
     def add_irreducible(cf: ClassFunction) -> None:

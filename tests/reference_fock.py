@@ -53,10 +53,21 @@ reference operator here is one.  `join_boundary` is the join boundary of
 that time, its `fn` summing over the pairs of parts of each monomial, before
 `wfk.fock` built it as a grade block; `tests/test_fock_blocks.py` checks the
 block against it and `reference_charmap.cubic_formula` calls its `fn`.
+
+`mul_coproduct_power` is the coproduct that followed, which still called
+`alg.mul` for every pair of basis elements of every term, before
+`wfk.fock.coproduct_power` read the algebra's `triple_trace`.
+`unmerged_W_operator` is the W^k_n that added the normal product of every
+term of the coproduct on its own, the terms :a b: and :b a: apart, each
+rebuilt for every grade block (`unkept_nop_block`, `unkept_nop_into`),
+before `wfk.fock.W_operator` merged the terms with the same factors and read
+the normal products kept on the space.  `tests/test_fock_products.py`
+checks the coproduct and the W blocks against them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from wfk.charmap import colored_space
@@ -64,10 +75,12 @@ from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
     DegeneratePairing,
+    FockOperator,
     FockVector,
     FrobeniusAlgebra,
     ModelMismatch,
     W_operator,
+    _BlockSum,
     _add_into,
     _canonical_monomial,
     _Field,
@@ -635,3 +648,72 @@ def join_boundary(space: ColorSpace) -> FnFockOperator:
         return FockVector(space, out)
 
     return FnFockOperator(fn, None, "boundary-join")
+
+
+def mul_coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
+    """delta_k* alpha as a list of (coefficient, [factor elements]); determined
+    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return [(Fraction(1), [alpha])]
+    if not alg.nondegenerate:
+        raise DegeneratePairing(f"{alg.name}: coproduct needs a nondegenerate trace")
+    if any(alg.parities):
+        raise ModelMismatch("coproduct powers are implemented for even models only")
+    duals = [alg.dual_basis(a) for a in range(alg.dim)]
+    terms = [(Fraction(1), [alpha])]
+    for _ in range(k - 1):
+        new_terms = []
+        for coeff, factors in terms:
+            head = factors[0]
+            for a in range(alg.dim):
+                for b in range(alg.dim):
+                    c = alg.trace(alg.mul(head, alg._mul[a][b]))
+                    if c != 0:
+                        new_terms.append((coeff * c, [duals[a], duals[b]] + factors[1:]))
+        terms = _merge_tensor_terms(new_terms)
+    return terms
+
+
+def unkept_nop_block(fields: list[_Field], mode: int, d: int) -> tuple[list, int]:
+    """The block from weight d of the z^(-mode - k) coefficient of the
+    right-to-left normally ordered product of the k weight-one fields."""
+    if len(fields) == 1:
+        return fields[0].mode(mode).block(d)
+    acc = _BlockSum(len(fields[0].space.grade(d)[0]))
+    unkept_nop_into(acc, fields, mode, d, 1)
+    return acc.block()
+
+
+def unkept_nop_into(acc: _BlockSum, fields: list[_Field], mode: int, d: int, s) -> None:
+    """acc += s * `unkept_nop_block(fields, mode, d)`: the creation modes of
+    the first field stay on the left, its annihilation modes move to the
+    right with the parity sign."""
+    if len(fields) == 1:
+        acc.add(fields[0].mode(mode).block(d), s)
+        return
+    first, rest = fields[0], fields[1:]
+    sign = -1 if first.parity and sum(f.parity for f in rest) % 2 else 1
+    for m in range(mode - d, 0):
+        acc.add_product(first.mode(m).block(d - mode + m), unkept_nop_block(rest, mode - m, d), s)
+    for m in range(1, d + 1):
+        acc.add_product(unkept_nop_block(rest, mode - m, d - m), first.mode(m).block(d), s * sign)
+
+
+def unmerged_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
+                        weight: int | None, space: ColorSpace | None = None) -> FockOperator:
+    """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
+    W^2 = the Virasoro mode L_n."""
+    space = space or ColorSpace.of_algebra(alg)
+    terms = [(coeff, [space.field(f) for f in factors])
+             for coeff, factors in mul_coproduct_power(alg, alpha, k)]
+    factorial = math.factorial(k)
+
+    def grade_block(d: int) -> tuple[list, int]:
+        acc = _BlockSum(len(space.grade(d)[0]))
+        for coeff, fields in terms:
+            unkept_nop_into(acc, fields, n, d, coeff / factorial)
+        return acc.block()
+
+    return FockOperator(space, weight, f"W{k}_{n}", grade_block, lowers=n)

@@ -5,7 +5,8 @@ as W^3_0(1), and the class convolution on numpy element batches against the
 tuple loop it replaced.  The class convolution reads rows of the class
 tables kept on the level; it must agree with the per-call sweep it replaced
 on class functions whose values have mixed conductors, and a table is built
-once per level and class.  Reports print `WreathClassFunction.values` as they
+once per level and class; conv-cubic and lehn-sorger read only the table of
+the transposition class.  Reports print `WreathClassFunction.values` as they
 are, so the group-side results must agree in value, conductor, level and key
 order."""
 
@@ -16,8 +17,8 @@ import pytest
 import reference_charmap as ref
 
 from wfk.charmap import (GradedClassFunction, _class_convolution, colored_space,
-                         cubic_formula, delta_op, filtered_convolution, transposition_type,
-                         verify_conv_cubic)
+                         cubic_formula, delta_op, filtered_convolution, lehn_sorger_check,
+                         transposition_type, verify_conv_cubic)
 from wfk.exact import CycNum
 from wfk.fock import FockVector, monomial_basis
 from wfk.groups import binary_dihedral, cyclic_group, trivial_group
@@ -144,3 +145,18 @@ def test_conv_cubic_builds_each_class_table_once(monkeypatch):
         assert len(lvl._class_counts[transposition_type(n)]) == len(lvl.types)
     monkeypatch.setattr(WreathLevel, "label", None)
     verify_conv_cubic(6)
+
+
+def test_lehn_sorger_reads_one_class_table_per_level(monkeypatch):
+    # lehn-sorger convolves every class of S_n by the transpositions, so of
+    # each level it reads the table of the transposition class only
+    read = set()
+    class_counts = WreathLevel.class_counts
+
+    def record(self, sigma, rows):
+        read.add((self.n, sigma))
+        return class_counts(self, sigma, rows)
+
+    monkeypatch.setattr(WreathLevel, "class_counts", record)
+    lehn_sorger_check(8)
+    assert read == {(n, transposition_type(n)) for n in range(2, 9)}

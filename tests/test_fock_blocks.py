@@ -29,7 +29,6 @@ from wfk.fock import (
     ModelMismatch,
     W_operator,
     _Field,
-    _nop_block,
     boundary_operator,
     builtin_model,
     heisenberg_check,
@@ -172,7 +171,8 @@ def test_odd_product_blocks_are_the_applied_columns(labels):
     for n in range(-3, 4):
         reference = ref.term_dict_normal_order(alg, factors, BLOCK_WEIGHT, n, space)
         for d in range(BLOCK_WEIGHT + 1):
-            assert columns(space, _nop_block(fields, n, d), d, n) == applied(space, reference, d)
+            assert columns(space, space.product(tuple(fields), n).block(d), d, n) == \
+                applied(space, reference, d)
 
 
 def exact_columns(space: ColorSpace, block: tuple, d: int, shift: int) -> list[list]:

@@ -22,8 +22,11 @@ no operator `ColorSpace.mode` returns has a column function.  A
 function, `block` takes only the weight, and the join and projective
 boundary operators, the cubic, every W^k_n and every normal product
 `wfk` builds has a `grade_block`; the column-function operator stays in
-`tests/reference_fock.py` as the gate.  On the group side p_k(gamma) is its
-level blocks: `wreath.heisenberg_check` calls no `apply`,
+`tests/reference_fock.py` as the gate.  A Frobenius algebra owns its Fock
+space (`ColorSpace.of_algebra(alg) is alg.space`), the space keeps the
+normal products of its fields, `W_operator` reads them and does not call
+`_nop_into` itself, and no cache of `fock` is keyed by `id(...)`.  On the
+group side p_k(gamma) is its level blocks: `wreath.heisenberg_check` calls no `apply`,
 `HeisenbergOperator.block` takes only the level, and the only
 `LinearOperator(<x>.apply)` left in `wfk` is `charmap._p_op`, whose column
 sums fw-virasoro prints.  Helpers that only the tests call
@@ -43,7 +46,7 @@ import wfk
 from wfk.charmap import _p_field, colored_space, cubic_formula, fock_side_p
 from wfk.exact import CycNum
 from wfk.fock import (ColorSpace, FockOperator, W_operator, boundary_operator, builtin_model,
-                      join_boundary, normal_order, q_mode)
+                      join_boundary, normal_order, p2_model, q_mode)
 from wfk.groups import cyclic_group
 from wfk.wreath import HeisenbergOperator
 
@@ -258,6 +261,22 @@ def test_fock_operator_is_its_grade_blocks():
            normal_order(p2, [p2.unit, p2.unit], 4, 0)]
     for op in ops:
         assert is_block_operator(op), op.name
+
+
+def test_algebra_owns_its_space():
+    for alg in [builtin_model(name) for name in ("point", "p2", "exterior2")] + [p2_model()]:
+        assert ColorSpace.of_algebra(alg) is alg.space
+
+
+def test_W_operator_reads_kept_products():
+    # the normal products are built by the space that keeps them, and no
+    # cache of the Fock side is keyed by the address of an object
+    tree = ast.parse((SRC / "fock.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = {node.id for node in ast.walk(defined["W_operator"]) if isinstance(node, ast.Name)}
+    assert "_nop_into" not in names
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "id"] == []
 
 
 def test_no_numpy_ma():
