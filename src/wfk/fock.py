@@ -22,7 +22,6 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .exact import CycNum
-from .linop import LinearOperator
 from . import linalg
 
 
@@ -332,7 +331,7 @@ class ColorSpace:
 
         Its blocks are its one implementation, each built from the monomials
         of a grade over rational or cyclotomic coefficients alike (see
-        `_over_one_denominator`); its columns are read off them."""
+        `_over_one_denominator`); it is applied straight from them."""
         coeffs, par = list(coeffs), _parity(self.parities, coeffs)
         if n < 0:
             nums, den = _over_one_denominator(coeffs)
@@ -451,16 +450,6 @@ class FockVector:
     def weight(self) -> int:
         return max((sum(n for n, _ in m) for m in self.terms), default=0)
 
-    def basis_vector(self, mono: tuple) -> "FockVector":
-        return FockVector._of(self.space, {mono: 1})
-
-    def sum_scaled(self, scaled) -> "FockVector":
-        """sum of col * coeff over the (col, coeff) pairs, keyed as `+` keys it."""
-        acc: dict = {}
-        for col, coeff in scaled:
-            _add_into(acc, col.terms, coeff)
-        return FockVector._of(self.space, acc)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -554,7 +543,7 @@ def vacuum(space: ColorSpace) -> FockVector:
 # operators
 # ---------------------------------------------------------------------------
 
-class FockOperator(LinearOperator):
+class FockOperator:
     """Linear operator on the Fock vectors of the color space `space`,
     lowering the weight by `lowers` and valid on monomials of weight at most
     `max_weight` (any weight when it is None).  A vector of another space is
@@ -565,12 +554,11 @@ class FockOperator(LinearOperator):
     `block(d)` is the operator from weight d as an exact block (see
     `_BlockSum`), built by `grade_block(d)` and kept by weight; the bound is
     checked there, once per grade.  The blocks are the operator's one
-    implementation: its columns are read off them, an int numerator as a
-    Fraction over the block's denominator, a CycNum numerator (over 1) as it
-    is.  Combined operators are plain `LinearOperator`s: they raise
-    `CutoffTooSmall` through this one."""
+    implementation and its one cache: `apply` multiplies a vector by them."""
 
     def __init__(self, space, max_weight, name, grade_block, lowers):
+        # no column is kept apart from the blocks; the benchmark tracer still
+        # reads the size of this dict around every `apply`
         self._columns: dict = {}
         self.space = space
         self.max_weight = max_weight
@@ -579,20 +567,25 @@ class FockOperator(LinearOperator):
         self.lowers = lowers
         self.blocks: dict = {}
 
-    # a method of this class itself, so that wrapping `FockOperator.apply`
-    # (as perfbench/tracer.py does) reaches Fock operators only
-    apply = LinearOperator.apply
-
-    def _column(self, v: FockVector, mono: tuple) -> FockVector:
-        space, weight = self.space, sum(n for n, _ in mono)
-        if v.space is not space and (v.space.parities != space.parities
-                                     or v.space.kappa != space.kappa):
+    def apply(self, v: FockVector) -> FockVector:
+        """The block times the vector: for each term, the column of its
+        monomial read off the block of its weight, an int numerator as a
+        Fraction over the block's denominator, a CycNum numerator (over 1) as
+        it is, and added times the term's coefficient in key order."""
+        space, acc = self.space, {}
+        if v.terms and v.space is not space and (v.space.parities != space.parities
+                                                 or v.space.kappa != space.kappa):
             raise ModelMismatch(f"{self.name}: an operator on {space.name} "
                                 f"applied to a vector of {v.space.name}")
-        cols, den = self.block(weight)
-        rows = space.grade(weight - self.lowers)[0]
-        return FockVector._of(v.space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
-                                        for r, x in cols[space.grade(weight)[1][mono]].items()})
+        for mono, coeff in v.terms.items():
+            weight = sum(n for n, _ in mono)
+            cols, den = self.block(weight)
+            col = cols[space.grade(weight)[1][mono]]
+            if col:
+                rows = space.grade(weight - self.lowers)[0]
+                _add_into(acc, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
+                                for r, x in col.items()}, coeff)
+        return FockVector._of(v.space, acc)
 
     def block(self, d: int) -> tuple[list, int]:
         blk = self.blocks.get(d)
@@ -967,14 +960,14 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
 
     space = ColorSpace.of_algebra(alg)
     report = VerificationReport(f"fock-heisenberg({alg.name}, modes<={modes})")
+    # the fields of the basis, and trace(b_i b_j), the algebra's pairing
+    fields = [space.field(alg.basis(i)) for i in range(alg.dim)]
     for n in range(-modes, modes + 1):
         for m in range(-modes, modes + 1):
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    a, b = alg.basis(i), alg.basis(j)
-                    fa, fb = space.field(a), space.field(b)
+            for i, fa in enumerate(fields):
+                for j, fb in enumerate(fields):
                     sign = 1 if fa.parity and fb.parity else -1  # supercommutator
-                    scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
+                    scal = alg.pairing[i][j] * n if n + m == 0 else 0
                     ok = all(_bracket_holds(space, fa.mode(n), n, fb.mode(m), m, sign,
                                             [(scal, None)], d)
                              for d in range(max(weight - max(abs(n), abs(m)), 0) + 1))
@@ -999,16 +992,19 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
             ops[key] = W_operator(alg, 2, n, elem, cap, space)
         return ops[key]
 
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    # the modes of the basis first: a model without W^2 is refused here,
+    # before its Euler element is read
+    ls = {n: [L(n, a) for a in basis] for n in range(-modes, modes + 1)}
+    products = [[alg.mul(a, b) for b in basis] for a in basis]
+    euler_traces = [[alg.trace(alg.mul(alg.euler, ab)) for ab in row] for row in products]
     for n in range(-modes, modes + 1):
         for m in range(-modes, modes + 1):
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    a, b = alg.basis(i), alg.basis(j)
-                    ln, lm = L(n, a), L(m, b)
-                    ab = alg.mul(a, b)
-                    lnm = L(n + m, ab)
-                    central = (Fraction(n ** 3 - n, 12)
-                               * alg.trace(alg.mul(alg.euler, ab))
+                    ln, lm = ls[n][i], ls[m][j]
+                    lnm = L(n + m, products[i][j])
+                    central = (Fraction(n ** 3 - n, 12) * euler_traces[i][j]
                                if n + m == 0 else Fraction(0))
                     ok = all(_bracket_holds(space, ln, n, lm, m, -1,
                                             [(n - m, lnm), (central, None)], d)

@@ -1,17 +1,20 @@
-"""Linear operators given by their columns, shared by both sides.
+"""Linear operators given by their columns, on the class functions of the
+wreath levels.
 
-Like `exact`, this module holds no mathematics of either side.  An operator
-is given by its columns (a function `fn` on basis vectors, or a subclass's
-`_column`); it is applied to any vector by summing its cached columns,
-scaled by the vector's coefficients.  A vector type supplies the rest:
+Like `exact`, this module holds no mathematics.  An operator is given by a
+function `fn` on basis vectors; it is applied to any vector by summing its
+cached columns, scaled by the vector's coefficients, and `+`, `-`, `scale`,
+`compose` and `commutator` return a new such operator.  Its one vector type,
+`wreath.WreathClassFunction`, supplies the rest:
 
     v.terms                 dict from basis term to nonzero coefficient
     v.basis_vector(term)    the basis vector of `term`, in the space of v
     v.sum_scaled(pairs)     the sum of col * coeff over the (col, coeff)
                             pairs, in the key order of the type's own `+`
 
-`fock.FockVector` and `wreath.WreathClassFunction` are the two vector types,
-so each side keeps its own vectors and its own formulas.
+Its operators are Delta_i and the p_k(gamma) of `charmap`'s fw-Virasoro
+bracket (`charmap.delta_op` and `charmap._p_op`).  A Fock operator is its
+grade blocks instead (`fock.FockOperator`).
 """
 
 from __future__ import annotations
@@ -29,16 +32,12 @@ class LinearOperator:
         self.fn = fn
         self._columns: dict = {}
 
-    def _column(self, v, term):
-        """The column of `term` for the space of `v`, computed afresh."""
-        return self.fn(v.basis_vector(term))
-
     def column(self, v, term):
         """The column of `term`, from the cache or computed for the space of
         `v` and cached."""
         col = self._columns.get(term)
         if col is None:
-            col = self._columns[term] = self._column(v, term)
+            col = self._columns[term] = self.fn(v.basis_vector(term))
         return col
 
     def apply(self, v):

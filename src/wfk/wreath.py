@@ -201,10 +201,6 @@ def wreath_inverse(G: FiniteGroup, a: WreathElement) -> WreathElement:
     return WreathElement(g, sinv)
 
 
-def wreath_identity(G: FiniteGroup, n: int) -> WreathElement:
-    return WreathElement((G.identity,) * n, tuple(range(n)))
-
-
 def _cycles(s: tuple[int, ...]) -> list[list[int]]:
     seen = [False] * len(s)
     cycles = []

@@ -47,12 +47,21 @@ dual basis element for every pair; the reference W^k_n above use it.
 `tests/test_fock_blocks.py` and `tests/test_fock_reference.py` check the
 mode blocks and the grade bases of `wfk.fock` against them.
 
-`FnFockOperator` is the `FockOperator` whose columns came from a function
-`fn` on basis vectors, with its weight bound checked once per column; every
-reference operator here is one.  `join_boundary` is the join boundary of
-that time, its `fn` summing over the pairs of parts of each monomial, before
-`wfk.fock` built it as a grade block; `tests/test_fock_blocks.py` checks the
-block against it and `reference_charmap.cubic_formula` calls its `fn`.
+`ColumnOperator` is `wfk.linop.LinearOperator` as Fock operators used it:
+columns from a function `fn` on basis vectors, cached by monomial, summed
+by `sum_scaled` (`FockVector.sum_scaled`) from the `basis_vector` of each
+term (`FockVector.basis_vector`); `add`, `scale`, `compose` and
+`commutator` are the combinators, which take the operators of `wfk.fock` as
+well.  `FnFockOperator` is the `FockOperator` whose columns came from `fn`,
+with its weight bound checked once per column; every reference operator
+here is one.  `block_column` is the `FockOperator._column` that read one
+column off the grade blocks, and `column_apply` is `FockOperator.apply` as
+that column path ran it, before `wfk.fock` applied the blocks to a vector
+directly; `tests/test_fock_apply.py` checks the block product against it.
+`join_boundary` is the join boundary of that time, its `fn` summing over
+the pairs of parts of each monomial, before `wfk.fock` built it as a grade
+block; `tests/test_fock_blocks.py` checks the block against it and
+`reference_charmap.cubic_formula` calls its `fn`.
 
 `mul_coproduct_power` is the coproduct that followed, which still called
 `alg.mul` for every pair of basis elements of every term, before
@@ -71,6 +80,7 @@ import math
 from fractions import Fraction
 
 from wfk.charmap import colored_space
+from wfk.exact import CycNum
 from wfk.fock import (
     ColorSpace,
     CutoffTooSmall,
@@ -90,11 +100,72 @@ from wfk.fock import (
     vacuum,
 )
 from wfk.groups import ClassFunction, FiniteGroup
-from wfk.linop import LinearOperator
 from wfk.report import VerificationReport
 
 
-class FnFockOperator(LinearOperator):
+def basis_vector(v: FockVector, mono: tuple) -> FockVector:
+    """`FockVector.basis_vector`: the basis vector of `mono`, in the space of v."""
+    return FockVector._of(v.space, {mono: 1})
+
+
+def sum_scaled(v: FockVector, scaled) -> FockVector:
+    """`FockVector.sum_scaled`: sum of col * coeff over the (col, coeff)
+    pairs, keyed as `+` keys it."""
+    acc: dict = {}
+    for col, coeff in scaled:
+        _add_into(acc, col.terms, coeff)
+    return FockVector._of(v.space, acc)
+
+
+def add(a, b) -> ColumnOperator:
+    return ColumnOperator(lambda v: a.apply(v) + b.apply(v))
+
+
+def scale(a, s) -> ColumnOperator:
+    return ColumnOperator(lambda v: a.apply(v).scale(s))
+
+
+def compose(a, b) -> ColumnOperator:
+    return ColumnOperator(lambda v: a.apply(b.apply(v)))
+
+
+def commutator(a, b) -> ColumnOperator:
+    return ColumnOperator(lambda v: a.apply(b.apply(v)) - b.apply(a.apply(v)))
+
+
+class ColumnOperator:
+    """`linop.LinearOperator` on Fock vectors: linear operator determined by
+    `fn` on basis vectors.
+
+    Each column, `fn` of one basis vector, is computed once and cached by its
+    term, so repeated use inside commutators costs one evaluation per term.
+    Combined operators are plain `ColumnOperator`s and cache their own
+    columns; the combinators also take the operands of `wfk.fock`."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._columns: dict = {}
+
+    def _column(self, v, term):
+        """The column of `term` for the space of `v`, computed afresh."""
+        return self.fn(basis_vector(v, term))
+
+    def column(self, v, term):
+        """The column of `term`, from the cache or computed for the space of
+        `v` and cached."""
+        col = self._columns.get(term)
+        if col is None:
+            col = self._columns[term] = self._column(v, term)
+        return col
+
+    def apply(self, v):
+        column = self.column
+        return sum_scaled(v, [(column(v, term), coeff) for term, coeff in v.terms.items()])
+
+    __add__ = add
+
+
+class FnFockOperator(ColumnOperator):
     """Linear operator on Fock vectors given by `fn` on basis vectors, valid
     on monomials of weight at most `max_weight` (any weight when it is
     None); the bound is checked once per monomial, when its column is
@@ -111,6 +182,27 @@ class FnFockOperator(LinearOperator):
             raise CutoffTooSmall(
                 f"{self.name}: input weight {weight} above cutoff {self.max_weight}")
         return super()._column(v, mono)
+
+
+def block_column(op: FockOperator, v: FockVector, mono: tuple) -> FockVector:
+    """`FockOperator._column`: the column of `mono` read off the block of its
+    weight, for the space of `v`."""
+    space, weight = op.space, sum(n for n, _ in mono)
+    if v.space is not space and (v.space.parities != space.parities
+                                 or v.space.kappa != space.kappa):
+        raise ModelMismatch(f"{op.name}: an operator on {space.name} "
+                            f"applied to a vector of {v.space.name}")
+    cols, den = op.block(weight)
+    rows = space.grade(weight - op.lowers)[0]
+    return FockVector._of(v.space, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
+                                    for r, x in cols[space.grade(weight)[1][mono]].items()})
+
+
+def column_apply(op: FockOperator, v: FockVector) -> FockVector:
+    """`FockOperator.apply` as `linop.LinearOperator.apply` ran it: every
+    column of `v` read off the blocks (`block_column`), then summed by
+    `sum_scaled`."""
+    return sum_scaled(v, [(block_column(op, v, mono), coeff) for mono, coeff in v.terms.items()])
 
 
 class ReferenceFockOperator(FnFockOperator):
@@ -349,7 +441,7 @@ def vector_nop_apply(fields: list[_Field], mode: int, v: FockVector) -> FockVect
     return FockVector._of(first.space, acc)
 
 
-def operators_equal_below(a: LinearOperator, b: LinearOperator, space: ColorSpace,
+def operators_equal_below(a, b, space: ColorSpace,
                           weight: int) -> bool:
     for w in range(weight + 1):
         for mono in monomial_basis(space, w):
@@ -379,9 +471,9 @@ def heisenberg_check(alg: FrobeniusAlgebra, modes: int, weight: int):
                     fa, fb = space.field(a), space.field(b)
                     qa, qb = fa.mode(n), fb.mode(m)
                     if fa.parity and fb.parity:
-                        br = qa.compose(qb) + qb.compose(qa)  # supercommutator
+                        br = compose(qa, qb) + compose(qb, qa)  # supercommutator
                     else:
-                        br = qa.commutator(qb)
+                        br = commutator(qa, qb)
                     scal = alg.trace(alg.mul(a, b)) * n if n + m == 0 else 0
                     ok = True
                     for w in range(max(weight - max(abs(n), abs(m)), 0) + 1):
@@ -434,12 +526,12 @@ def virasoro_check(alg: FrobeniusAlgebra, modes: int, weight: int):
 
 def apply_mode(field: _Field, n: int, terms: dict) -> dict:
     """The terms of q_n(alpha) applied to the vector with these terms, summed
-    into a new dict from the mode's cached columns as `FockOperator.apply`
-    sums them."""
+    into a new dict from the mode's columns (`block_column`) as
+    `FockOperator.apply` summed them."""
     op, probe = field.mode(n), FockVector._of(field.space, {})
     out: dict = {}
     for mono, c in terms.items():
-        _add_into(out, op.column(probe, mono).terms, c)
+        _add_into(out, block_column(op, probe, mono).terms, c)
     return out
 
 

@@ -25,6 +25,7 @@ value, conductor by conductor and in key order.
 
 `p_minus_adjoint`, p_{-n}(gamma) as the adjoint of p_n(gamma), is a helper
 that only the tests call; it moved here from `wfk.wreath` as it was.  So did
+`wreath_identity`, the identity element of the tuple encoding, and so did
 `weighted_gram_wreath`, the xi-weighted Gram matrix on the irreducibles of
 the explicit Gamma_n, from `wfk.mckay`, with `build_wreath` read off
 `wfk.wreath` (this module's `build_wreath` is the row-by-row copy), and the
@@ -61,6 +62,10 @@ from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction
                         partition_multiplicities, perm_inverse, sigma_n, type_of,
                         wcf_indicator, wcf_zero, weighted_form,
                         wreath_inverse, wreath_level, wreath_mult, wreath_pairing)
+
+
+def wreath_identity(G: FiniteGroup, n: int) -> WreathElement:
+    return WreathElement((G.identity,) * n, tuple(range(n)))
 
 
 def elements(self: WreathLevel):

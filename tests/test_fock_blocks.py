@@ -270,7 +270,7 @@ def test_projective_boundary_is_the_scaled_cubic(weight):
     alg = builtin_model("p2")
     space = ColorSpace.of_algebra(alg)
     op = boundary_operator(alg, "projective-with-trivial-K", weight, space)
-    old = W_operator(alg, 3, 0, alg.unit, weight, space).scale(-1)
+    old = ref.scale(W_operator(alg, 3, 0, alg.unit, weight, space), -1)
     for d in range(7):
         for mono in space.grade(d)[0]:
             v = FockVector(space, {mono: 1})

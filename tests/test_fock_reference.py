@@ -44,7 +44,6 @@ from wfk.groups import (
     cyclic_group,
     trivial_group,
 )
-from wfk.linop import LinearOperator
 from wfk.wreath import wcf_indicator, wreath_level
 
 MAX_WEIGHT = 4
@@ -87,7 +86,7 @@ def random_vectors(space: ColorSpace, rng: random.Random, scalar, count: int = 6
             for _ in range(count)]
 
 
-def assert_same(op: LinearOperator, ref_op: LinearOperator, vectors) -> None:
+def assert_same(op, ref_op, vectors) -> None:
     for x in vectors:
         assert exact(op.apply(x)) == exact(ref_op.apply(x)), x
 
@@ -413,8 +412,8 @@ def test_W_columns_from_blocks_match_the_term_dict_kernel(model, k):
 
 @pytest.mark.parametrize("model", ["point", "p2", "exterior2"])
 def test_W_columns_from_blocks_on_random_vectors(model):
-    # vectors of several weights with Fraction coefficients, applied through
-    # the column cache of each side
+    # vectors of several weights with Fraction coefficients, applied by the
+    # blocks and by the reference's column cache
     rng = random.Random(f"W-vectors-{model}")
     alg = builtin_model(model)
     space = ColorSpace.of_algebra(alg)

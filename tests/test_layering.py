@@ -1,28 +1,33 @@
 """The two sides of every check share only the side-neutral layers: the
 group side (`groups`, `wreath`) and the Fock side (`fock`) import nothing of
 each other, and `linop`, like the scalar layer, imports no `wfk` module.
-Imports are read from the source with `ast`, function-level ones included.
+`linop` serves the group side only: `fock` does not import it.  Imports are
+read from the source with `ast`, function-level ones included.
 
 The group table is stored once, as the `mult` array: no module reads an
 attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
 nested lists.  The elements of Gamma_n are encoded once, by `WreathLevel`:
 no module reads an explicit group's `wreath_elements`, and only the tuple
-oracle of `wreath` (`wreath_mult`, `wreath_inverse`, `wreath_identity` and
-`WreathBatch.elements`) builds a `WreathElement`.  Permutations are enumerated
+oracle of `wreath` (`wreath_mult`, `wreath_inverse` and
+`WreathBatch.elements`) builds a `WreathElement`; the identity element of
+that oracle is a helper of the tests.  Permutations are enumerated
 once: only `wreath._permutation_rows` calls `itertools.permutations`, and S_n
 takes its table from the one fill.  The Fock bracket suites compare grade
 blocks: `fock.heisenberg_check` and `fock.virasoro_check` call no `apply`,
 and the per-vector `_basis_vectors` is gone.  The Fock side has one
 normal-product path, the grade blocks: the term-dict kernel (`_nop_apply`,
 `_vanishes`, `_Field.apply_mode`) and `FockOperator._columns_block` are gone
-from `wfk`.  Every Heisenberg mode reads its columns off its grade blocks:
+from `wfk`.  Every Heisenberg mode is applied from its grade blocks:
 the term-dict mode columns (`create`, `annihilate`) are gone from `wfk`, and
 no operator `ColorSpace.mode` returns has a column function.  A
 `FockOperator` is its grade blocks: its constructor takes no column
 function, `block` takes only the weight, and the join and projective
 boundary operators, the cubic, every W^k_n and every normal product
 `wfk` builds has a `grade_block`; the column-function operator stays in
-`tests/reference_fock.py` as the gate.  A Frobenius algebra owns its Fock
+`tests/reference_fock.py` as the gate.  `FockOperator.apply` multiplies a
+vector by the blocks: no column path is left in `wfk` (no
+`FockVector.basis_vector` or `sum_scaled`, no `FockOperator._column`), and
+the column path it replaced stays in `tests/reference_fock.py` as its gate.  A Frobenius algebra owns its Fock
 space (`ColorSpace.of_algebra(alg) is alg.space`), the space keeps the
 normal products of its fields, `W_operator` reads them and does not call
 `_nop_into` itself, and no cache of `fock` is keyed by `id(...)`.  On the
@@ -69,7 +74,8 @@ def wfk_imports(module: str) -> set[str]:
 
 def test_sides_share_only_neutral_layers():
     # the reader sees top-level, function-level and `from . import` imports
-    assert {"exact", "linop", "linalg", "report"} <= wfk_imports("fock")
+    assert {"exact", "linalg", "report"} <= wfk_imports("fock")
+    assert "linop" not in wfk_imports("fock")
     assert {"groups", "fock", "wreath"} <= wfk_imports("charmap")
 
     assert wfk_imports("linop") == set()
@@ -143,8 +149,7 @@ def test_one_element_encoding():
     found = src_reads()
     assert found["wreath_elements"] == []
     assert set(found["WreathElement()"]) == {
-        "wreath.wreath_mult", "wreath.wreath_inverse", "wreath.wreath_identity",
-        "wreath.WreathBatch.elements"}
+        "wreath.wreath_mult", "wreath.wreath_inverse", "wreath.WreathBatch.elements"}
 
 
 def test_one_permutation_enumeration():
@@ -155,7 +160,7 @@ def test_one_permutation_enumeration():
 # test-only helpers, kept in the `tests/reference_*.py` module of their side
 TEST_ONLY = {"p_minus_adjoint", "delta1_explicit_group", "cyc_arith", "operators_equal_below",
              "transfer_bracket", "weighted_gram_wreath", "wcf_from_class_function",
-             "wcf_to_class_function"}
+             "wcf_to_class_function", "wreath_identity"}
 
 
 def test_test_only_helpers_stay_out_of_src():
@@ -261,6 +266,24 @@ def test_fock_operator_is_its_grade_blocks():
            normal_order(p2, [p2.unit, p2.unit], 4, 0)]
     for op in ops:
         assert is_block_operator(op), op.name
+
+
+def src_methods() -> set[str]:
+    """Class.method for every method a class of `wfk` defines."""
+    return {f"{cls.name}.{node.name}"
+            for path in sorted(SRC.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_fock_operator_applies_its_blocks():
+    # one apply rule, the block times the vector; the column path that
+    # `linop` ran stays in `tests/reference_fock.py` as its gate
+    assert not {"FockVector.basis_vector", "FockVector.sum_scaled",
+                "FockOperator._column"} & src_methods()
+    assert FockOperator.__bases__ == (object,)
+    assert "apply" in vars(FockOperator)
 
 
 def test_algebra_owns_its_space():

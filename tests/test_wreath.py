@@ -26,7 +26,6 @@ from wfk.wreath import (
     wcf_indicator,
     wcf_zero,
     wreath_class_types,
-    wreath_identity,
     wreath_inverse,
     wreath_level,
     wreath_mult,
@@ -34,7 +33,7 @@ from wfk.wreath import (
     WreathClassFunction,
 )
 
-from reference_wreath import p_minus_adjoint, wcf_to_class_function
+from reference_wreath import p_minus_adjoint, wcf_to_class_function, wreath_identity
 
 
 def irreducibles(G):
