@@ -249,6 +249,11 @@ class CycNum:
             b = _make(n, (other.numerator,) + zeros, other.denominator)
         elif not isinstance(other, CycNum):
             return NotImplemented
+        elif len(self.nums) == 1 == len(other.nums):
+            # two rationals, at conductor 1 or 2: one integer step at the lcm
+            da, db = self.den, other.den
+            return _canonical(lcm(n, other.conductor),
+                              [self.nums[0] * db + sign * other.nums[0] * da], da * db)
         elif other.conductor != n:
             a, b, n = self._common(other)
         da, db = a.den, b.den
@@ -280,11 +285,13 @@ class CycNum:
 
     def __mul__(self, other):
         if isinstance(other, CycNum):
+            if len(self.nums) == 1 == len(other.nums):
+                # two rationals, at conductor 1 or 2: one integer step at the lcm
+                return _canonical(lcm(self.conductor, other.conductor),
+                                  [self.nums[0] * other.nums[0]], self.den * other.den)
             a, b, n = self, other, self.conductor
             if other.conductor != n:
                 a, b, n = self._common(other)
-            if n == 1:
-                return _canonical(1, [a.nums[0] * b.nums[0]], a.den * b.den)
             prod = _poly_mul(a.nums, b.nums)
             return _canonical(n, _reduce(prod, n, len(a.nums)), a.den * b.den)
         if isinstance(other, (int, Fraction)):

@@ -13,15 +13,18 @@ base-|Gamma| digits of i % |Gamma|^n.  Every element loop reads its elements
 from the level as a `WreathBatch`, B elements as two (B, n) int arrays: the
 orbifold count in `series` the whole level a chunk at a time against one
 element per type, the class tables a class (`WreathLevel.class_counts`
-over `class_elements`), and the induction oracle and the Koszul-Thom
-check one element per type (`WreathLevel.representatives`).  The explicit
+over `class_elements`, which builds the class from its cycles and their
+cycle-product classes, with no sweep of the level), and the induction
+oracle and the Koszul-Thom check one element per type
+(`WreathLevel.representatives`).  The explicit
 table `wreath_table` reads the whole level at once.  It is the one fill of a
 permutation table, under the budget and the explicit-table ceiling, and it
 has two readers: `build_wreath`, which no CLI path calls and the tests keep
 as the gate of the orbifold count, and `groups.symmetric_group`, since S_n
 is Gamma_n of the trivial group.  `batch_mult` and
 `batch_inverse` act on all rows at once, and `WreathLevel.label` gives each
-row the index of its type.
+row the index of its type; the labels of the whole level (`_labels`) serve
+the orbifold count only.
 
 `WreathElement` with `wreath_mult`, `wreath_inverse` and `type_of` is the
 row-by-row tuple oracle the tests check the batches against; no element loop
@@ -310,9 +313,11 @@ class WreathLevel:
     Element i of the level is (g, s) with s the (i // |Gamma|^n)-th
     permutation in lexicographic order and g the base-|Gamma| digits of
     i % |Gamma|^n; `batch` is the one place that spells this out.  The level
-    keeps the permutations and, once a class is asked for, the type label of
-    every element, both as read-only arrays of the smallest int dtype that
-    holds them."""
+    keeps the permutations and, once the orbifold count in `series` asks for
+    them, the type labels of every element (`_labels`), both as read-only
+    arrays of the smallest int dtype that holds them.  A class is built from
+    its type (`class_elements`), in O(|K_rho| n) work, and kept with the
+    rows of its class table (`class_counts`)."""
 
     def __init__(self, G: FiniteGroup, n: int):
         self.group = G
@@ -431,16 +436,88 @@ class WreathLevel:
 
     def class_elements(self, rho: TypeFunction) -> WreathBatch:
         """The conjugacy class of type rho: the elements whose type is rho,
-        in the order of the level, as one batch kept on the level."""
+        in the order of the level, as one batch kept on the level.
+
+        The class is built from its type, not found by a sweep of the level
+        (Macdonald, App. B): an element is its cycles and their cycle-product
+        classes.  The smallest unplaced letter a_1 opens the next cycle
+        a_1 -> ... -> a_r, which takes one of the (class c, length r) cycles
+        of rho still to place, each distinct pair once, and any r - 1
+        unplaced letters in order.  The parts of a_1 ... a_{r-1} range over
+        Gamma, and the part of a_r is x (g_{a_{r-1}} ... g_{a_1})^-1 for each
+        x in c, so that the cycle product `type_of` forms is x.  That is
+        |Gamma_n| / Z_rho rows of n letters, sorted into level order."""
         check_budget(self.order, f"class orbit in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
-        t = self.type_index.get(rho)
-        out = self.batch(np.flatnonzero(self._labels == t) if t is not None else np.arange(0))
+        out = self._build_class(rho)
         if len(out) != self.class_size(rho):
             raise ValueError(f"{rho} is not a type of level {self.n}")
         self._class_elements[rho] = out
         return out
+
+    def _build_class(self, rho: TypeFunction) -> WreathBatch:
+        """The rows of `class_elements`; none when rho is not a type of the
+        level.  Each cycle of rho gets a slot of r positions, in the order of
+        rho: the permutations are enumerated once, with `where[i]` the
+        position of letter i, and the Gamma-parts once per slot, so every
+        permutation takes every product of its slots' choices."""
+        G, n = self.group, self.n
+        if rho not in self.type_index:
+            return WreathBatch(np.empty((0, n), dtype=np.intp), np.empty((0, n), dtype=np.uint8))
+        class_of, inverse = np.asarray(G.conjugacy().class_of), np.asarray(G.inverse)
+        starts: dict[tuple[int, int], list[int]] = {}  # (c, r) -> free slot starts
+        parts = np.zeros((1, 0), dtype=np.intp)  # parts[m, p]: the part at position p
+        for c, r in ((c, r) for c, rs in rho for r in rs):
+            starts.setdefault((c, r), []).append(parts.shape[1])
+            free = np.indices((G.order,) * (r - 1)).reshape(r - 1, G.order ** (r - 1)).T
+            prod = np.full(len(free), G.identity)
+            for j in range(r - 1):
+                prod = G.mult[free[:, j], prod]
+            last = G.mult[np.flatnonzero(class_of == c)[:, None], inverse[prod]]
+            slot = np.concatenate([np.repeat(free, len(last), axis=0), last.T.reshape(-1, 1)],
+                                  axis=1)
+            parts = np.concatenate([np.repeat(parts, len(slot), axis=0),
+                                    np.tile(slot, (len(parts), 1))], axis=1)
+        perm, where, unplaced = list(range(n)), [0] * n, [True] * n
+        perms, wheres = [], []
+
+        def open_cycle(placed):
+            if placed == n:
+                perms.append(perm.copy())
+                wheres.append(where.copy())
+                return
+            first = unplaced.index(True)
+            unplaced[first] = False
+            for (_, r), free_starts in starts.items():
+                if free_starts:
+                    start = free_starts.pop()
+                    where[first] = start
+                    extend(first, first, start + 1, start + r, placed + 1)
+                    free_starts.append(start)
+            unplaced[first] = True
+
+        def extend(first, last, pos, end, placed):
+            if pos == end:
+                perm[last] = first
+                open_cycle(placed)
+                return
+            for b in range(first + 1, n):
+                if unplaced[b]:
+                    unplaced[b] = False
+                    perm[last], where[b] = b, pos
+                    extend(first, b, pos + 1, end, placed + 1)
+                    unplaced[b] = True
+
+        open_cycle(0)
+        s = np.repeat(np.array(perms, dtype=np.uint8).reshape(len(perms), n), len(parts), axis=0)
+        # g[k, m, i] = parts[m, where_k[i]]: permutation k with choice m
+        g = parts[:, np.array(wheres, dtype=np.intp).reshape(len(perms), n)].transpose(1, 0, 2)
+        g = g.reshape(len(s), n).astype(np.intp)
+        if n:  # level order: s lexicographically, then g, as `batch` numbers them
+            order = np.lexsort(np.concatenate([s, g], axis=1).T[::-1])
+            s, g = s[order], g[order]
+        return WreathBatch(g, s)
 
     def class_counts(self, sigma: TypeFunction, rows: list[int]) -> np.ndarray:
         """Rows `rows` of the class table of sigma, whose entry [i, t] counts
@@ -575,6 +652,13 @@ class WreathClassFunction:
                 vals[rho] = cv
         self.values = vals
 
+    @classmethod
+    def _of(cls, group: FiniteGroup, n: int, values: dict) -> "WreathClassFunction":
+        """The class function of `values` taken as given: nonzero `CycNum`s."""
+        f = object.__new__(cls)
+        f.group, f.n, f.values = group, n, values
+        return f
+
     def value(self, rho: TypeFunction) -> CycNum:
         return self.values.get(rho, cyc(0))
 
@@ -591,7 +675,10 @@ class WreathClassFunction:
         columns.  Reports print `values`, so the keys come in the order of
         `__add__`, a set union, and a type whose sum cancels is dropped.
         A value c is taken as it is when v is a `CycNum` one whose conductor
-        divides c's, since c * v is then c at c's conductor."""
+        divides c's, since c * v is then c at c's conductor.  Every value is
+        a product or sum of canonical `CycNum`s, so the result is built from
+        them as they are, after one pass that drops the zeros a column
+        scaled by 0 leaves."""
         level, acc = self.n, {}
         for col_f, v in scaled:
             if col_f.group is not self.group:
@@ -616,7 +703,8 @@ class WreathClassFunction:
                         continue
                 merged[k] = x
             acc = merged
-        return WreathClassFunction(self.group, level, acc)
+        return WreathClassFunction._of(self.group, level,
+                                       {k: x for k, x in acc.items() if not x.is_zero()})
 
     def _check(self, other: "WreathClassFunction"):
         # an identically-zero function is a universal zero across levels
@@ -630,13 +718,17 @@ class WreathClassFunction:
             return other
         if not other.values:
             return self
-        keys = set(self.values) | set(other.values)
-        return WreathClassFunction(
-            self.group, self.n, {k: self.value(k) + other.value(k) for k in keys})
+        a, b, out = self.values, other.values, {}
+        for k in set(a) | set(b):
+            x, y = a.get(k), b.get(k)
+            v = y if x is None else x if y is None else x + y
+            if not v.is_zero():
+                out[k] = v
+        return WreathClassFunction._of(self.group, self.n, out)
 
     def __neg__(self):
-        return WreathClassFunction(self.group, self.n,
-                                   {k: -v for k, v in self.values.items()})
+        return WreathClassFunction._of(self.group, self.n,
+                                       {k: -v for k, v in self.values.items()})
 
     def __sub__(self, other):
         return self + (-other)

@@ -8,20 +8,26 @@ sub-multiset splits rho = alpha u beta (`_splits`), keeping those with
 type beta of the target level and every class c.  `class_elements` is the
 conjugation orbit of the canonical representative of a type;
 `type_scan_class_elements` keeps the elements whose `type_of` is the type,
-one tuple at a time, and `induce_bruteforce` is the tuple-by-tuple
-Frobenius sum.  `build_wreath` fills the explicit table one row at a time
-and builds the permutation actions with a dict loop; `sum_scaled`
-multiplies every column value by its coefficient.  `elements` lists a level
-as tuples, `representative_of_type` builds the canonical element of a type
-as a tuple, and `wreath_class_types` and `wreath_gset` read the explicit
-group through the tuple list `wreath_elements`, which the explicit group
-used to store.  The bodies below are kept as they were, so that
+one tuple at a time, and `label_scan_class_elements` keeps the elements of
+the level whose batch label is the type, as `WreathLevel.class_elements`
+did before it built each class from its type; `induce_bruteforce` is the
+tuple-by-tuple Frobenius sum.  `build_wreath` fills the explicit table one
+row at a time and builds the permutation actions with a dict loop;
+`sum_scaled` multiplies every column value by its coefficient, and `add`
+and `neg` are `WreathClassFunction.__add__` and `__neg__` as they were when
+every result value went through `cyc()` and a value on one side only was
+added to `cyc(0)`.  `elements` lists a level as tuples,
+`representative_of_type` builds the canonical element of a type as a tuple,
+and `wreath_class_types` and `wreath_gset` read the explicit group through
+the tuple list `wreath_elements`, which the explicit group used to store.
+The bodies below are kept as they were, so that
 `tests/test_wreath_reference.py` can check the support sums, the numpy
 element batches and the level's arrays of `wfk.wreath` against them, value
 by value and in key order, and the members of each class as a set or,
-against the type scan, as a list; and can check the block-filled table byte
-for byte and the unit skip of `WreathClassFunction.sum_scaled` value by
-value, conductor by conductor and in key order.
+against the type and label scans, as a list; and can check the block-filled
+table byte for byte, and the unit skip of `WreathClassFunction.sum_scaled`
+and its sums without `cyc()` value by value, conductor by conductor and in
+key order.
 
 `p_minus_adjoint`, p_{-n}(gamma) as the adjoint of p_n(gamma), is a helper
 that only the tests call; it moved here from `wfk.wreath` as it was.  So did
@@ -57,9 +63,9 @@ from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, defining_char
 from wfk.linop import LinearOperator
 from wfk.report import VerificationReport
 from wfk.series import GSet
-from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathClassFunction,
-                        WreathElement, WreathLevel, centralizer_order, heisenberg_p,
-                        partition_multiplicities, perm_inverse, sigma_n, type_of,
+from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathBatch,
+                        WreathClassFunction, WreathElement, WreathLevel, centralizer_order,
+                        heisenberg_p, partition_multiplicities, perm_inverse, sigma_n, type_of,
                         wcf_indicator, wcf_zero, weighted_form,
                         wreath_inverse, wreath_level, wreath_mult, wreath_pairing)
 
@@ -151,6 +157,20 @@ def type_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> list[Wreat
         return self._class_elements[rho]
     G, n = self.group, self.n
     out = [a for a in elements(self) if type_of(G, n, a) == rho]
+    if len(out) != self.class_size(rho):
+        raise ValueError(f"{rho} is not a type of level {self.n}")
+    self._class_elements[rho] = out
+    return out
+
+
+def label_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> WreathBatch:
+    """The conjugacy class of type rho: the elements whose type is rho,
+    in the order of the level, as one batch kept on the level."""
+    check_budget(self.order, f"class orbit in level {self.n}")
+    if rho in self._class_elements:
+        return self._class_elements[rho]
+    t = self.type_index.get(rho)
+    out = self.batch(np.flatnonzero(self._labels == t) if t is not None else np.arange(0))
     if len(out) != self.class_size(rho):
         raise ValueError(f"{rho} is not a type of level {self.n}")
     self._class_elements[rho] = out
@@ -355,6 +375,22 @@ def sum_scaled(self: WreathClassFunction, scaled) -> WreathClassFunction:
             merged[k] = x
         acc = merged
     return WreathClassFunction(self.group, level, acc)
+
+
+def add(self: WreathClassFunction, other: WreathClassFunction) -> WreathClassFunction:
+    self._check(other)
+    if not self.values:
+        return other
+    if not other.values:
+        return self
+    keys = set(self.values) | set(other.values)
+    return WreathClassFunction(
+        self.group, self.n, {k: self.value(k) + other.value(k) for k in keys})
+
+
+def neg(self: WreathClassFunction) -> WreathClassFunction:
+    return WreathClassFunction(self.group, self.n,
+                               {k: -v for k, v in self.values.items()})
 
 
 def p_minus_adjoint(G: FiniteGroup, n: int, gamma: ClassFunction,

@@ -264,6 +264,15 @@ def test_lehn_sorger_reaches_s8_under_the_budget(capsys, monkeypatch):
     assert "class orbit in level 8: 40320 elements exceeds budget 40319" in err
 
 
+def test_fw_virasoro_on_the_binary_tetrahedral_group_is_refused(capsys, monkeypatch):
+    # level 3 of BT has 82944 elements, over the default budget, so no class
+    # of it is built
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    assert run(["verify", "fw-virasoro", "--group", "builtin:binary-tetrahedral"]) == 1
+    assert capsys.readouterr().err == \
+        "wfk: error: class orbit in level 3: 82944 elements exceeds budget 50000\n"
+
+
 def python_run(*args, timeout=120, address_space=None):
     """`python ARGS` in a fresh process, without WFK_BUDGET, its address space
     capped at `address_space` bytes when given."""
@@ -460,6 +469,10 @@ VERIFY_SHA256 = {
         "db23f0eeb5e5c53cd5a1fe5f1b83c91d631c1083d66d23a855c29ad80aa4bbd8",
     "fw-virasoro --group builtin:cyclic:2 --levels 3":
         "bd3e5a67d24a692d072728d07be0708f86a7e2cb3d8fb00d93413d06edef3fb9",
+    # cyclotomic values through `sum_scaled` and `__add__`, which Z/2 does not
+    # reach; the Z/3 query is pinned in OPERATOR_SHA256
+    "fw-virasoro --group builtin:binary-dihedral:2 --levels 1":
+        "b87197d3e75bdbd107a43906e514806aa0a02a485b8ff5bfa17655809a59349b",
 }
 
 

@@ -1,13 +1,16 @@
 """Property tests for CycNum: field laws, inverses, embeddings, Galois maps,
-JSON round trips and the canonical integer form, and the dot-product kernel
-against the left-to-right sum of CycNum products."""
+JSON round trips and the canonical integer form, the dot-product kernel
+against the left-to-right sum of CycNum products, and sums and products of
+rationals at conductors 1 and 2 against the Fraction-based reference."""
 
 import json
 from fractions import Fraction
 from math import gcd
 
+import reference_exact as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_exact_reference import _same
 
 from wfk.exact import CycNum, cyc, dot, euler_phi
 
@@ -122,3 +125,31 @@ def test_dot_is_the_left_to_right_sum(terms, den):
     got = dot(xs, ys, weights, den)
     assert got.key() == total.key()
     assert canonical(got)
+
+
+@st.composite
+def rational_pairs(draw):
+    """A rational at conductor 1 or 2, one numerator over a denominator, as a
+    CycNum and as the reference CycNum."""
+    n, c = draw(st.sampled_from((1, 2))), draw(coefficients)
+    return CycNum(n, [c]), ref.CycNum(n, [c])
+
+
+@bounded
+@given(rational_pairs(), st.one_of(rational_pairs(), coefficients.map(lambda c: (c, c))))
+def test_rational_operands_match_the_reference(a, b):
+    # the one-step sum and product of two one-numerator operands against the
+    # Fraction layer, with int and Fraction operands on either side
+    (x, x0), (y, y0) = a, b
+    _same(x + y, x0 + y0)
+    _same(y + x, y0 + x0)
+    _same(x - y, x0 - y0)
+    _same(y - x, y0 - x0)
+    _same(x * y, x0 * y0)
+    _same(y * x, y0 * x0)
+    # cancellation to 0, against a CycNum and against the rational itself
+    _same(x - x, x0 - x0)
+    _same(x + (-x), x0 + (-x0))
+    r = x.as_rational()
+    _same(x - r, x0 - r)
+    _same(-r + x, -r + x0)

@@ -1,8 +1,9 @@
 """The numpy element batches of `wfk.wreath` against the tuple functions they
 stand for: a batch product is `wreath_mult` row by row, a batch inverse is
 `wreath_inverse`, and a batch label is the index of `type_of` in the types
-of the level.  Also: the arrays a level keeps are read-only and compact, and
-no state carries from one call or one group to the next."""
+of the level.  Also: the arrays a level keeps are read-only and compact, the
+class tables of conv-cubic and lehn-sorger never label or list a whole
+level, and no state carries from one call or one group to the next."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfk.charmap import convolve_by_class, k_class_type
+from wfk.cli import run
 from wfk.exact import CycNum
 from wfk.groups import (FiniteGroup, binary_dihedral, binary_tetrahedral, cyclic_group,
                         trivial_group)
@@ -105,6 +107,19 @@ def test_level_arrays_are_read_only_and_compact():
     assert len(lvl._labels) == lvl.order
     with pytest.raises(ValueError):
         lvl._labels[0] = 1
+
+
+def test_class_tables_sweep_no_level(monkeypatch):
+    # conv-cubic and lehn-sorger convolve by classes of S_n, which are built
+    # from their types: no level of S_n labels or lists all its elements
+    T = trivial_group()
+    monkeypatch.delitem(vars(T), "wreath_levels", raising=False)
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    assert run(["verify", "conv-cubic", "--n", "8"]) == 0
+    assert run(["verify", "lehn-sorger", "--n", "6"]) == 0
+    levels = vars(T)["wreath_levels"]
+    assert sorted(levels) == list(range(1, 9))
+    assert all(not {"_labels", "_perms"} & set(vars(lvl)) for lvl in levels.values())
 
 
 def wcf_exact(f: WreathClassFunction) -> tuple:

@@ -18,7 +18,11 @@ against `elements`, and the class types and the wreath GSet of the explicit
 groups against the tuple `wreath_class_types` and `wreath_gset`.
 `WreathClassFunction.sum_scaled`, which takes a value as it is when the
 coefficient is a `CycNum` one of a dividing conductor, must agree with the
-full products in value, conductor and key order.  The bracket suite, which
+full products in value, conductor and key order, and `+`, `-`, negation and
+`scale`, which build their results from canonical values without `cyc()`,
+must agree with the coerced sums they replaced in the same way, cancellation
+and scaling by 0 included.  Each class built from its type must be the rows
+the label scan of the whole level found, in order.  The bracket suite, which
 multiplies the level blocks of the p_k(gamma), must print the report of the
 dict-column loop it replaced, probe by probe."""
 
@@ -29,6 +33,7 @@ import numpy as np
 import pytest
 import reference_wreath as ref
 
+from wfk.charmap import k_class_type
 from wfk.exact import CycNum
 from wfk.groups import (ClassFunction, FiniteGroup, binary_dihedral, cyclic_group,
                         trivial_group)
@@ -186,6 +191,26 @@ def test_class_members_match_type_scan(name):
             assert new.class_elements(rho).elements() == ref.type_scan_class_elements(old, rho)
 
 
+def scan_classes(name: str) -> tuple[FiniteGroup, int, list]:
+    """Every K_i(c, n) of S_7 and S_8, and every type of the other levels."""
+    if name in ("S7", "S8"):
+        T, n = trivial_group(), int(name[1])
+        return T, n, [k_class_type(T, 0, i, n) for i in range(n)]
+    G, n = {"Z2": (cyclic_group(2), 5), "Z3": (cyclic_group(3), 4),
+            "BD2": (binary_dihedral(2), 3)}[name]
+    return G, n, enumerate_types(G, n)
+
+
+@pytest.mark.parametrize("name", ["S7", "S8", "Z2", "Z3", "BD2"])
+def test_built_classes_match_label_scan(name):
+    G, n, classes = scan_classes(name)
+    new, old = WreathLevel(G, n), WreathLevel(G, n)
+    for rho in classes:
+        got, want = new.class_elements(rho), ref.label_scan_class_elements(old, rho)
+        assert got.g.dtype == want.g.dtype and got.s.dtype == want.s.dtype
+        assert np.array_equal(got.g, want.g) and np.array_equal(got.s, want.s), rho
+
+
 def induction_splits(name: str) -> list:
     """Every (n, m) with n + m up to the top level of BATCH_LEVELS, but for
     Z/3 only the split (1, 3) at level 4, where the tuple loop takes seconds."""
@@ -315,6 +340,37 @@ def test_sum_scaled_takes_values_as_they_are_for_a_unit():
     got = col.sum_scaled([(col, CycNum.from_rational(1).embed(3))])
     assert got.values == col.values
     assert {v.conductor for v in got.values.values()} == {12}
+
+
+def agree(got: WreathClassFunction, want: WreathClassFunction) -> bool:
+    """`same`, and the same repr of every value."""
+    return same(got, want) and [repr(v) for v in got.values.values()] == \
+        [repr(v) for v in want.values.values()]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_sums_and_negation_match_coerced_values(name):
+    G = GROUPS[name]()
+    e = G.exponent()
+    rng = random.Random(29)
+    for trial in range(60):
+        n = rng.randint(0, 3)
+        f, g = random_wcf(G, n, rng), random_wcf(G, n, rng)
+        # h cancels f on part of its support
+        h = WreathClassFunction(G, n, {**g.values, **{k: -v for k, v in f.values.items()
+                                                      if rng.random() < 0.5}})
+        zero = WreathClassFunction(G, n, {})
+        pairs = [(f, g), (g, f), (f, h), (h, f), (f, f), (f, ref.neg(f)), (f, zero), (zero, f)]
+        for a, b in pairs:
+            assert agree(a + b, ref.add(a, b)), (name, trial)
+            assert agree(a - b, ref.add(a, ref.neg(b))), (name, trial)
+        assert agree(-f, ref.neg(f)), (name, trial)
+        for s in (0, 1, -2, Fraction(3, 4), random_value(rng, e), random_coefficient(rng, e)):
+            assert agree((f + h).scale(s), ref.add(f, h).scale(s)), (name, trial, s)
+            assert agree((-f).scale(s), ref.neg(f).scale(s)), (name, trial, s)
+        # a column scaled by 0 next to columns that are not
+        scaled = [(f, 0), (g, random_coefficient(rng, e)), (h, 0)]
+        assert agree(zero.sum_scaled(scaled), ref.sum_scaled(zero, scaled)), (name, trial)
 
 
 @pytest.mark.parametrize("name,modes,levels", [("Z2", 2, 2), ("Z3", 2, 2), ("BD2", 1, 2)])
