@@ -16,7 +16,6 @@ from .exact import CycNum, cyc
 from .groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
 from .fock import (ColorSpace, FockOperator, FockVector, W_operator, exponential_series,
                    join_boundary, point_model)
-from .linop import LinearOperator
 from .report import VerificationReport
 from .wreath import (
     TypeFunction,
@@ -180,28 +179,29 @@ def _class_convolution(G: FiniteGroup, n: int, g: dict, f: WreathClassFunction,
     of each type in `types`, as a class function of Gamma_n.
 
     The rows of each class table (`WreathLevel.class_counts`) turn the inner
-    sum into sum_t count_t f(t), which has the value and the conductor (the
-    lcm of the nonzero summands') of the running sum."""
+    sum into sum_t count_t f(t) over the nonzero counts.  Summed from its
+    first term, it has the value and the conductor (the lcm of the
+    summands') of the running sum from 0, and so has the outer sum."""
     if not types:
         return wcf_zero(G, n)
     lvl = wreath_level(G, n)
     rows = [lvl.type_index[rho] for rho in types]
     support = [(lvl.type_index[t], v) for t, v in f.values.items() if t in lvl.type_index]
-    cols = [t for t, _ in support]
+    cols, vals = [t for t, _ in support], [v for _, v in support]
     sums = [(lvl.class_counts(sigma, rows)[:, cols].tolist(), gv) for sigma, gv in g.items()]
     out = {}
     for i, rho in enumerate(types):
-        acc = cyc(0)
+        acc = None
         for counts, gv in sums:
-            s = cyc(0)
-            for count, (_, v) in zip(counts[i], support):
+            s = None
+            for count, v in zip(counts[i], vals):
                 if count:
-                    s = s + v * count
-            if not s.is_zero():
-                acc = acc + s * gv
-        if not acc.is_zero():
+                    s = v * count if s is None else s + v * count
+            if s is not None and not s.is_zero():
+                acc = s * gv if acc is None else acc + s * gv
+        if acc is not None and not acc.is_zero():
             out[rho] = acc
-    return WreathClassFunction(G, n, out)
+    return WreathClassFunction._of(G, n, out)
 
 
 def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,
@@ -210,7 +210,37 @@ def convolve_by_class(G: FiniteGroup, n: int, kappa: TypeFunction,
     return _class_convolution(G, n, {kappa: 1}, f, wreath_level(G, n).types)
 
 
-def delta_op(G: FiniteGroup, c: int, i: int = 1) -> LinearOperator:
+def _linear(fn):
+    """The linear extension of `fn`, given on the type indicators of every
+    level.  fn(1_rho) is computed once for each type rho of an input and
+    kept by rho; v goes to 0 + sum_rho fn(1_rho) v(rho), summed in the order
+    of `v.values` by `WreathClassFunction.__add__`, whose set-union key
+    order `verify fw-virasoro` prints."""
+    columns = {}
+
+    def apply(v: WreathClassFunction) -> WreathClassFunction:
+        out = wcf_zero(v.group, v.n)
+        for rho, c in v.values.items():
+            col = columns.get(rho)
+            if col is None:
+                col = columns[rho] = fn(wcf_indicator(v.group, v.n, rho))
+            out = out + col.scale(c)
+        return out
+
+    return apply
+
+
+def _commutator(a, b):
+    """[a, b], with columns of its own."""
+    return _linear(lambda f: a(b(f)) - b(a(f)))
+
+
+def _scaled(op, s):
+    """s op, with columns of its own."""
+    return _linear(lambda f: op(f).scale(s))
+
+
+def delta_op(G: FiniteGroup, c: int, i: int = 1):
     """Delta_i(K_c): convolution with K_i(c, n) on class functions of every
     level n; zero on the levels n < i + 1, where the class is empty."""
     if i not in (0, 1, 2):
@@ -222,7 +252,7 @@ def delta_op(G: FiniteGroup, c: int, i: int = 1) -> LinearOperator:
             return wcf_zero(G, f.n)
         return convolve_by_class(G, f.n, kappa, f)
 
-    return LinearOperator(fn)
+    return _linear(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +287,12 @@ def verify_conv_cubic(n_max: int) -> VerificationReport:
 # the convolution Virasoro bracket
 # ---------------------------------------------------------------------------
 
-def _p_op(G: FiniteGroup, k: int, gamma: ClassFunction) -> LinearOperator:
-    return LinearOperator(heisenberg_p(G, k, gamma).apply)
+def _p_op(G: FiniteGroup, k: int, gamma: ClassFunction):
+    return _linear(heisenberg_p(G, k, gamma).apply)
 
 
 def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
-                  degree: int, dop: LinearOperator | None = None) -> LinearOperator:
+                  degree: int, dop=None):
     """L_n(gamma) extracted from [Delta_1(K_c), p_n(gamma)] by the exact
     prefactor n |Gamma|^2 gamma(c^-1) / (zeta_c d_gamma^2)."""
     cd = G.conjugacy()
@@ -273,9 +303,7 @@ def fw_l_operator(G: FiniteGroup, c: int, n: int, gamma: ClassFunction,
             / (cd.centralizer_orders[c] * degree ** 2))
     if dop is None:
         dop = delta_op(G, c)
-    pop = _p_op(G, n, gamma)
-    inv = pref.inverse()
-    return dop.commutator(pop).scale(inv)
+    return _scaled(_commutator(dop, _p_op(G, n, gamma)), pref.inverse())
 
 
 def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
@@ -312,7 +340,7 @@ def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                 skipped.append((gi, n))
     for gi, _ in enumerate(table.irreducibles):
         if (gi, 1) in ls and (gi, -1) in ls:
-            ls[(gi, 0)] = ls[(gi, 1)].commutator(ls[(gi, -1)]).scale(Fraction(1, 2))
+            ls[(gi, 0)] = _scaled(_commutator(ls[(gi, 1)], ls[(gi, -1)]), Fraction(1, 2))
     for (gi, n) in skipped:
         report.add(f"mode {n} gamma{gi}", "skipped", "skipped", True,
                    note="zero prefactor; probe skipped")
@@ -336,7 +364,7 @@ def fw_virasoro_check(G: FiniteGroup, c: int | None = None, n_modes: int = 1,
                     continue
                 if (n, m) == (1, -1) and gi == gj:
                     continue  # definitional for L_0
-                br = ls[(gi, n)].commutator(ls[(gj, m)])
+                br = _commutator(ls[(gi, n)], ls[(gj, m)])
                 if gi != gj or n == m:
                     expected = lambda f: f.scale(0)
                 elif (gi, n + m) in ls:

@@ -302,9 +302,9 @@ def wreath_orbifold_euler(base: GSet, n: int) -> int:
     representatives a of |K_a| * sum_{b in C(a)} |Fix a n Fix b|, over
     |Gamma_n|.
 
-    The class sizes are one bincount of the level's labels.  One sweep of
-    (representative, element) pairs, a chunk of rows at a time, keeps the
-    b that commute with a and counts their fixed points among those of a;
+    The class sizes are |Gamma_n| / Z_rho (`WreathLevel.class_size`).  One
+    sweep of (representative, element) pairs, a chunk of rows at a time, keeps
+    the b that commute with a and counts their fixed points among those of a;
     a point is moved by the formula of `wreath_gset`, y_i = T[g_i, x_{s^-1(i)}].
     As `GSet` does, the action is first checked on arrays: the identity acts
     trivially and act(a b) == act(a) o act(b) for every b and every
@@ -342,7 +342,7 @@ def wreath_orbifold_euler(base: GSet, n: int) -> int:
     reps = level.representatives
     if not np.array_equal(level.label(reps), np.arange(len(level.types))):
         raise ValueError(f"the representatives of level {n} are not one per type, in order")
-    sizes = np.bincount(level._labels, minlength=len(level.types))
+    sizes = np.array([level.class_size(t) for t in level.types], dtype=np.int64)
     fixed_rep = (act(reps) == pts).all(axis=2)  # fixed_rep[t, p]: rep t fixes p
     live = np.flatnonzero(fixed_rep.any(axis=1))
     total = 0

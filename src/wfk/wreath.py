@@ -23,8 +23,7 @@ has two readers: `build_wreath`, which no CLI path calls and the tests keep
 as the gate of the orbifold count, and `groups.symmetric_group`, since S_n
 is Gamma_n of the trivial group.  `batch_mult` and
 `batch_inverse` act on all rows at once, and `WreathLevel.label` gives each
-row the index of its type; the labels of the whole level (`_labels`) serve
-the orbifold count only.
+row the index of its type; no element loop labels the whole level.
 
 `WreathElement` with `wreath_mult`, `wreath_inverse` and `type_of` is the
 row-by-row tuple oracle the tests check the batches against; no element loop
@@ -313,9 +312,7 @@ class WreathLevel:
     Element i of the level is (g, s) with s the (i // |Gamma|^n)-th
     permutation in lexicographic order and g the base-|Gamma| digits of
     i % |Gamma|^n; `batch` is the one place that spells this out.  The level
-    keeps the permutations and, once the orbifold count in `series` asks for
-    them, the type labels of every element (`_labels`), both as read-only
-    arrays of the smallest int dtype that holds them.  A class is built from
+    keeps the permutations as a read-only uint8 array.  A class is built from
     its type (`class_elements`), in O(|K_rho| n) work, and kept with the
     rows of its class table (`class_counts`)."""
 
@@ -407,14 +404,6 @@ class WreathLevel:
             keys = sorted(c * n + r - 1 for c, parts in t for r in parts for _ in range(r))
             index[sum(k * base ** (n - 1 - j) for j, k in enumerate(keys))] = i
         return _readonly(np.array(cd.class_of, dtype=np.intp)), radix, index
-
-    @functools.cached_property
-    def _labels(self) -> np.ndarray:
-        """The label of every element, in the order of the level."""
-        labels = np.empty(self.order, dtype=np.min_scalar_type(len(self.types)))
-        for _, index in pair_batches(1, self.order):
-            labels[index] = self.label(self.batch(index))
-        return _readonly(labels)
 
     @functools.cached_property
     def representatives(self) -> WreathBatch:
@@ -662,50 +651,6 @@ class WreathClassFunction:
     def value(self, rho: TypeFunction) -> CycNum:
         return self.values.get(rho, cyc(0))
 
-    @property
-    def terms(self) -> dict:
-        """`values`, under the name `linop.LinearOperator` reads."""
-        return self.values
-
-    def basis_vector(self, rho: TypeFunction) -> "WreathClassFunction":
-        return wcf_indicator(self.group, self.n, rho)
-
-    def sum_scaled(self, scaled) -> "WreathClassFunction":
-        """sum of col * coeff over the (col, coeff) pairs, at the level of the
-        columns.  Reports print `values`, so the keys come in the order of
-        `__add__`, a set union, and a type whose sum cancels is dropped.
-        A value c is taken as it is when v is a `CycNum` one whose conductor
-        divides c's, since c * v is then c at c's conductor.  Every value is
-        a product or sum of canonical `CycNum`s, so the result is built from
-        them as they are, after one pass that drops the zeros a column
-        scaled by 0 leaves."""
-        level, acc = self.n, {}
-        for col_f, v in scaled:
-            if col_f.group is not self.group:
-                raise GroupMismatch("operator column on a different base group")
-            if col_f.is_zero():
-                continue
-            level, col = col_f.n, col_f.values
-            unit = _unit_conductor(v)
-            if not acc:
-                acc = {k: c if unit and c.conductor % unit == 0 else c * v
-                       for k, c in col.items()}
-                continue
-            merged = {}
-            for k in set(acc) | set(col):
-                x = acc.get(k)
-                c = col.get(k)
-                if c is not None:
-                    if not (unit and c.conductor % unit == 0):
-                        c = c * v
-                    x = c if x is None else x + c
-                    if x.is_zero():
-                        continue
-                merged[k] = x
-            acc = merged
-        return WreathClassFunction._of(self.group, level,
-                                       {k: x for k, x in acc.items() if not x.is_zero()})
-
     def _check(self, other: "WreathClassFunction"):
         # an identically-zero function is a universal zero across levels
         if self.group is not other.group or (
@@ -714,10 +659,12 @@ class WreathClassFunction:
 
     def __add__(self, other):
         self._check(other)
-        if not self.values:
-            return other
+        # x + 0 is x at x's level, x = 0 included, so a sum of vanishing
+        # columns from 0 at level n stays at level n
         if not other.values:
             return self
+        if not self.values:
+            return other
         a, b, out = self.values, other.values, {}
         for k in set(a) | set(b):
             x, y = a.get(k), b.get(k)
@@ -734,8 +681,16 @@ class WreathClassFunction:
         return self + (-other)
 
     def scale(self, s):
-        return WreathClassFunction(self.group, self.n,
-                                   {k: v * s for k, v in self.values.items()})
+        """s times self.  A value v is taken as it is when s is a `CycNum` one
+        whose conductor divides v's, since v * s is then v at v's conductor;
+        so a one at conductor 1 returns self."""
+        unit = _unit_conductor(s)
+        if unit == 1:
+            return self
+        if not unit and cyc(s).is_zero():
+            return WreathClassFunction._of(self.group, self.n, {})
+        return WreathClassFunction._of(self.group, self.n, {
+            k: v if unit and v.conductor % unit == 0 else v * s for k, v in self.values.items()})
 
     def pointwise(self, other):
         self._check(other)

@@ -16,16 +16,19 @@ representatives from `reference_wreath.representative_of_type`.
 is a helper that only the tests call; it moved here from `wfk.charmap` as it
 was, with its function-level import of `wreath_class_types` made a module
 import.  `transfer_bracket`, [Delta_1(a), p_n(b)] extended linearly over the
-class sums of a, is another; it moved here as it was, with `delta_op` and
-`_p_op` read off `wfk.charmap`, since this module's `delta_op` is the
-one-level copy above.
+class sums of a, is another; it moved here as it was, with `delta_op`,
+`_p_op` and their commutator read off `wfk.charmap`, since this module's
+`delta_op` is the one-level copy above, and the `LinearOperator` it returns
+read off `reference_linop`.
 
 `_class_convolution` is the numpy class convolution as it was before the
 class tables moved onto the level: every call labels the products of the
-representatives of `types` with the whole class of each sigma.
-`tests/test_charmap_reference.py` checks that the rows of
-`WreathLevel.class_counts` give the same class functions, value by value,
-conductor by conductor and in key order.
+representatives of `types` with the whole class of each sigma.  Its sums
+start from `cyc(0)` for every row and every (row, class) pair and run over
+every count, zeros included, as `wfk.charmap` did before it summed the
+nonzero counts only.  `tests/test_charmap_reference.py` checks that the
+rows of `WreathLevel.class_counts` give the same class functions, value by
+value, in `key()` (conductor included) and in key order.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from wfk.charmap import GradedClassFunction, colored_space, k_class_type
 from wfk.exact import cyc
 from wfk.fock import FockVector
 from wfk.groups import ClassFunction, FiniteGroup, GroupMismatch, trivial_group
-from wfk.linop import LinearOperator
 from wfk.wreath import (
     TypeFunction,
     WreathClassFunction,
@@ -57,6 +59,7 @@ from wfk.wreath import (
 )
 
 from reference_fock import FnFockOperator, annihilate, create, join_boundary
+from reference_linop import LinearOperator
 from reference_wreath import representative_of_type
 
 _FILTERED_LIMIT = 5100  # the fixed order ceiling wfk's filtered convolution kept
@@ -238,7 +241,7 @@ def transfer_bracket(G: FiniteGroup, a: ClassFunction, n: int, b: ClassFunction)
     """[Delta_1(a), p_n(b)] on every level, with Delta_1 extended linearly
     over the class-sum coefficients of a."""
     pop = charmap._p_op(G, n, b)
-    brackets = [(coeff, charmap.delta_op(G, c).commutator(pop))
+    brackets = [(coeff, charmap._commutator(charmap.delta_op(G, c), pop))
                 for c, coeff in enumerate(a.values) if not coeff.is_zero()]
 
     def fn(f):

@@ -10,13 +10,19 @@ conjugation orbit of the canonical representative of a type;
 `type_scan_class_elements` keeps the elements whose `type_of` is the type,
 one tuple at a time, and `label_scan_class_elements` keeps the elements of
 the level whose batch label is the type, as `WreathLevel.class_elements`
-did before it built each class from its type; `induce_bruteforce` is the
-tuple-by-tuple Frobenius sum.  `build_wreath` fills the explicit table one
+did before it built each class from its type, with the labels of the
+whole level that `WreathLevel._labels` kept (`level_labels`);
+`induce_bruteforce` is the tuple-by-tuple Frobenius sum.  `build_wreath` fills the explicit table one
 row at a time and builds the permutation actions with a dict loop;
 `sum_scaled` multiplies every column value by its coefficient, and `add`
 and `neg` are `WreathClassFunction.__add__` and `__neg__` as they were when
 every result value went through `cyc()` and a value on one side only was
-added to `cyc(0)`.  `elements` lists a level as tuples,
+added to `cyc(0)`.  `unit_sum_scaled` and `scale` are
+`WreathClassFunction.sum_scaled` and `scale` as they were before the
+fw-Virasoro operators summed their columns through `+` and `scale`: the
+first takes a value as it is when the coefficient is a `CycNum` one of a
+dividing conductor, the second puts every product through `cyc()`.
+`elements` lists a level as tuples,
 `representative_of_type` builds the canonical element of a type as a tuple,
 and `wreath_class_types` and `wreath_gset` read the explicit group through
 the tuple list `wreath_elements`, which the explicit group used to store.
@@ -25,9 +31,9 @@ The bodies below are kept as they were, so that
 element batches and the level's arrays of `wfk.wreath` against them, value
 by value and in key order, and the members of each class as a set or,
 against the type and label scans, as a list; and can check the block-filled
-table byte for byte, and the unit skip of `WreathClassFunction.sum_scaled`
-and its sums without `cyc()` value by value, conductor by conductor and in
-key order.
+table byte for byte, and the unit skip of `WreathClassFunction.scale`,
+the sums of scaled columns and the sums without `cyc()` value by value,
+conductor by conductor and in key order.
 
 `p_minus_adjoint`, p_{-n}(gamma) as the adjoint of p_n(gamma), is a helper
 that only the tests call; it moved here from `wfk.wreath` as it was.  So did
@@ -41,8 +47,8 @@ that only it and the tests called, `wcf_from_class_function` and
 off `wfk.wreath` as well.
 
 `heisenberg_check` is the bracket suite as it was before p_k(gamma) became
-its level blocks: every p_k(gamma) wrapped in a `LinearOperator` column
-cache, and each bracket applied to one indicator at a time as dict columns.
+its level blocks: every p_k(gamma) wrapped in a column cache
+(`reference_linop.LinearOperator`), and each bracket applied to one indicator at a time as dict columns.
 `tests/test_wreath_reference.py` checks that the block brackets of
 `wfk.wreath.heisenberg_check` give the same report, probe by probe.
 """
@@ -60,14 +66,16 @@ from wfk.budget import BudgetExceeded, check_budget
 from wfk.exact import CycNum, cyc
 from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, defining_character,
                         inner_product, trivial_character)
-from wfk.linop import LinearOperator
 from wfk.report import VerificationReport
 from wfk.series import GSet
 from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathBatch,
-                        WreathClassFunction, WreathElement, WreathLevel, centralizer_order,
-                        heisenberg_p, partition_multiplicities, perm_inverse, sigma_n, type_of,
+                        WreathClassFunction, WreathElement, WreathLevel, _unit_conductor,
+                        centralizer_order, heisenberg_p, pair_batches,
+                        partition_multiplicities, perm_inverse, sigma_n, type_of,
                         wcf_indicator, wcf_zero, weighted_form,
                         wreath_inverse, wreath_level, wreath_mult, wreath_pairing)
+
+import reference_linop
 
 
 def wreath_identity(G: FiniteGroup, n: int) -> WreathElement:
@@ -163,6 +171,14 @@ def type_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> list[Wreat
     return out
 
 
+def level_labels(self: WreathLevel) -> np.ndarray:
+    """The label of every element, in the order of the level."""
+    labels = np.empty(self.order, dtype=np.min_scalar_type(len(self.types)))
+    for _, index in pair_batches(1, self.order):
+        labels[index] = self.label(self.batch(index))
+    return labels
+
+
 def label_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> WreathBatch:
     """The conjugacy class of type rho: the elements whose type is rho,
     in the order of the level, as one batch kept on the level."""
@@ -170,7 +186,7 @@ def label_scan_class_elements(self: WreathLevel, rho: TypeFunction) -> WreathBat
     if rho in self._class_elements:
         return self._class_elements[rho]
     t = self.type_index.get(rho)
-    out = self.batch(np.flatnonzero(self._labels == t) if t is not None else np.arange(0))
+    out = self.batch(np.flatnonzero(level_labels(self) == t) if t is not None else np.arange(0))
     if len(out) != self.class_size(rho):
         raise ValueError(f"{rho} is not a type of level {self.n}")
     self._class_elements[rho] = out
@@ -393,6 +409,48 @@ def neg(self: WreathClassFunction) -> WreathClassFunction:
                                {k: -v for k, v in self.values.items()})
 
 
+def unit_sum_scaled(self: WreathClassFunction, scaled) -> WreathClassFunction:
+    """sum of col * coeff over the (col, coeff) pairs, at the level of the
+    columns.  Reports print `values`, so the keys come in the order of
+    `__add__`, a set union, and a type whose sum cancels is dropped.
+    A value c is taken as it is when v is a `CycNum` one whose conductor
+    divides c's, since c * v is then c at c's conductor.  Every value is
+    a product or sum of canonical `CycNum`s, so the result is built from
+    them as they are, after one pass that drops the zeros a column
+    scaled by 0 leaves."""
+    level, acc = self.n, {}
+    for col_f, v in scaled:
+        if col_f.group is not self.group:
+            raise GroupMismatch("operator column on a different base group")
+        if col_f.is_zero():
+            continue
+        level, col = col_f.n, col_f.values
+        unit = _unit_conductor(v)
+        if not acc:
+            acc = {k: c if unit and c.conductor % unit == 0 else c * v
+                   for k, c in col.items()}
+            continue
+        merged = {}
+        for k in set(acc) | set(col):
+            x = acc.get(k)
+            c = col.get(k)
+            if c is not None:
+                if not (unit and c.conductor % unit == 0):
+                    c = c * v
+                x = c if x is None else x + c
+                if x.is_zero():
+                    continue
+            merged[k] = x
+        acc = merged
+    return WreathClassFunction._of(self.group, level,
+                                   {k: x for k, x in acc.items() if not x.is_zero()})
+
+
+def scale(self: WreathClassFunction, s) -> WreathClassFunction:
+    return WreathClassFunction(self.group, self.n,
+                               {k: v * s for k, v in self.values.items()})
+
+
 def p_minus_adjoint(G: FiniteGroup, n: int, gamma: ClassFunction,
                     f: WreathClassFunction) -> WreathClassFunction:
     """p_{-n}(gamma) computed purely as the adjoint of p_n(gamma): solve
@@ -420,7 +478,7 @@ def heisenberg_check(G: FiniteGroup, modes: int, levels: int):
     gammas = G.character_table().irreducibles
     mode_list = [k for k in range(-modes, modes + 1) if k != 0]
     # each p_k(gamma) once, its columns cached across every pair it meets
-    ops = {(gi, k): LinearOperator(heisenberg_p(G, k, gamma).apply)
+    ops = {(gi, k): reference_linop.LinearOperator(heisenberg_p(G, k, gamma).apply)
            for gi, gamma in enumerate(gammas) for k in mode_list}
     for gi, ga in enumerate(gammas):
         for gj, gb in enumerate(gammas):

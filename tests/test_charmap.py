@@ -232,8 +232,8 @@ def test_fw_prefactor_reduction_trivial_group():
     one = T.character_table().irreducibles[0]
     L1 = fw_l_operator(T, 0, 1, one, 1)
     # [Delta_1, p_1] f = 1 * |G|^2 * 1 / (1 * 1) L_1 f with |G| = 1
-    from wfk.charmap import _p_op
-    raw = delta_op(T, 0).commutator(_p_op(T, 1, one))
+    from wfk.charmap import _commutator, _p_op
+    raw = _commutator(delta_op(T, 0), _p_op(T, 1, one))
     for m in (0, 1, 2, 3):
         for rho in enumerate_types(T, m):
             f = wcf_indicator(T, m, rho)

@@ -35,7 +35,7 @@ CONVOLUTION_CASES = [("trivial", trivial_group, 5), ("Z2", lambda: cyclic_group(
 
 
 def exact(f: WreathClassFunction) -> tuple:
-    return f.group, f.n, [(rho, v.to_json()) for rho, v in f.values.items()]
+    return f.group, f.n, [(rho, v.key()) for rho, v in f.values.items()]
 
 
 def graded_exact(g: GradedClassFunction) -> tuple:

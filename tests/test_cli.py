@@ -469,7 +469,7 @@ VERIFY_SHA256 = {
         "db23f0eeb5e5c53cd5a1fe5f1b83c91d631c1083d66d23a855c29ad80aa4bbd8",
     "fw-virasoro --group builtin:cyclic:2 --levels 3":
         "bd3e5a67d24a692d072728d07be0708f86a7e2cb3d8fb00d93413d06edef3fb9",
-    # cyclotomic values through `sum_scaled` and `__add__`, which Z/2 does not
+    # cyclotomic values through `scale` and `__add__`, which Z/2 does not
     # reach; the Z/3 query is pinned in OPERATOR_SHA256
     "fw-virasoro --group builtin:binary-dihedral:2 --levels 1":
         "b87197d3e75bdbd107a43906e514806aa0a02a485b8ff5bfa17655809a59349b",
@@ -524,6 +524,12 @@ OPERATOR_SHA256 = {
     # a class other than the one its inverse names
     "fw-virasoro --group builtin:cyclic:3 --class 1 --levels 2":
         "2f427ebded8d125d5f9f7373aa9a23dd31744ecb16ed2d95968b25188a87b7df",
+    # recorded before the fw-Virasoro operators summed their columns through
+    # `+` and `scale`: at `--modes 2` multi-term columns meet L_{+-2}
+    "fw-virasoro --group builtin:cyclic:2 --modes 2 --levels 2":
+        "a666c947ec35a547446dc28017c34171d70efb8a2f33732fa5530fb551a54124",
+    "fw-virasoro --group builtin:cyclic:3 --modes 2 --levels 1":
+        "37ea7624cd8d01e90c1c3f73851e3d127216277938548f03be95b8a78d7961ed",
     # the colored modes p_k(gamma) on a third and a fourth group
     "heisenberg-transport --group builtin:binary-tetrahedral --modes 2":
         "5b603778beb7beea771229b2df7552b1878312fce8ca6b9865a863713cd59ba5",

@@ -1,8 +1,7 @@
 """The two sides of every check share only the side-neutral layers: the
 group side (`groups`, `wreath`) and the Fock side (`fock`) import nothing of
-each other, and `linop`, like the scalar layer, imports no `wfk` module.
-`linop` serves the group side only: `fock` does not import it.  Imports are
-read from the source with `ast`, function-level ones included.
+each other.  Imports are read from the source with `ast`, function-level
+ones included.
 
 The group table is stored once, as the `mult` array: no module reads an
 attribute named `rows`, and only `FiniteGroup.to_json` turns `mult` into
@@ -32,10 +31,15 @@ space (`ColorSpace.of_algebra(alg) is alg.space`), the space keeps the
 normal products of its fields, `W_operator` reads them and does not call
 `_nop_into` itself, and no cache of `fock` is keyed by `id(...)`.  On the
 group side p_k(gamma) is its level blocks: `wreath.heisenberg_check` calls no `apply`,
-`HeisenbergOperator.block` takes only the level, and the only
-`LinearOperator(<x>.apply)` left in `wfk` is `charmap._p_op`, whose column
-sums fw-virasoro prints.  Helpers that only the tests call
-live in `tests/reference_*.py`, and no module of `wfk` defines them.  No
+`HeisenbergOperator.block` takes only the level.  The group side has no
+operator class: `wfk.linop` and its `LinearOperator` are gone, no module
+imports `linop`, and `WreathClassFunction` keeps none of the vector
+protocol it served (`terms`, `basis_vector`, `sum_scaled`); `charmap`
+extends Delta_i and p_k(gamma) linearly over their cached columns itself,
+and the column class stays in `tests/reference_linop.py` as the gate.  No
+level labels all its elements: `WreathLevel._labels` is gone.  Helpers
+that only the tests call live in `tests/reference_*.py`, and no module of
+`wfk` defines them.  No
 module calls `np.unique`, whose first call imports `numpy.ma`, and a run
 over the groups, their tables and the Gamma_n labels imports no `numpy.ma`."""
 
@@ -75,10 +79,8 @@ def wfk_imports(module: str) -> set[str]:
 def test_sides_share_only_neutral_layers():
     # the reader sees top-level, function-level and `from . import` imports
     assert {"exact", "linalg", "report"} <= wfk_imports("fock")
-    assert "linop" not in wfk_imports("fock")
     assert {"groups", "fock", "wreath"} <= wfk_imports("charmap")
 
-    assert wfk_imports("linop") == set()
     assert not wfk_imports("fock") & {"groups", "wreath", "charmap", "mckay"}
     for module in ("groups", "wreath"):
         assert not wfk_imports(module) & {"fock", "charmap"}, module
@@ -86,14 +88,14 @@ def test_sides_share_only_neutral_layers():
 
 class Reads(ast.NodeVisitor):
     """The scopes (module.Class.function) that read `.rows`, `.mult.tolist`
-    or `.wreath_elements`, or that call `WreathElement`,
-    `itertools.permutations` or `LinearOperator(<x>.apply)`."""
+    or `.wreath_elements`, or that call `WreathElement` or
+    `itertools.permutations`."""
 
     def __init__(self, module: str):
         self.scope = [module]
         self.found: dict[str, list[str]] = {
             "rows": [], "mult.tolist": [], "wreath_elements": [], "WreathElement()": [],
-            "permutations()": [], "LinearOperator(.apply)": []}
+            "permutations()": []}
 
     def visit_scope(self, node):
         self.scope.append(node.name)
@@ -120,9 +122,6 @@ class Reads(ast.NodeVisitor):
                 isinstance(func, ast.Attribute) and func.attr == "permutations"
                 and isinstance(func.value, ast.Name) and func.value.id == "itertools"):
             self.found["permutations()"].append(where)
-        if (isinstance(func, ast.Name) and func.id == "LinearOperator"
-                and any(isinstance(a, ast.Attribute) and a.attr == "apply" for a in node.args)):
-            self.found["LinearOperator(.apply)"].append(where)
         self.generic_visit(node)
 
 
@@ -192,11 +191,6 @@ def test_wreath_suite_compares_level_blocks():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     assert "apply" not in calls
     assert list(inspect.signature(HeisenbergOperator.block).parameters) == ["self", "m"]
-
-
-def test_one_apply_wrapper():
-    # the only column cache around an `apply` is the p_k(gamma) of fw-virasoro
-    assert src_reads()["LinearOperator(.apply)"] == ["charmap._p_op"]
 
 
 def src_names(names: set[str]) -> list[str]:
@@ -284,6 +278,19 @@ def test_fock_operator_applies_its_blocks():
                 "FockOperator._column"} & src_methods()
     assert FockOperator.__bases__ == (object,)
     assert "apply" in vars(FockOperator)
+
+
+def test_group_side_has_no_operator_class():
+    # Delta_i and p_k(gamma) are linear extensions local to `charmap`; the
+    # operator class and its vector protocol stay in `tests/reference_linop.py`
+    # and `tests/reference_wreath.py` as the gate, and the class sizes of the
+    # orbifold count come from `class_size`, not from labels of every element
+    assert not (SRC / "linop.py").exists()
+    assert [path.stem for path in sorted(SRC.glob("*.py"))
+            if "linop" in wfk_imports(path.stem)] == []
+    assert src_names({"LinearOperator", "_labels"}) == []
+    assert not {"WreathClassFunction.sum_scaled", "WreathClassFunction.basis_vector",
+                "WreathClassFunction.terms", "WreathLevel._labels"} & src_methods()
 
 
 def test_algebra_owns_its_space():

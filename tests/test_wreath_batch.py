@@ -1,9 +1,12 @@
 """The numpy element batches of `wfk.wreath` against the tuple functions they
 stand for: a batch product is `wreath_mult` row by row, a batch inverse is
 `wreath_inverse`, and a batch label is the index of `type_of` in the types
-of the level.  Also: the arrays a level keeps are read-only and compact, the
+of the level.  Also: the arrays a level keeps are read-only and compact, and
+none labels every element of the level; the
 class tables of conv-cubic and lehn-sorger never label or list a whole
 level, and no state carries from one call or one group to the next."""
+
+from math import factorial
 
 import numpy as np
 import pytest
@@ -101,12 +104,14 @@ def test_level_arrays_are_read_only_and_compact():
     for rho in lvl.types:
         lvl.class_elements(rho)
     class_of, radix, _ = lvl._type_codes
-    for a in (lvl._labels, lvl._perms, class_of, radix):
+    for a in (lvl._perms, class_of, radix):
         assert not a.flags.writeable
-    assert lvl._labels.itemsize == 1 and lvl._perms.itemsize == 1
-    assert len(lvl._labels) == lvl.order
+    assert lvl._perms.itemsize == 1
+    assert len(lvl._perms) == factorial(lvl.n)
     with pytest.raises(ValueError):
-        lvl._labels[0] = 1
+        lvl._perms[0, 0] = 1
+    # the level keeps no labels of its elements
+    assert not hasattr(lvl, "_labels")
 
 
 def test_class_tables_sweep_no_level(monkeypatch):

@@ -16,12 +16,13 @@ elements the row-by-row build stores.  The one encoding of the elements on
 representatives against `representative_of_type`, the whole-level batch
 against `elements`, and the class types and the wreath GSet of the explicit
 groups against the tuple `wreath_class_types` and `wreath_gset`.
-`WreathClassFunction.sum_scaled`, which takes a value as it is when the
-coefficient is a `CycNum` one of a dividing conductor, must agree with the
-full products in value, conductor and key order, and `+`, `-`, negation and
-`scale`, which build their results from canonical values without `cyc()`,
-must agree with the coerced sums they replaced in the same way, cancellation
-and scaling by 0 included.  Each class built from its type must be the rows
+`WreathClassFunction.scale` takes a value as it is when the coefficient is
+a `CycNum` one of a dividing conductor.  A sum of scaled columns through
+`+` and `scale`, as the fw-Virasoro operators form it, must agree with the
+full products and with the `sum_scaled` it replaced in value, conductor and
+key order, and `+`, `-`, negation and `scale`, which build their results
+from canonical values without `cyc()`, must agree with the coerced sums
+they replaced in the same way, cancellation and scaling by 0 included.  Each class built from its type must be the rows
 the label scan of the whole level found, in order.  The bracket suite, which
 multiplies the level blocks of the p_k(gamma), must print the report of the
 dict-column loop it replaced, probe by probe."""
@@ -314,6 +315,12 @@ def random_coefficient(rng: random.Random, e: int):
     return random_value(rng, e) or 1
 
 
+def sum_scaled(zero: WreathClassFunction, pairs) -> WreathClassFunction:
+    """zero + sum of col.scale(coeff), in the order of the pairs: the sum of
+    the column-cached operators of `wfk.charmap`."""
+    return sum((col.scale(coeff) for col, coeff in pairs), zero)
+
+
 @pytest.mark.parametrize("name", GROUPS)
 def test_sum_scaled_matches_full_products(name):
     G = GROUPS[name]()
@@ -321,23 +328,28 @@ def test_sum_scaled_matches_full_products(name):
     rng = random.Random(12)
     for trial in range(60):
         n = rng.randint(0, 2)
+        # an operator's coefficients are the values of a class function,
+        # never 0; a column scaled by 0 is checked on its own below
         pairs = [(random_wcf(G, n, rng), random_coefficient(rng, e))
                  for _ in range(rng.randint(1, 4))]
+        pairs = [(col, c) for col, c in pairs if c != 0]
         zero = WreathClassFunction(G, n, {})
-        got, want = zero.sum_scaled(pairs), ref.sum_scaled(zero, pairs)
-        assert same(got, want), (name, trial)
-        assert [v.key() for v in got.values.values()] == [v.key() for v in want.values.values()]
+        got = sum_scaled(zero, pairs)
+        for want in (ref.sum_scaled(zero, pairs), ref.unit_sum_scaled(zero, pairs)):
+            assert same(got, want), (name, trial)
+            assert [v.key() for v in got.values.values()] == \
+                [v.key() for v in want.values.values()]
 
 
-def test_sum_scaled_takes_values_as_they_are_for_a_unit():
+def test_scale_takes_values_as_they_are_for_a_unit():
     G = GROUPS["BD2"]()
     col = random_wcf(G, 2, random.Random(3))
     for conductor in (1, 2, 4):
-        got = col.sum_scaled([(col, CycNum.from_rational(1).embed(conductor))])
+        got = col.scale(CycNum.from_rational(1).embed(conductor))
         assert list(got.values) == list(col.values)
         assert all(got.values[k] is v for k, v in col.values.items())
     # a one at conductor 3 does not divide 4: the values move to conductor 12
-    got = col.sum_scaled([(col, CycNum.from_rational(1).embed(3))])
+    got = col.scale(CycNum.from_rational(1).embed(3))
     assert got.values == col.values
     assert {v.conductor for v in got.values.values()} == {12}
 
@@ -366,11 +378,14 @@ def test_sums_and_negation_match_coerced_values(name):
             assert agree(a - b, ref.add(a, ref.neg(b))), (name, trial)
         assert agree(-f, ref.neg(f)), (name, trial)
         for s in (0, 1, -2, Fraction(3, 4), random_value(rng, e), random_coefficient(rng, e)):
-            assert agree((f + h).scale(s), ref.add(f, h).scale(s)), (name, trial, s)
-            assert agree((-f).scale(s), ref.neg(f).scale(s)), (name, trial, s)
-        # a column scaled by 0 next to columns that are not
-        scaled = [(f, 0), (g, random_coefficient(rng, e)), (h, 0)]
-        assert agree(zero.sum_scaled(scaled), ref.sum_scaled(zero, scaled)), (name, trial)
+            assert agree((f + h).scale(s), ref.scale(ref.add(f, h), s)), (name, trial, s)
+            assert agree((-f).scale(s), ref.scale(ref.neg(f), s)), (name, trial, s)
+        # a column scaled by 0 next to one that is not adds nothing: the
+        # references keep its zeros through their merges, so their key
+        # order can differ, but no operator scales a column by 0
+        c = random_coefficient(rng, e)
+        assert agree(sum_scaled(zero, [(f, 0), (g, c), (h, 0)]), sum_scaled(zero, [(g, c)])), \
+            (name, trial)
 
 
 @pytest.mark.parametrize("name,modes,levels", [("Z2", 2, 2), ("Z3", 2, 2), ("BD2", 1, 2)])
