@@ -50,8 +50,9 @@ class FrobeniusAlgebra:
 
     Elements are coefficient tuples over the basis.  When the trace pairing
     (a,b) -> trace(ab) is invertible, a dual basis and the Euler element
-    sum_i b_i b^i are available.  The algebra owns its Fock space `space`,
-    and with it every mode and normal product built on that space.
+    sum_i (-1)^|b_i| b_i b^i are available.  The algebra owns its Fock
+    space `space`, and with it every mode and normal product built on that
+    space.
     """
 
     def __init__(self, labels, degrees, parities, unit_label, products, trace,
@@ -145,9 +146,12 @@ class FrobeniusAlgebra:
         return tuple(self._pairing_inv[k][i] for k in range(self.dim))
 
     def _derived_euler(self) -> tuple:
+        """sum_i (-1)^|b_i| b_i b^i, whose trace is the super-dimension
+        sum_i (-1)^|b_i|, the Euler number of the model."""
         out = self.zero()
         for i in range(self.dim):
-            out = self.add(out, self.mul(self.basis(i), self.dual_basis(i)))
+            term = self.mul(self.basis(i), self.dual_basis(i))
+            out = self.add(out, self.scale(term, -1) if self.parities[i] else term)
         return out
 
     def _validate(self) -> None:

@@ -140,7 +140,7 @@ def koszul_thom_check(G: FiniteGroup, n: int) -> VerificationReport:
     if G.matrix_model is None:
         raise MissingMatrixModel(f"{G.name} has no matrix model")
     lvl = wreath_level(G, n)
-    check_budget(lvl.order, f"koszul-thom at level {n}")
+    check_budget(len(lvl.types), f"koszul-thom at level {n}")
     xi = trivial_character(G).scale(2) - defining_character(G)
     eta = eta_eps_characters(G, n, xi, signed=False)
     report = VerificationReport(f"koszul-thom({G.name}, n={n})")

@@ -8,8 +8,11 @@ coefficient because every factor carries a positive q-power.
 `orbifold_euler_bruteforce` sums over the commuting pairs of an explicit
 group acting through a `GSet`.  The wreath check counts chi(S^n, Gamma_n) by
 `wreath_orbifold_euler` on the arrays of the level, a chunk of element pairs
-at a time, so no explicit Gamma_n is built; `wreath_gset` builds the explicit
-Gamma_n and its GSet, and stays as the gate the tests check the count against.
+at a time, so no explicit Gamma_n is built.  The sweep goes
+permutation-first (`WreathLevel.sweep`): each class representative meets
+only the elements whose permutation commutes with its own.  `wreath_gset`
+builds the explicit Gamma_n and its GSet, and stays as the gate the tests
+check the count against.
 """
 
 from __future__ import annotations
@@ -302,10 +305,14 @@ def wreath_orbifold_euler(base: GSet, n: int) -> int:
     representatives a of |K_a| * sum_{b in C(a)} |Fix a n Fix b|, over
     |Gamma_n|.
 
-    The class sizes are |Gamma_n| / Z_rho (`WreathLevel.class_size`).  One
-    sweep of (representative, element) pairs, a chunk of rows at a time, keeps
-    the b that commute with a and counts their fixed points among those of a;
-    a point is moved by the formula of `wreath_gset`, y_i = T[g_i, x_{s^-1(i)}].
+    The class sizes are |Gamma_n| / Z_rho (`WreathLevel.class_size`).  The
+    sweep goes permutation-first: the permutation part of ab is the product
+    of those of a and b, so `WreathLevel.sweep` first keeps the (a, s) pairs
+    whose permutations commute, over the n! permutations of the level, and
+    then walks the |Gamma|^n elements b of each kept s.  Of these it keeps
+    the b that commute with a and counts their fixed points among those of
+    a; a point is moved by the formula of `wreath_gset`,
+    y_i = T[g_i, x_{s^-1(i)}].
     As `GSet` does, the action is first checked on arrays: the identity acts
     trivially and act(a b) == act(a) o act(b) for every b and every
     generator row a, the adjacent transpositions and each generator of Gamma
@@ -345,13 +352,15 @@ def wreath_orbifold_euler(base: GSet, n: int) -> int:
     sizes = np.array([level.class_size(t) for t in level.types], dtype=np.int64)
     fixed_rep = (act(reps) == pts).all(axis=2)  # fixed_rep[t, p]: rep t fixes p
     live = np.flatnonzero(fixed_rep.any(axis=1))
+
+    def commutes(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Whether s commutes with the permutation of representative live[r]."""
+        sa = reps.s[live[r]]
+        return (np.take_along_axis(sa, s, 1) == np.take_along_axis(s, sa, 1)).all(axis=1)
+
     total = 0
-    for r, c in pair_batches(len(live), level.order):
+    for r, b in level.sweep(len(live), commutes):
         t = live[r]
-        b, sa = level.batch(c), reps.s[t]
-        # the permutation parts commute first, as the cheaper test
-        keep = (np.take_along_axis(sa, b.s, 1) == np.take_along_axis(b.s, sa, 1)).all(axis=1)
-        t, b = t[keep], b.take(keep)
         a = reps.take(t)
         ab, ba = batch_mult(G, a, b), batch_mult(G, b, a)
         commute = (ab.g == ba.g).all(axis=1)

@@ -11,19 +11,23 @@ centralizer weights; literal element loops are kept as oracles.
 the (i // |Gamma|^n)-th permutation in lexicographic order with g the
 base-|Gamma| digits of i % |Gamma|^n.  Every element loop reads its elements
 from the level as a `WreathBatch`, B elements as two (B, n) int arrays: the
-orbifold count in `series` the whole level a chunk at a time against one
-element per type, the class tables a class (`WreathLevel.class_counts`
-over `class_elements`, which builds the class from its cycles and their
-cycle-product classes, with no sweep of the level), and the induction
-oracle and the Koszul-Thom check one element per type
-(`WreathLevel.representatives`).  The explicit
-table `wreath_table` reads the whole level at once.  It is the one fill of a
-permutation table, under the budget and the explicit-table ceiling, and it
-has two readers: `build_wreath`, which no CLI path calls and the tests keep
-as the gate of the orbifold count, and `groups.symmetric_group`, since S_n
-is Gamma_n of the trivial group.  `batch_mult` and
-`batch_inverse` act on all rows at once, and `WreathLevel.label` gives each
-row the index of its type; no element loop labels the whole level.
+class tables a class (`WreathLevel.class_counts` over `class_elements`,
+which builds the class from its cycles and their cycle-product classes,
+with no sweep of the level), and the Koszul-Thom check one element per
+type (`WreathLevel.representatives`).  The orbifold count in `series` and
+the induction oracle pair one element per type with the level
+permutation-first (`WreathLevel.sweep`): the permutation part of a product
+is the product of the permutation parts, so each (representative,
+permutation) pair is tested on the n! permutations first, and only the
+permutations that pass are walked, each with its |Gamma|^n elements.  The
+explicit table `wreath_table` reads the whole level at once.  It is the one
+fill of a permutation table, under the budget and the explicit-table
+ceiling, and it has two readers: `build_wreath`, which no CLI path calls
+and the tests keep as the gate of the orbifold count, and
+`groups.symmetric_group`, since S_n is Gamma_n of the trivial group.
+`batch_mult` and `batch_inverse` act on all rows at once, and
+`WreathLevel.label` gives each row the index of its type; no element loop
+labels the whole level.
 
 `WreathElement` with `wreath_mult`, `wreath_inverse` and `type_of` is the
 row-by-row tuple oracle the tests check the batches against; no element loop
@@ -38,7 +42,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -350,6 +354,24 @@ class WreathLevel:
         g = index[:, None] % n_g // digits % G.order
         return WreathBatch(g, self._perms[index // n_g])
 
+    def sweep(self, rows: int, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
+              ) -> Iterator[tuple[np.ndarray, WreathBatch]]:
+        """The pairs (r, b) of a row r < rows and an element b of the level
+        whose permutation s passes keep(r, s), in row-major order, as a row
+        index array and a batch of at most BATCH_ROWS pairs at a time.
+
+        The test is made permutation-first: `keep` gets arrays of rows and of
+        permutations, one pair per entry, over the rows x n! grid in
+        `pair_batches` chunks, and returns a mask.  Each pair that passes
+        brings all |Gamma|^n elements of its permutation s, the elements
+        s |Gamma|^n + c of the level."""
+        n_g = self.group.order ** self.n
+        for r, p in pair_batches(rows, len(self._perms)):
+            ok = keep(r, self._perms[p])
+            r, p = r[ok], p[ok]
+            for i, c in pair_batches(len(r), n_g):
+                yield r[i], self.batch(p[i] * n_g + c)
+
     def label(self, x: WreathBatch) -> np.ndarray:
         """The index in `types` of the type of each row of x.
 
@@ -435,8 +457,9 @@ class WreathLevel:
         unplaced letters in order.  The parts of a_1 ... a_{r-1} range over
         Gamma, and the part of a_r is x (g_{a_{r-1}} ... g_{a_1})^-1 for each
         x in c, so that the cycle product `type_of` forms is x.  That is
-        |Gamma_n| / Z_rho rows of n letters, sorted into level order."""
-        check_budget(self.order, f"class orbit in level {self.n}")
+        |Gamma_n| / Z_rho rows of n letters, sorted into level order, and
+        the budget is charged those rows."""
+        check_budget(self.class_size(rho), f"class {rho} in level {self.n}")
         if rho in self._class_elements:
             return self._class_elements[rho]
         out = self._build_class(rho)
@@ -513,11 +536,13 @@ class WreathLevel:
         the y of type sigma with z y^-1 of type `types[t]`, z the
         representative of `types[i]`.  The table is kept on the level, and
         each row is counted once, the first time it is asked for: the
-        products are labelled a batch of (z, y) pairs at a time."""
+        products are labelled a batch of (z, y) pairs at a time, and the
+        budget is charged the pairs of the rows still to count."""
         members, width = self.class_elements(sigma), len(self.types)
         known = self._class_counts.setdefault(sigma, {})
         missing = [r for r in dict.fromkeys(rows) if r not in known]
         if missing:
+            check_budget(len(missing) * len(members), f"class table of {sigma} in level {self.n}")
             G, reps = self.group, self.representatives.take(missing)
             inverses = batch_inverse(G, members)
             counts = np.zeros(len(missing) * width, dtype=np.int64)
@@ -785,9 +810,13 @@ def induce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
 def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
                       g: WreathClassFunction) -> WreathClassFunction:
     """Literal element-loop Frobenius sum; the oracle for `induce`.  Every
-    representative x is conjugated by every y of the level, a batch of
-    (x, y) pairs at a time; the y^-1 x y that lie in Gamma_n x Gamma_m are
-    split into their two halves, and each pair of half types is counted."""
+    representative x is conjugated by every y of the level whose
+    y^-1 x y lies in Gamma_n x Gamma_m, a batch of (x, y) pairs at a time;
+    each such conjugate is split into its two halves, and each pair of half
+    types is counted.  The sweep goes permutation-first: whether y^-1 x y
+    keeps {0..n-1} depends on the permutations alone, so `WreathLevel.sweep`
+    tests it on the n! permutations t of the level and walks the
+    |Gamma|^n elements of each t that passes."""
     N = n + m
     lvl = wreath_level(G, N)
     check_budget(lvl.order, "brute-force induction")
@@ -796,12 +825,15 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
     width = len(left.types) * len(right.types)
     reps = lvl.representatives
     counts = np.zeros(len(lvl.types) * width, dtype=np.int64)
-    for i, j in pair_batches(len(lvl.types), lvl.order):
-        y = lvl.batch(j)
+
+    def inside(i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Whether t^-1 s t keeps {0..n-1}, s the permutation of representative i."""
+        st = np.take_along_axis(reps.s[i], t[:, :n], 1)
+        return (np.take_along_axis(_perm_inverse_rows(t), st, 1) < n).all(axis=1)
+
+    for i, y in lvl.sweep(len(lvl.types), inside):
         z = batch_mult(G, batch_mult(G, batch_inverse(G, y), reps.take(i)), y)
-        inside = (z.s[:, :n] < n).all(axis=1)
-        z = z.take(inside)
-        codes = (i[inside] * width
+        codes = (i * width
                  + left.label(WreathBatch(z.g[:, :n], z.s[:, :n])) * len(right.types)
                  + right.label(WreathBatch(z.g[:, n:], z.s[:, n:] - n)))
         counts += np.bincount(codes, minlength=len(counts))

@@ -12,8 +12,12 @@ one tuple at a time, and `label_scan_class_elements` keeps the elements of
 the level whose batch label is the type, as `WreathLevel.class_elements`
 did before it built each class from its type, with the labels of the
 whole level that `WreathLevel._labels` kept (`level_labels`);
-`induce_bruteforce` is the tuple-by-tuple Frobenius sum.  `build_wreath` fills the explicit table one
-row at a time and builds the permutation actions with a dict loop;
+`induce_bruteforce` is the tuple-by-tuple Frobenius sum, and
+`array_induce_bruteforce` the array sweep of every (representative,
+element) pair of the whole level that `wfk.wreath.induce_bruteforce` ran
+before it tested the permutation parts first.  `build_wreath` fills the
+explicit table one row at a time and builds the permutation actions with a
+dict loop;
 `sum_scaled` multiplies every column value by its coefficient, and `add`
 and `neg` are `WreathClassFunction.__add__` and `__neg__` as they were when
 every result value went through `cyc()` and a value on one side only was
@@ -70,7 +74,7 @@ from wfk.report import VerificationReport
 from wfk.series import GSet
 from wfk.wreath import (_EXPLICIT_TABLE_LIMIT, TypeFunction, WreathBatch,
                         WreathClassFunction, WreathElement, WreathLevel, _unit_conductor,
-                        centralizer_order, heisenberg_p, pair_batches,
+                        batch_inverse, batch_mult, centralizer_order, heisenberg_p, pair_batches,
                         partition_multiplicities, perm_inverse, sigma_n, type_of,
                         wcf_indicator, wcf_zero, weighted_form,
                         wreath_inverse, wreath_level, wreath_mult, wreath_pairing)
@@ -216,6 +220,48 @@ def induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
                 if gv.is_zero():
                     continue
                 total = total + fv * gv
+        if not total.is_zero():
+            out[rho] = total * Fraction(1, h_order)
+    return WreathClassFunction(G, N, out)
+
+
+def array_induce_bruteforce(G: FiniteGroup, n: int, m: int, f: WreathClassFunction,
+                            g: WreathClassFunction) -> WreathClassFunction:
+    """Literal element-loop Frobenius sum; the oracle for `induce`.  Every
+    representative x is conjugated by every y of the level, a batch of
+    (x, y) pairs at a time; the y^-1 x y that lie in Gamma_n x Gamma_m are
+    split into their two halves, and each pair of half types is counted."""
+    N = n + m
+    lvl = wreath_level(G, N)
+    check_budget(lvl.order, "brute-force induction")
+    h_order = (G.order ** n) * factorial(n) * (G.order ** m) * factorial(m)
+    left, right = wreath_level(G, n), wreath_level(G, m)
+    width = len(left.types) * len(right.types)
+    reps = lvl.representatives
+    counts = np.zeros(len(lvl.types) * width, dtype=np.int64)
+    for i, j in pair_batches(len(lvl.types), lvl.order):
+        y = lvl.batch(j)
+        z = batch_mult(G, batch_mult(G, batch_inverse(G, y), reps.take(i)), y)
+        inside = (z.s[:, :n] < n).all(axis=1)
+        z = z.take(inside)
+        codes = (i[inside] * width
+                 + left.label(WreathBatch(z.g[:, :n], z.s[:, :n])) * len(right.types)
+                 + right.label(WreathBatch(z.g[:, n:], z.s[:, n:] - n)))
+        counts += np.bincount(codes, minlength=len(counts))
+    out = {}
+    for rho, row in zip(lvl.types, counts.reshape(len(lvl.types), width).tolist()):
+        total = cyc(0)
+        for pair, count in enumerate(row):
+            if not count:
+                continue
+            a, b = divmod(pair, len(right.types))
+            fv = f.value(left.types[a])
+            if fv.is_zero():
+                continue
+            gv = g.value(right.types[b])
+            if gv.is_zero():
+                continue
+            total = total + fv * gv * count
         if not total.is_zero():
             out[rho] = total * Fraction(1, h_order)
     return WreathClassFunction(G, N, out)

@@ -244,33 +244,45 @@ def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
     from wfk import budget
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     argv = ["verify", "koszul-thom", "--group", "builtin:cyclic:2", "--n", "2"]
-    assert run(argv + ["--budget", "7"]) == 1  # Gamma_2 has 8 elements
-    assert "exceeds budget 7" in capsys.readouterr().err
+    assert run(argv + ["--budget", "4"]) == 1  # level 2 has 5 types, one determinant each
+    assert "koszul-thom at level 2: 5 elements exceeds budget 4" in capsys.readouterr().err
     assert budget.budget() == budget.DEFAULT_BUDGET
     assert run(argv) == 0
-    monkeypatch.setenv("WFK_BUDGET", "7")
+    monkeypatch.setenv("WFK_BUDGET", "4")
     assert run(argv) == 1
     assert run(argv + ["--budget", "100"]) == 0
-    assert budget.budget() == 7
+    assert budget.budget() == 4
 
 
 def test_lehn_sorger_reaches_s8_under_the_budget(capsys, monkeypatch):
-    # S_8 has 40320 elements: within the default budget, one above 40319
+    # the largest class table of S_8 labels 5 rows x 28 transpositions: 140
+    # (z, y) pairs, within the default budget, one above 139.  A table row is
+    # charged when it is counted, not when it is read back, so the refusal
+    # runs in a fresh process, where no row of S_8 is kept yet.
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "8"])
     assert code == 0 and json.loads(out)["pass"] is True
-    assert run(["verify", "lehn-sorger", "--n", "8", "--budget", "40319"]) == 1
-    err = capsys.readouterr().err
-    assert "class orbit in level 8: 40320 elements exceeds budget 40319" in err
+    proc = module_run("verify", "lehn-sorger", "--n", "8", "--budget", "139")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("wfk: error: class table of Type(0:[2, 1, 1, 1, 1, 1, 1]) in level 8: "
+                           "140 elements exceeds budget 139\n")
+
+
+def test_conv_cubic_reaches_s12_under_the_budget(capsys, monkeypatch):
+    # S_12 has 479,001,600 elements, but the classes and class tables the
+    # check builds hold at most 5,082 rows
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    code, out = capture(capsys, ["verify", "conv-cubic", "--n", "12"])
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_fw_virasoro_on_the_binary_tetrahedral_group_is_refused(capsys, monkeypatch):
-    # level 3 of BT has 82944 elements, over the default budget, so no class
-    # of it is built
+    # the class table of K_1(c, 3) on the 140 types of level 3 of BT labels
+    # 140 x 432 = 60480 (z, y) pairs, over the default budget
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     assert run(["verify", "fw-virasoro", "--group", "builtin:binary-tetrahedral"]) == 1
-    assert capsys.readouterr().err == \
-        "wfk: error: class orbit in level 3: 82944 elements exceeds budget 50000\n"
+    assert capsys.readouterr().err == ("wfk: error: class table of Type(0:[1], 1:[2]) in level 3: "
+                                       "60480 elements exceeds budget 50000\n")
 
 
 def python_run(*args, timeout=120, address_space=None):
@@ -297,9 +309,10 @@ def test_module_entry_point_runs_the_command(capsys):
     proc = module_run(*argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == capture(capsys, argv)[1]
-    proc = module_run("verify", "lehn-sorger", "--n", "3", "--budget", "5")
+    proc = module_run("verify", "lehn-sorger", "--n", "3", "--budget", "2")
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "wfk: error: class orbit in level 3: 6 elements exceeds budget 5\n"
+    assert proc.stderr == ("wfk: error: class Type(0:[2, 1]) in level 3: "
+                           "3 elements exceeds budget 2\n")
 
 
 S8_CEILING = "symmetric_group(8): explicit table of 40320 elements exceeds the table ceiling 8000"
@@ -387,6 +400,28 @@ def test_orbifold_series_one_level_beyond(capsys, monkeypatch):
     data = json.loads(out)
     assert data["pass"] is True
     assert data["probes"][6]["lhs"] == "65"
+
+
+# sha256 of the stdout of `series orbifold-euler ...`, recorded while the
+# count still walked every (representative, element) pair of each level
+ORBIFOLD_SHA256 = {
+    "--group builtin:cyclic:3 --nmax 4":
+        "0d047ae763f0c88dd384dc8187980b124f83f53efeb08b633c9e105f29a541d8",
+    "--group builtin:cyclic:2 --points 2 --swap --nmax 4":
+        "741485387c447aeac1515d0724fcb38158ced4a72dde73a063f9be57bc230d83",
+    "--group builtin:binary-dihedral:2 --nmax 3":
+        "0ee3583633b822135128ac6a47a0e8945af594f66169709ebe9742a71647716a",
+    "--group builtin:cyclic:2 --nmax 6":
+        "740244930e05b951e1e9339dd849bf4c6475a550415392d5a14d80f4a72b4fbe",
+}
+
+
+@pytest.mark.parametrize("query", sorted(ORBIFOLD_SHA256))
+def test_orbifold_series_stdout_is_pinned(capsys, monkeypatch, query):
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    code, out = capture(capsys, ["series", "orbifold-euler", *query.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIFOLD_SHA256[query]
 
 
 def test_orbifold_series_level_7_exceeds_default_budget(capsys, monkeypatch):

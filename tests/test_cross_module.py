@@ -69,17 +69,24 @@ def test_build_wreath_budget():
 
 
 def test_filtered_convolution_budget():
-    # S_8 (40320 elements) sits just above a budget of 40319, S_9 above the default
+    # convolving by the n-cycles is charged the class it builds: the 5,040
+    # 8-cycles of S_8 sit just above a budget of 5,039, and the 362,880
+    # 10-cycles of S_10 above the default
     from wfk.charmap import GradedClassFunction, filtered_convolution
     from wfk.wreath import TypeFunction
     T = trivial_group()
     e = T.conjugacy().class_of[0]
-    f = GradedClassFunction.indicator(8, TypeFunction([(e, (1,) * 8)]))
-    with budget_override(40319), pytest.raises(BudgetExceeded):
-        filtered_convolution(f, f)
-    f = GradedClassFunction.indicator(9, TypeFunction([(e, (1,) * 9)]))
-    with pytest.raises(BudgetExceeded):
-        filtered_convolution(f, f)
+
+    def pair(n):
+        return (GradedClassFunction.indicator(n, TypeFunction([(e, (1,) * n)])),
+                GradedClassFunction.indicator(n, TypeFunction([(e, (n,))])))
+
+    with budget_override(5039), pytest.raises(BudgetExceeded, match="5040 elements"):
+        filtered_convolution(*pair(8))
+    with budget_override(5040):
+        assert filtered_convolution(*pair(8)).degree == 7
+    with pytest.raises(BudgetExceeded, match="362880 elements"):
+        filtered_convolution(*pair(10))
 
 
 def test_budget_env_override(monkeypatch):

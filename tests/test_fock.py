@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wfk.fock import (
+    _BUILTIN_MODELS,
     B_class,
     ColorSpace,
     CutoffTooSmall,
@@ -444,3 +445,27 @@ def test_cached_builtin_model_equals_fresh_one(name, build):
     assert vars(cached).keys() == vars(fresh).keys()
     for field, value in vars(fresh).items():
         assert getattr(cached, field) == value, field
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_MODELS))
+def test_euler_class_traces_to_the_super_dimension(name):
+    # trace(sum_i (-1)^|b_i| b_i b^i) = sum_i (-1)^|b_i|: chi(P^2) = 3 and
+    # chi(T^2) = 0 for the exterior algebra on two odd classes; the affine
+    # plane has a degenerate pairing and no Euler class
+    alg = builtin_model(name)
+    chi = {"point": 1, "p2": 3, "exterior2": 0}.get(name)
+    if chi is None:
+        assert not alg.nondegenerate and alg.euler is None
+        return
+    assert alg.trace(alg.euler) == sum((-1) ** p for p in alg.parities) == chi
+
+
+@pytest.mark.parametrize("name", ["point", "p2"])
+def test_euler_class_of_an_even_model_is_the_unsigned_sum(name):
+    # with no odd class the sign is 1 throughout: sum_i b_i b^i as before
+    alg = builtin_model(name)
+    unsigned = alg.zero()
+    for i in range(alg.dim):
+        unsigned = alg.add(unsigned, alg.mul(alg.basis(i), alg.dual_basis(i)))
+    assert alg.euler == unsigned
+    assert builtin_model("p2").euler == (0, 0, 3)

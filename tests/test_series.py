@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
+import reference_series as ref
 from wfk.budget import BudgetExceeded, budget_override
-from wfk.groups import cyclic_group, trivial_group
+from wfk.groups import binary_dihedral, cyclic_group, trivial_group
 from wfk.series import (
     GSet,
     NonIntegralResult,
@@ -19,7 +21,7 @@ from wfk.series import (
     wreath_orbifold_euler,
     wreath_orbifold_euler_check,
 )
-from wfk.wreath import enumerate_types
+from wfk.wreath import WreathLevel, enumerate_types, wreath_level
 
 
 def pentagonal_partition_numbers(order):
@@ -230,6 +232,60 @@ def test_level_count_matches_table_path(name):
 def test_level_count_matches_table_path_at_level_5():
     S = GSet.trivial(cyclic_group(2), 1)
     assert wreath_orbifold_euler(S, 5) == orbifold_euler_bruteforce(wreath_gset(S, 5)) == 36
+
+
+# (base set, top level) for the permutation-first sweep against the full one
+SWEEP_BASES = {
+    "trivial-1": (lambda: GSet.trivial(trivial_group(), 1), 5),
+    "trivial-2": (lambda: GSet.trivial(trivial_group(), 2), 5),
+    "Z2-1": (lambda: GSet.trivial(cyclic_group(2), 1), 5),
+    "Z2-swap": (lambda: swap_action(cyclic_group(2)), 5),
+    "Z3-1": (lambda: GSet.trivial(cyclic_group(3), 1), 5),
+    "Z3-rotate": (lambda: GSet(cyclic_group(3), [[(x + g) % 3 for x in range(3)]
+                                                 for g in range(3)]), 4),
+    "BD2-1": (lambda: GSet.trivial(binary_dihedral(2), 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_BASES))
+def test_permutation_first_sweep_matches_full_sweep(name):
+    # gate: the count that walks only the permutations commuting with each
+    # representative's against the sweep of the whole level it replaced
+    make, top = SWEEP_BASES[name]
+    S = make()
+    for n in range(top + 1):
+        assert wreath_orbifold_euler(S, n) == ref.wreath_orbifold_euler(S, n), n
+
+
+def test_sweep_walks_only_the_commuting_permutations(monkeypatch):
+    # at Z/2 level 5 every type is live on one point; the sweep hands `batch`
+    # the |C_{S_5}(s_rho)| permutations that commute with each representative,
+    # each with its 2^5 Gamma-parts, not all 3,840 elements for each of the 36
+    # types.  The action check hands it the whole level once per generator row.
+    G, n = cyclic_group(2), 5
+    S = GSet.trivial(G, 1)
+    level = wreath_level(G, n)
+    handed = []
+    batch = WreathLevel.batch
+
+    def counted(self, index):
+        handed.append(len(index))
+        return batch(self, index)
+
+    monkeypatch.setattr(WreathLevel, "batch", counted)
+    assert wreath_orbifold_euler(S, n) == 36
+    generator_rows = (n - 1) + len(G.generators)
+    swept = sum(handed) - generator_rows * level.order
+    centralizers = 0
+    for rho in level.types:
+        cycle_type = sorted(r for _, parts in rho for r in parts)
+        z = 1
+        for r in set(cycle_type):
+            m = cycle_type.count(r)
+            z *= r ** m * factorial(m)
+        centralizers += z
+    assert swept == centralizers * G.order ** n
+    assert swept < len(level.types) * level.order
 
 
 def unchecked_gset(G, table):

@@ -1,11 +1,13 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wfk.budget import BudgetExceeded, budget_override
 from wfk.exact import cyc
 from wfk.groups import (ClassFunction, FiniteGroup, GroupMismatch, binary_dihedral,
                         cyclic_group, inner_product, symmetric_group, trivial_group)
@@ -31,6 +33,7 @@ from wfk.wreath import (
     wreath_mult,
     wreath_pairing,
     WreathClassFunction,
+    WreathLevel,
 )
 
 from reference_wreath import p_minus_adjoint, wcf_to_class_function, wreath_identity
@@ -441,11 +444,28 @@ def test_weighted_form_symmetry():
 
 
 def test_budget_applies_to_cached_class_orbit():
-    from wfk.budget import BudgetExceeded, budget_override
-
     G = cyclic_group(2)
     lvl = wreath_level(G, 2)
     rho = enumerate_types(G, 2)[0]
+    size = lvl.class_size(rho)
     assert lvl.class_elements(rho)  # computed and cached
-    with budget_override(7), pytest.raises(BudgetExceeded, match="class orbit in level 2"):
+    with budget_override(size - 1), pytest.raises(
+            BudgetExceeded, match=re.escape(f"class {rho} in level 2: {size} elements")):
         lvl.class_elements(rho)
+
+
+def test_budget_charges_a_class_its_own_size():
+    # a class is charged the rows it builds, not |Gamma_n|: under a budget of
+    # the largest class size of Z/2 level 5, every class is built, and one
+    # element less refuses the largest by its own size
+    G = cyclic_group(2)
+    lvl = WreathLevel(G, 5)
+    sizes = {rho: lvl.class_size(rho) for rho in lvl.types}
+    largest = max(sizes, key=sizes.get)
+    assert sizes[largest] < lvl.order
+    with budget_override(sizes[largest]):
+        assert all(len(lvl.class_elements(rho)) == sizes[rho] for rho in lvl.types)
+    with budget_override(sizes[largest] - 1), pytest.raises(BudgetExceeded) as refused:
+        WreathLevel(G, 5).class_elements(largest)
+    assert str(refused.value) == (f"class {largest} in level 5: {sizes[largest]} elements "
+                                  f"exceeds budget {sizes[largest] - 1}")

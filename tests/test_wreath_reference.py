@@ -8,8 +8,10 @@ reference finds, as a set.  The numpy element batches are gated against the
 tuple loops they replaced: the class members must be the list the type scan
 finds, in order, and `induce_bruteforce` must agree with the tuple-by-tuple
 Frobenius sum in value, conductor and key order, level 0 and the splits
-with an empty side included.  The explicit Gamma_n table filled one
-permutation block at a time must be the row-by-row table byte for byte,
+with an empty side included, and with the sweep of the whole level it ran
+before it tested the permutation parts first, in value, `key()` and key
+order.  The explicit Gamma_n table filled one permutation block at a time
+must be the row-by-row table byte for byte,
 with the same permutation actions, and its level's batch must list the
 elements the row-by-row build stores.  The one encoding of the elements on
 `WreathLevel` is gated against the tuple paths it replaced: the
@@ -228,6 +230,28 @@ def test_induce_bruteforce_matches_tuple_loop(name):
     for n, m in induction_splits(name):
         f, g = random_wcf(G, n, rng), random_wcf(G, m, rng)
         assert same(induce_bruteforce(G, n, m, f, g), ref.induce_bruteforce(G, n, m, f, g)), (n, m)
+
+
+# (base group, top level) for the permutation-first induction sweep
+SWEEP_LEVELS = {"trivial": (trivial_group, 4), "Z2": (GROUPS["Z2"], 4),
+                "Z3": (GROUPS["Z3"], 4), "BD2": (GROUPS["BD2"], 3)}
+
+
+@pytest.mark.parametrize("name", SWEEP_LEVELS)
+def test_induce_bruteforce_matches_full_level_sweep(name):
+    # gate: the sweep that conjugates only by the permutations keeping
+    # {0..n-1} against the sweep of every (representative, element) pair
+    make, top = SWEEP_LEVELS[name]
+    G = make()
+    rng = random.Random(41 + sum(map(ord, name)))
+    for n in range(top + 1):
+        for m in range(top + 1 - n):
+            f, g = random_wcf(G, n, rng), random_wcf(G, m, rng)
+            got = induce_bruteforce(G, n, m, f, g)
+            want = ref.array_induce_bruteforce(G, n, m, f, g)
+            assert got.n == want.n and got.values == want.values, (n, m)
+            assert [(k, v.key()) for k, v in got.values.items()] \
+                == [(k, v.key()) for k, v in want.values.items()], (n, m)
 
 
 # (base group, top level) for the explicit tables against the row-by-row build
