@@ -1,11 +1,13 @@
 """The one brute-force budget: every loop that grows faster than linearly in
 a group order passes its element count to `check_budget`, against
 DEFAULT_BUDGET or its override (WFK_BUDGET, `budget_override`, the CLI's
-`--budget`), a positive integer.  The only other size ceiling is the memory
+`--budget`), a positive integer.  Each check depends on the query alone,
+never on what an earlier call kept.  The other size ceilings are the memory
 bound of an explicit permutation table, `wreath._EXPLICIT_TABLE_LIMIT` (8000
 elements), checked by `wreath.wreath_table` for every Gamma_n table and so
 for S_n, the Gamma_n of the trivial group: `symmetric:8` (40,320 elements)
-passes the default budget and is refused by the ceiling."""
+passes the default budget and is refused by the ceiling; and the int64 type
+codes of `WreathLevel.label`, which refuse S_16 and beyond."""
 
 from __future__ import annotations
 

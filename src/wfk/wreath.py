@@ -536,13 +536,16 @@ class WreathLevel:
         the y of type sigma with z y^-1 of type `types[t]`, z the
         representative of `types[i]`.  The table is kept on the level, and
         each row is counted once, the first time it is asked for: the
-        products are labelled a batch of (z, y) pairs at a time, and the
-        budget is charged the pairs of the rows still to count."""
+        products are labelled a batch of (z, y) pairs at a time.  The budget
+        is charged the pairs of every distinct row asked for, on every call
+        and before the table is read, so a refusal depends on the query alone
+        and not on the rows an earlier call counted."""
         members, width = self.class_elements(sigma), len(self.types)
+        asked = list(dict.fromkeys(rows))
+        check_budget(len(asked) * len(members), f"class table of {sigma} in level {self.n}")
         known = self._class_counts.setdefault(sigma, {})
-        missing = [r for r in dict.fromkeys(rows) if r not in known]
+        missing = [r for r in asked if r not in known]
         if missing:
-            check_budget(len(missing) * len(members), f"class table of {sigma} in level {self.n}")
             G, reps = self.group, self.representatives.take(missing)
             inverses = batch_inverse(G, members)
             counts = np.zeros(len(missing) * width, dtype=np.int64)

@@ -256,16 +256,19 @@ def test_budget_flag_is_scoped_to_one_call(capsys, monkeypatch):
 
 def test_lehn_sorger_reaches_s8_under_the_budget(capsys, monkeypatch):
     # the largest class table of S_8 labels 5 rows x 28 transpositions: 140
-    # (z, y) pairs, within the default budget, one above 139.  A table row is
-    # charged when it is counted, not when it is read back, so the refusal
-    # runs in a fresh process, where no row of S_8 is kept yet.
+    # (z, y) pairs, within the default budget, one above 139.  The rows are
+    # charged on every call, so the refusal is the same after a run that
+    # counted and kept them
     monkeypatch.delenv("WFK_BUDGET", raising=False)
-    code, out = capture(capsys, ["verify", "lehn-sorger", "--n", "8"])
+    argv = ["verify", "lehn-sorger", "--n", "8"]
+    refusal = ("wfk: error: class table of Type(0:[2, 1, 1, 1, 1, 1, 1]) in level 8: "
+               "140 elements exceeds budget 139\n")
+    proc = module_run(*argv, "--budget", "139")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", refusal)
+    code, out = capture(capsys, argv)
     assert code == 0 and json.loads(out)["pass"] is True
-    proc = module_run("verify", "lehn-sorger", "--n", "8", "--budget", "139")
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == ("wfk: error: class table of Type(0:[2, 1, 1, 1, 1, 1, 1]) in level 8: "
-                           "140 elements exceeds budget 139\n")
+    assert run(argv + ["--budget", "139"]) == 1
+    assert capsys.readouterr() == ("", refusal)
 
 
 def test_conv_cubic_reaches_s12_under_the_budget(capsys, monkeypatch):
@@ -274,6 +277,15 @@ def test_conv_cubic_reaches_s12_under_the_budget(capsys, monkeypatch):
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     code, out = capture(capsys, ["verify", "conv-cubic", "--n", "12"])
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_conv_cubic_stops_at_the_type_code_limit(capsys, monkeypatch):
+    # S_16 passes every budget check of conv-cubic, but the type codes of its
+    # elements, 16 sorted keys in base 16, do not fit in int64
+    monkeypatch.delenv("WFK_BUDGET", raising=False)
+    assert run(["verify", "conv-cubic", "--n", "16"]) == 1
+    assert capsys.readouterr() == ("", "wfk: error: the type codes of level 16 do not fit "
+                                       "in int64\n")
 
 
 def test_fw_virasoro_on_the_binary_tetrahedral_group_is_refused(capsys, monkeypatch):

@@ -454,6 +454,23 @@ def test_budget_applies_to_cached_class_orbit():
         lvl.class_elements(rho)
 
 
+def test_budget_applies_to_cached_class_table_rows():
+    # a table row is charged on every call, counted or read back, and a row
+    # asked for twice in one call is charged once
+    G = cyclic_group(2)
+    lvl = wreath_level(G, 3)
+    sigma = lvl.types[1]
+    pairs = len(lvl.types) * lvl.class_size(sigma)
+    rows = list(range(len(lvl.types)))
+    counted = lvl.class_counts(sigma, rows)  # computed and kept
+    with budget_override(pairs):
+        assert (lvl.class_counts(sigma, rows + rows[:1]) == np.vstack([counted, counted[:1]])).all()
+    with budget_override(pairs - 1), pytest.raises(BudgetExceeded) as refused:
+        lvl.class_counts(sigma, rows)
+    assert str(refused.value) == (f"class table of {sigma} in level 3: {pairs} elements "
+                                  f"exceeds budget {pairs - 1}")
+
+
 def test_budget_charges_a_class_its_own_size():
     # a class is charged the rows it builds, not |Gamma_n|: under a budget of
     # the largest class size of Z/2 level 5, every class is built, and one
