@@ -73,12 +73,6 @@ class FrobeniusAlgebra:
         self._validate()
         self.pairing = [[self.trace(self.mul(self.basis(i), self.basis(j)))
                          for j in range(self.dim)] for i in range(self.dim)]
-        # triple_trace[i][a][b] = trace(e_i e_a e_b), read by `coproduct_power`
-        self.triple_trace = [[[sum((c * self.pairing[i][k]
-                                    for k, c in enumerate(self._mul[a][b]) if c),
-                                   Fraction(0))
-                               for b in range(self.dim)] for a in range(self.dim)]
-                             for i in range(self.dim)]
         try:
             self._pairing_inv = linalg.invert(
                 [[Fraction(x) for x in row] for row in self.pairing],
@@ -87,6 +81,8 @@ class FrobeniusAlgebra:
         except ValueError:
             self._pairing_inv = None
             self.nondegenerate = False
+        duals = [self.dual_basis(d) for d in range(self.dim)] if self.nondegenerate else []
+        self._split_tables(duals)
         if euler is not None:
             self.euler = self._vec(euler)
         elif self.nondegenerate:
@@ -95,7 +91,31 @@ class FrobeniusAlgebra:
             self.euler = None
         self.canonical = self._vec(canonical) if canonical is not None else None
         self.space = ColorSpace(self.labels, self.parities,
-                                [list(row) for row in self.pairing], name=self.name)
+                                [list(row) for row in self.pairing], name=self.name,
+                                duals=duals)
+
+    def _split_tables(self, duals: list) -> None:
+        """The tables `coproduct_power` reads: trace(x e_a e_b) for x each
+        basis element e_i (`triple_trace[i]`) and each element e^d of the dual
+        basis `duals` (`dual_split[d]`; none for a degenerate pairing), as the
+        nonzero ((a, b), numerator) in (a, b) order over the one int
+        denominator `split_den`; and `dual_rank[d]`, the place of e^d among
+        the dual basis elements sorted by their coefficients."""
+        dim = self.dim
+        triple = [[[sum((c * self.pairing[i][k] for k, c in enumerate(self._mul[a][b]) if c),
+                        Fraction(0))
+                    for b in range(dim)] for a in range(dim)] for i in range(dim)]
+        tables = triple + [[[sum((x * triple[i][a][b] for i, x in enumerate(dual) if x),
+                                 Fraction(0))
+                             for b in range(dim)] for a in range(dim)] for dual in duals]
+        den = math.lcm(1, *(t.denominator for table in tables for row in table for t in row))
+        sparse = [[((a, b), t.numerator * (den // t.denominator))
+                   for a, row in enumerate(table) for b, t in enumerate(row) if t]
+                  for table in tables]
+        self.split_den = den
+        self.triple_trace, self.dual_split = sparse[:dim], sparse[dim:]
+        ranked = sorted(range(len(duals)), key=duals.__getitem__)
+        self.dual_rank = [ranked.index(d) for d in range(len(duals))]
 
     # -- element helpers -----------------------------------------------------
 
@@ -300,10 +320,13 @@ class ColorSpace:
     """Creation colors with parities and a contraction pairing kappa(a,b).
 
     The space keeps what is built on it: its grades, its fields with their
-    modes, and the normal products of its fields.  Two spaces are equal when
-    their labels, parities, pairing and name are, whatever they keep."""
+    modes, and the normal products of its fields.  The space of an algebra
+    builds the fields of the algebra's dual basis `duals` at once and keeps
+    them in order in `dual_fields`, so that `W_operator` reads them by index.
+    Two spaces are equal when their labels, parities, pairing and name are,
+    whatever they keep."""
 
-    def __init__(self, labels, parities, kappa, name="colors"):
+    def __init__(self, labels, parities, kappa, name="colors", duals=()):
         self.labels = list(labels)
         self.parities = list(parities)
         self.kappa = kappa  # matrix, kappa[a][b] scalar
@@ -311,6 +334,7 @@ class ColorSpace:
         self.fields: dict = {}  # tuple(alpha) -> _Field of alpha on this space
         self.grades: dict = {}  # weight -> (monomials, position of each)
         self.products: dict = {}  # (fields, mode) -> normal product of the fields
+        self.dual_fields = [self.field(d) for d in duals]
 
     def __eq__(self, other):
         if not isinstance(other, ColorSpace):
@@ -380,7 +404,9 @@ class ColorSpace:
                     out.append(col or _EMPTY)
                 return out, den
 
-        return FockOperator(self, None, f"q{n}", grade_block, lowers=n)
+        op = FockOperator(self, None, f"q{n}", grade_block, lowers=n)
+        op.cyclotomic = any(isinstance(c, CycNum) for c in coeffs)
+        return op
 
     def field(self, alpha) -> "_Field":
         """The field of the element alpha, kept on this space with its modes
@@ -558,7 +584,9 @@ class FockOperator:
     `block(d)` is the operator from weight d as an exact block (see
     `_BlockSum`), built by `grade_block(d)` and kept by weight; the bound is
     checked there, once per grade.  The blocks are the operator's one
-    implementation and its one cache: `apply` multiplies a vector by them."""
+    implementation and its one cache: `apply` multiplies a vector by them.
+    Their numerators are ints, but for a mode of cyclotomic coefficients
+    (`cyclotomic`), whose numerators may be CycNums."""
 
     def __init__(self, space, max_weight, name, grade_block, lowers):
         # no column is kept apart from the blocks; the benchmark tracer still
@@ -569,18 +597,31 @@ class FockOperator:
         self.name = name
         self.grade_block = grade_block
         self.lowers = lowers
+        self.cyclotomic = False  # set by `ColorSpace.mode`
         self.blocks: dict = {}
 
     def apply(self, v: FockVector) -> FockVector:
         """The block times the vector: for each term, the column of its
-        monomial read off the block of its weight, an int numerator as a
-        Fraction over the block's denominator, a CycNum numerator (over 1) as
-        it is, and added times the term's coefficient in key order."""
-        space, acc = self.space, {}
+        monomial read off the block of its weight, added times the term's
+        coefficient in key order.
+
+        When the blocks hold ints and every coefficient is an int or a
+        Fraction, the sum runs on int numerators over one denominator, the
+        lcm of (block denominator x coefficient denominator) over the terms,
+        and gives one Fraction per monomial at the end; a monomial whose sum
+        cancels leaves the sum and comes back at the end, as `_add_into`
+        places it.  Otherwise each int numerator is a Fraction over the
+        block's denominator, a CycNum numerator (over 1) is taken as it is,
+        and the terms are added by `_add_into`."""
+        space = self.space
         if v.terms and v.space is not space and (v.space.parities != space.parities
                                                  or v.space.kappa != space.kappa):
             raise ModelMismatch(f"{self.name}: an operator on {space.name} "
                                 f"applied to a vector of {v.space.name}")
+        if not self.cyclotomic and all(type(c) is Fraction or type(c) is int
+                                       for c in v.terms.values()):
+            return self._apply_rational(v)
+        acc = {}
         for mono, coeff in v.terms.items():
             weight = sum(n for n, _ in mono)
             cols, den = self.block(weight)
@@ -590,6 +631,34 @@ class FockOperator:
                 _add_into(acc, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
                                 for r, x in col.items()}, coeff)
         return FockVector._of(v.space, acc)
+
+    def _apply_rational(self, v: FockVector) -> FockVector:
+        """`apply` on int blocks and int or Fraction coefficients."""
+        space, columns, common = self.space, [], 1
+        for mono, coeff in v.terms.items():
+            weight = sum(n for n, _ in mono)
+            cols, den = self.block(weight)
+            col = cols[space.grade(weight)[1][mono]]
+            if col:
+                den *= coeff.denominator
+                common = math.lcm(common, den)
+                columns.append((col, space.grade(weight - self.lowers)[0], coeff.numerator, den))
+        acc: dict = {}
+        get = acc.get
+        for col, rows, num, den in columns:
+            f = num * (common // den)
+            for r, x in col.items():
+                m = rows[r]
+                prev = get(m)
+                if prev is None:
+                    acc[m] = f * x
+                else:
+                    prev += f * x
+                    if prev:
+                        acc[m] = prev
+                    else:
+                        del acc[m]
+        return FockVector._of(v.space, {m: Fraction(x, common) for m, x in acc.items()})
 
     def block(self, d: int) -> tuple[list, int]:
         blk = self.blocks.get(d)
@@ -733,38 +802,52 @@ def normal_order(alg: FrobeniusAlgebra, fields: list, weight: int, mode: int,
 
 def coproduct_power(alg: FrobeniusAlgebra, alpha, k: int) -> list[tuple]:
     """delta_k* alpha as a list of (coefficient, [factor elements]); determined
-    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k).  Each
-    step splits the first factor x by trace(x e_a e_b), read off the
-    algebra's `triple_trace`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    by <delta_k* alpha, b_1 (x) ... (x) b_k> = trace(alpha b_1 ... b_k), for
+    alpha of rational coefficients.  For k >= 2 every factor is a dual basis
+    element; see `_coproduct_terms`."""
     if k == 1:
         return [(Fraction(1), [alpha])]
+    terms, den = _coproduct_terms(alg, alpha, k)
+    duals = [alg.dual_basis(d) for d in range(alg.dim)]
+    return [(Fraction(c, den), [list(duals[d]) for d in key]) for key, c in terms.items()]
+
+
+def _coproduct_terms(alg: FrobeniusAlgebra, alpha, k: int) -> tuple[dict, int]:
+    """delta_k* alpha for k >= 2 as int numerators over one denominator, keyed
+    by the tuple of the dual basis indices of the factors, in the order the
+    terms first appear; no numerator is zero.  k < 1 raises ValueError.
+
+    The first step splits alpha by trace(alpha e_a e_b) into the terms
+    e^a (x) e^b in (a, b) order, read off the algebra's `triple_trace`; each
+    further step splits the first factor e^d of every term, in turn, by
+    trace(e^d e_a e_b), read off its `dual_split`, and merges the terms with
+    the same factors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not alg.nondegenerate:
         raise DegeneratePairing(f"{alg.name}: coproduct needs a nondegenerate trace")
     if any(alg.parities):
         raise ModelMismatch("coproduct powers are implemented for even models only")
-    duals = [alg.dual_basis(a) for a in range(alg.dim)]
-    terms = [(Fraction(1), [alpha])]
-    for _ in range(k - 1):
-        new_terms = []
-        for coeff, factors in terms:
-            live = [(x, alg.triple_trace[i]) for i, x in enumerate(factors[0]) if x != 0]
-            for a in range(alg.dim):
-                for b in range(alg.dim):
-                    c = sum((x * t[a][b] for x, t in live), Fraction(0))
-                    if c != 0:
-                        new_terms.append((coeff * c, [duals[a], duals[b]] + factors[1:]))
-        terms = _merge_tensor_terms(new_terms)
-    return terms
-
-
-def _merge_tensor_terms(terms):
-    merged = {}
-    for coeff, factors in terms:
-        key = tuple(tuple(f) for f in factors)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    return [(c, [list(f) for f in key]) for key, c in merged.items() if c != 0]
+    if any(isinstance(c, CycNum) for c in alpha):
+        raise ModelMismatch("coproduct powers need rational coefficients")
+    nums, den = _over_one_denominator(alpha)
+    acc: dict = {}
+    for x, table in zip(nums, alg.triple_trace):
+        if x:
+            for ab, t in table:
+                acc[ab] = acc.get(ab, 0) + x * t
+    terms = {ab: acc[ab] for ab in sorted(acc) if acc[ab]}
+    den *= alg.split_den
+    for _ in range(k - 2):
+        acc = {}
+        for key, c in terms.items():
+            rest = key[1:]
+            for ab, t in alg.dual_split[key[0]]:
+                new = ab + rest
+                acc[new] = acc.get(new, 0) + c * t
+        terms = {key: c for key, c in acc.items() if c}
+        den *= alg.split_den
+    return terms, den
 
 
 def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
@@ -774,17 +857,25 @@ def W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
 
     The terms of delta_k* alpha with the same factors in any order are one
     term, since `coproduct_power` takes even models only and normal products
-    of even fields commute; each block adds the block of each term's normal
-    product, the one kept on the space."""
+    of even fields commute: each term's dual basis indices are sorted by the
+    place of their elements in coefficient order (`dual_rank`), and the fields
+    are read by index off the space's `dual_fields`.  Each block adds the
+    block of each term's normal product, the one kept on the space."""
     _refuse_cyclotomic([alpha], f"W{k}_{n}")
     space = space or ColorSpace.of_algebra(alg)
-    merged: dict = {}
-    for coeff, factors in coproduct_power(alg, alpha, k):
-        key = tuple(sorted(tuple(f) for f in factors))
-        merged[key] = merged.get(key, 0) + coeff
-    factorial = math.factorial(k)
-    terms = [(space.product(tuple(space.field(f) for f in key), n), coeff / factorial)
-             for key, coeff in merged.items() if coeff]
+    if k == 1:
+        terms = [(space.field(tuple(alpha)).mode(n), Fraction(1))]
+    else:
+        split, den = _coproduct_terms(alg, alpha, k)
+        rank, merged = alg.dual_rank.__getitem__, {}
+        for key, c in split.items():
+            key = tuple(sorted(key, key=rank))
+            merged[key] = merged.get(key, 0) + c
+        den *= math.factorial(k)
+        fields = (space.dual_fields if space is alg.space
+                  else [space.field(alg.dual_basis(d)) for d in range(alg.dim)])
+        terms = [(space.product(tuple(fields[d] for d in key), n), Fraction(c, den))
+                 for key, c in merged.items() if c]
 
     def grade_block(d: int) -> tuple[list, int]:
         acc = _BlockSum(len(space.grade(d)[0]))

@@ -106,7 +106,7 @@ class PowerSeries:
 
     def __eq__(self, other):
         return (isinstance(other, PowerSeries) and self.variables == other.variables
-                and self.coeffs == other.coeffs)
+                and self.order == other.order and self.coeffs == other.coeffs)
 
     def q_coefficient(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """Coefficient of q^n as a polynomial in the remaining variables."""
@@ -143,6 +143,10 @@ class PowerSeries:
         return f"Series({' + '.join(bits)}{more})"
 
 
+# `geometric_factor` and `_binomial_plus` expand one factor as a whole
+# series; the product formulas below no longer call them.  They stay for the
+# tests, and `perfbench/tracer.py` times `geometric_factor` by name.
+
 def geometric_factor(variables, order, mono: dict, exponent: int) -> PowerSeries:
     """(1 - m)^(-exponent) for a monomial m with positive q-degree; negative
     `exponent` gives the binomial expansion of (1 - m)^|exponent|."""
@@ -162,26 +166,6 @@ def geometric_factor(variables, order, mono: dict, exponent: int) -> PowerSeries
     return PowerSeries(variables, order, out)
 
 
-def gottsche_poincare(betti: tuple[int, int, int, int, int], order: int) -> PowerSeries:
-    """prod_m (1+t^(2m-1)q^m)^b1 (1+t^(2m+1)q^m)^b3 /
-    [(1-t^(2m-2)q^m)^b0 (1-t^(2m)q^m)^b2 (1-t^(2m+2)q^m)^b4]."""
-    b0, b1, b2, b3, b4 = betti
-    if any(b < 0 for b in betti):
-        raise ValueError("Betti numbers must be non-negative")
-    vars_ = ("q", "t")
-    out = PowerSeries.one(vars_, order)
-    for m in range(1, order + 1):
-        # numerator factors (1 + u)^b = (1 - (-u))^(-(-b)) via sign trick:
-        # expand (1+u)^b directly with binomial coefficients
-        for power, b in (((2 * m - 1), b1), ((2 * m + 1), b3)):
-            if b:
-                out = out * _binomial_plus(vars_, order, {"q": m, "t": power}, b)
-        for power, b in (((2 * m - 2), b0), ((2 * m), b2), ((2 * m + 2), b4)):
-            if b:
-                out = out * geometric_factor(vars_, order, {"q": m, "t": power}, b)
-    return out
-
-
 def _binomial_plus(variables, order, mono: dict, exponent: int) -> PowerSeries:
     """(1 + m)^exponent for exponent >= 0."""
     expo = tuple(mono.get(v, 0) for v in variables)
@@ -192,28 +176,85 @@ def _binomial_plus(variables, order, mono: dict, exponent: int) -> PowerSeries:
     return PowerSeries(variables, order, out)
 
 
+class _Product:
+    """A product of factors (1 + s u) and 1 / (1 - u), u a monomial of
+    positive q-degree, kept as int coefficients truncated in q: `layers[j]`
+    maps the exponents of the other variables to the coefficient of q^j.
+    Every factor has int coefficients, so the product has too; `series`
+    builds one Fraction per coefficient, at the end."""
+
+    def __init__(self, variables: tuple[str, ...], order: int):
+        self.variables = variables
+        self.order = order
+        self.layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(order + 1)]
+        if order >= 0:
+            self.layers[0][(0,) * (len(variables) - 1)] = 1
+
+    def times(self, q: int, rest: tuple[int, ...], sign: int) -> None:
+        """self *= 1 + sign * u, u the monomial of q-degree q and exponents
+        `rest` in the other variables, in one pass from the highest q-degree
+        down, so that each layer is read before it is written."""
+        layers = self.layers
+        for j in range(self.order - q, -1, -1):
+            dst = layers[j + q]
+            for e, c in layers[j].items():
+                e = tuple(a + b for a, b in zip(e, rest))
+                dst[e] = dst.get(e, 0) + sign * c
+
+    def over(self, q: int, rest: tuple[int, ...]) -> None:
+        """self /= 1 - u, in one pass from the lowest q-degree up: each layer
+        is final when it is read, and adds itself times u to a later one."""
+        layers = self.layers
+        for j in range(self.order - q + 1):
+            dst = layers[j + q]
+            for e, c in layers[j].items():
+                e = tuple(a + b for a, b in zip(e, rest))
+                dst[e] = dst.get(e, 0) + c
+
+    def power(self, q: int, rest: tuple[int, ...], exponent: int) -> None:
+        """self *= (1 - u)^exponent, for an int exponent of either sign."""
+        for _ in range(exponent):
+            self.times(q, rest, -1)
+        for _ in range(-exponent):
+            self.over(q, rest)
+
+    def series(self) -> PowerSeries:
+        return PowerSeries._of(self.variables, self.order,
+                               {(j,) + e: Fraction(c) for j, layer in enumerate(self.layers)
+                                for e, c in sorted(layer.items()) if c})
+
+
+def gottsche_poincare(betti: tuple[int, int, int, int, int], order: int) -> PowerSeries:
+    """prod_m (1+t^(2m-1)q^m)^b1 (1+t^(2m+1)q^m)^b3 /
+    [(1-t^(2m-2)q^m)^b0 (1-t^(2m)q^m)^b2 (1-t^(2m+2)q^m)^b4]."""
+    b0, b1, b2, b3, b4 = betti
+    if any(b < 0 for b in betti):
+        raise ValueError("Betti numbers must be non-negative")
+    out = _Product(("q", "t"), order)
+    for m in range(1, order + 1):
+        for power, b in (((2 * m - 1), b1), ((2 * m + 1), b3)):
+            for _ in range(b):
+                out.times(m, (power,), 1)
+        for power, b in (((2 * m - 2), b0), ((2 * m), b2), ((2 * m + 2), b4)):
+            out.power(m, (power,), -b)
+    return out.series()
+
+
 def euler_product(e: int, order: int) -> PowerSeries:
     """prod_m (1 - q^m)^(-e); e may be negative."""
-    vars_ = ("q",)
-    out = PowerSeries.one(vars_, order)
+    out = _Product(("q",), order)
     for m in range(1, order + 1):
-        out = out * geometric_factor(vars_, order, {"q": m}, e)
-    return out
+        out.power(m, (), -e)
+    return out.series()
 
 
 def hodge_product(h: dict[tuple[int, int], int], order: int) -> PowerSeries:
     """prod_r prod_{s,t} (1 - x^s y^t q^r (xy)^(r-1))^((-1)^(s+t+1) h^(s,t))."""
-    vars_ = ("q", "x", "y")
-    out = PowerSeries.one(vars_, order)
+    out = _Product(("q", "x", "y"), order)
     for r in range(1, order + 1):
         for (s, t), hval in sorted(h.items()):
-            if hval == 0:
-                continue
-            mono = {"q": r, "x": s + r - 1, "y": t + r - 1}
-            sign_exp = (-1) ** (s + t + 1) * hval
-            # (1-u)^(sign_exp) with sign_exp of either sign
-            out = out * geometric_factor(vars_, order, mono, -sign_exp)
-    return out
+            out.power(r, (s + r - 1, t + r - 1), (-1) ** (s + t + 1) * hval)
+    return out.series()
 
 
 # ---------------------------------------------------------------------------

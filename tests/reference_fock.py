@@ -72,6 +72,18 @@ rebuilt for every grade block (`unkept_nop_block`, `unkept_nop_into`),
 before `wfk.fock.W_operator` merged the terms with the same factors and read
 the normal products kept on the space.  `tests/test_fock_products.py`
 checks the coproduct and the W blocks against them.
+
+`tuple_W_operator` is the `W_operator` that followed, which merged the
+coproduct terms keyed by tuples of Fraction tuples and sorted each key by
+those tuples, before `wfk.fock.W_operator` keyed them by dual basis index
+(it calls `mul_coproduct_power`, whose list the coproduct of that time
+equalled); `tests/test_fock_products.py` checks that the W blocks keep its
+entries in its order.  `_merge_tensor_terms` is that coproduct's merge,
+moved here as it was, since only `mul_coproduct_power` and
+`coproduct_power` above call it.  `block_apply` is `FockOperator.apply`
+before it summed int blocks and rational coefficients over one
+denominator: one Fraction per entry, added by `_add_into`;
+`tests/test_fock_apply.py` checks the one-denominator path against it.
 """
 
 from __future__ import annotations
@@ -94,8 +106,8 @@ from wfk.fock import (
     _add_into,
     _canonical_monomial,
     _Field,
-    _merge_tensor_terms,
     _parity,
+    _refuse_cyclotomic,
     _scalar_is_zero,
     vacuum,
 )
@@ -806,6 +818,63 @@ def unmerged_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
         acc = _BlockSum(len(space.grade(d)[0]))
         for coeff, fields in terms:
             unkept_nop_into(acc, fields, n, d, coeff / factorial)
+        return acc.block()
+
+    return FockOperator(space, weight, f"W{k}_{n}", grade_block, lowers=n)
+
+
+def _merge_tensor_terms(terms):
+    merged = {}
+    for coeff, factors in terms:
+        key = tuple(tuple(f) for f in factors)
+        merged[key] = merged.get(key, Fraction(0)) + coeff
+    return [(c, [list(f) for f in key]) for key, c in merged.items() if c != 0]
+
+
+def block_apply(self: FockOperator, v: FockVector) -> FockVector:
+    """The block times the vector: for each term, the column of its
+    monomial read off the block of its weight, an int numerator as a
+    Fraction over the block's denominator, a CycNum numerator (over 1) as
+    it is, and added times the term's coefficient in key order."""
+    space, acc = self.space, {}
+    if v.terms and v.space is not space and (v.space.parities != space.parities
+                                             or v.space.kappa != space.kappa):
+        raise ModelMismatch(f"{self.name}: an operator on {space.name} "
+                            f"applied to a vector of {v.space.name}")
+    for mono, coeff in v.terms.items():
+        weight = sum(n for n, _ in mono)
+        cols, den = self.block(weight)
+        col = cols[space.grade(weight)[1][mono]]
+        if col:
+            rows = space.grade(weight - self.lowers)[0]
+            _add_into(acc, {rows[r]: x if isinstance(x, CycNum) else Fraction(x, den)
+                            for r, x in col.items()}, coeff)
+    return FockVector._of(v.space, acc)
+
+
+def tuple_W_operator(alg: FrobeniusAlgebra, k: int, n: int, alpha,
+                     weight: int | None, space: ColorSpace | None = None) -> FockOperator:
+    """Coefficient of z^(-n-k) in (1/k!) (delta_k* alpha)(z); W^1 = q_n,
+    W^2 = the Virasoro mode L_n.
+
+    The terms of delta_k* alpha with the same factors in any order are one
+    term, since `coproduct_power` takes even models only and normal products
+    of even fields commute; each block adds the block of each term's normal
+    product, the one kept on the space."""
+    _refuse_cyclotomic([alpha], f"W{k}_{n}")
+    space = space or ColorSpace.of_algebra(alg)
+    merged: dict = {}
+    for coeff, factors in mul_coproduct_power(alg, alpha, k):
+        key = tuple(sorted(tuple(f) for f in factors))
+        merged[key] = merged.get(key, 0) + coeff
+    factorial = math.factorial(k)
+    terms = [(space.product(tuple(space.field(f) for f in key), n), coeff / factorial)
+             for key, coeff in merged.items() if coeff]
+
+    def grade_block(d: int) -> tuple[list, int]:
+        acc = _BlockSum(len(space.grade(d)[0]))
+        for product, s in terms:
+            acc.add(product.block(d), s)
         return acc.block()
 
     return FockOperator(space, weight, f"W{k}_{n}", grade_block, lowers=n)

@@ -1,4 +1,4 @@
-"""Reference copy of the orbifold pair count that `wfk.series` replaced.
+"""Reference copies of the series code that `wfk.series` replaced.
 
 `wreath_orbifold_euler` is the count as it was before the sweep went
 permutation-first: it walks every (type representative, element) pair of
@@ -7,6 +7,13 @@ permutation part does not commute with the representative's.  The body is
 kept as it was, but for the import of `wfk.wreath` by its full name, so that
 `tests/test_series.py` can check the permutation-first sweep of
 `wfk.series.wreath_orbifold_euler` against it, count by count.
+
+`gottsche_poincare`, `euler_product` and `hodge_product` are the product
+formulas as they were before `wfk.series` multiplied one linear factor at a
+time into int coefficients: each multiplies whole `PowerSeries` of Fraction
+coefficients, one expanded factor (`geometric_factor`, `_binomial_plus`) at
+a time.  The bodies are kept as they were, so that `tests/test_series.py`
+can check the coefficients of the int kernel against them, value and type.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from math import factorial
 import numpy as np
 
 from wfk.budget import check_budget
-from wfk.series import GSet, NonIntegralResult
+from wfk.series import GSet, NonIntegralResult, PowerSeries, _binomial_plus, geometric_factor
 
 
 def wreath_orbifold_euler(base: GSet, n: int) -> int:
@@ -86,3 +93,47 @@ def wreath_orbifold_euler(base: GSet, n: int) -> int:
     if total % level.order:
         raise NonIntegralResult(f"{total} not divisible by {level.order}")
     return total // level.order
+
+
+def gottsche_poincare(betti: tuple[int, int, int, int, int], order: int) -> PowerSeries:
+    """prod_m (1+t^(2m-1)q^m)^b1 (1+t^(2m+1)q^m)^b3 /
+    [(1-t^(2m-2)q^m)^b0 (1-t^(2m)q^m)^b2 (1-t^(2m+2)q^m)^b4]."""
+    b0, b1, b2, b3, b4 = betti
+    if any(b < 0 for b in betti):
+        raise ValueError("Betti numbers must be non-negative")
+    vars_ = ("q", "t")
+    out = PowerSeries.one(vars_, order)
+    for m in range(1, order + 1):
+        # numerator factors (1 + u)^b = (1 - (-u))^(-(-b)) via sign trick:
+        # expand (1+u)^b directly with binomial coefficients
+        for power, b in (((2 * m - 1), b1), ((2 * m + 1), b3)):
+            if b:
+                out = out * _binomial_plus(vars_, order, {"q": m, "t": power}, b)
+        for power, b in (((2 * m - 2), b0), ((2 * m), b2), ((2 * m + 2), b4)):
+            if b:
+                out = out * geometric_factor(vars_, order, {"q": m, "t": power}, b)
+    return out
+
+
+def euler_product(e: int, order: int) -> PowerSeries:
+    """prod_m (1 - q^m)^(-e); e may be negative."""
+    vars_ = ("q",)
+    out = PowerSeries.one(vars_, order)
+    for m in range(1, order + 1):
+        out = out * geometric_factor(vars_, order, {"q": m}, e)
+    return out
+
+
+def hodge_product(h: dict[tuple[int, int], int], order: int) -> PowerSeries:
+    """prod_r prod_{s,t} (1 - x^s y^t q^r (xy)^(r-1))^((-1)^(s+t+1) h^(s,t))."""
+    vars_ = ("q", "x", "y")
+    out = PowerSeries.one(vars_, order)
+    for r in range(1, order + 1):
+        for (s, t), hval in sorted(h.items()):
+            if hval == 0:
+                continue
+            mono = {"q": r, "x": s + r - 1, "y": t + r - 1}
+            sign_exp = (-1) ** (s + t + 1) * hval
+            # (1-u)^(sign_exp) with sign_exp of either sign
+            out = out * geometric_factor(vars_, order, mono, -sign_exp)
+    return out

@@ -436,6 +436,35 @@ def test_orbifold_series_stdout_is_pinned(capsys, monkeypatch, query):
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIFOLD_SHA256[query]
 
 
+# sha256 of the stdout of `series ...`, recorded while the product formulas
+# still multiplied whole series of Fraction coefficients
+SERIES_SHA256 = {
+    "gottsche --betti 1,0,1,0,1 --order 12":
+        "050994ec7af8230c4dab9c90c200ce94c4690ee932887270e53d07e60a8bb1ea",
+    "gottsche --betti 1,0,22,0,1 --order 8":
+        "899bb8837757b534d9742056d1dd32f3f82d32b851a7502aa4c993e77b92890a",
+    "gottsche --betti 1,4,6,4,1 --order 6":
+        "f1177255400c57115c184954ee75865d7934a065ea37348007a7565209f7475d",
+    "gottsche --betti 1,2,1,2,1 --order 14":
+        "97ee593b580231c0cee0df004e71eeed0db85d7105e408a6588de092b5585d20",
+    "euler --e -2 --order 9":
+        "9adf79282ac9877710aaef2b3f45dba929813d6c950e72e713717ff5cc9da4cc",
+    "euler --e 24 --order 12":
+        "0361e93b8451bfd195f4e066783b68aba2b3cb7779daaa5aed1fe537341b728e",
+    "hodge --h 0,0=1;1,1=20;2,2=1;2,0=1;0,2=1 --order 6":
+        "90b659e60bd81654f9fb5e795467575da510fcfe97b9c09ebe83af5ef8764042",
+    "hodge --h 0,0=1;1,1=1;2,2=1 --order 8":
+        "551dbd5c5df0e8c898c1ebb882372a15de583531b9b555ce7cb17b7147b04fd0",
+}
+
+
+@pytest.mark.parametrize("query", sorted(SERIES_SHA256))
+def test_series_stdout_is_pinned(capsys, query):
+    code, out = capture(capsys, ["series", *query.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_SHA256[query]
+
+
 def test_orbifold_series_level_7_exceeds_default_budget(capsys, monkeypatch):
     monkeypatch.delenv("WFK_BUDGET", raising=False)
     argv = ["series", "orbifold-euler", "--group", "builtin:cyclic:2", "--nmax", "7"]

@@ -11,6 +11,7 @@ the cyclotomic p_k(gamma) on the colors of C3 and BT.  The typed errors stay:
 per `apply` and only when the vector has a term, and `CutoffTooSmall` from
 `block`."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -166,3 +167,101 @@ def test_cutoff_is_refused_by_the_block():
     assert str(by_apply.value) == str(by_column.value) == str(by_block.value) == (
         "W2_-1: input weight 4 above cutoff 3")
     assert 4 not in op.blocks and op._columns == {}
+
+
+# `FockOperator.apply` sums int blocks and int or Fraction coefficients over
+# one denominator; `reference_fock.block_apply` is the apply that added one
+# Fraction per entry with `_add_into`, the path every other vector still takes
+
+
+def rational_vectors(space: ColorSpace, rng: random.Random, wmax: int = WEIGHT,
+                     count: int = 8) -> list[FockVector]:
+    """Vectors with int and Fraction coefficients only."""
+    monos = [m for w in range(wmax + 1) for m in monomial_basis(space, w)]
+    return [FockVector(space, {m: rng.choice((rng.choice((-2, -1, 1, 3)),
+                                              Fraction(rng.choice((-3, -1, 1, 2)),
+                                                       rng.randint(1, 4))))
+                               for m in rng.sample(monos, min(len(monos), 9))})
+            for _ in range(count)]
+
+
+def assert_same_as_block_apply(op, vectors) -> None:
+    for x in vectors:
+        got = op.apply(x)
+        assert got.space is x.space
+        assert exact(got) == exact(ref.block_apply(op, x)), (op.name, x)
+
+
+@pytest.mark.parametrize("model", ["p2", "exterior2", "fraction-trace"])
+def test_rational_apply_is_the_block_apply(model):
+    alg = fraction_trace_p2() if model == "fraction-trace" else builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    rng = random.Random(f"rational-{model}")
+    vectors = rational_vectors(space, rng) + random_vectors(space, rng, count=4)
+    for alpha in elements(alg):
+        for n in MODES:
+            assert_same_as_block_apply(space.field(alpha).mode(n), vectors)
+            if not any(alg.parities):
+                assert_same_as_block_apply(W_operator(alg, 2, n, alpha, WEIGHT, space), vectors)
+
+
+def test_rational_apply_of_the_point_operators_is_the_block_apply():
+    alg = builtin_model("point")
+    space = ColorSpace.of_algebra(alg)
+    rng = random.Random("rational-point")
+    vectors = rational_vectors(space, rng, wmax=7) + random_vectors(space, rng, wmax=7, count=4)
+    for op in (W_operator(alg, 3, 0, alg.unit, 7, space), join_boundary(space),
+               W_operator(alg, 2, -1, alg.unit, 7, space)):
+        assert_same_as_block_apply(op, vectors)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), binary_tetrahedral()], ids=["C3", "BT"])
+def test_cyclotomic_modes_apply_as_the_block_apply(group):
+    # a mode of cyclotomic coefficients takes the entry-by-entry path on
+    # rational vectors too: its entries are CycNums
+    space = colored_space(group)
+    rng = random.Random(f"cyclotomic-{group.name}")
+    vectors = rational_vectors(space, rng, wmax=3) + random_vectors(space, rng, wmax=3)
+    for gamma in group.character_table().irreducibles:
+        for k in (-2, -1, 1, 2):
+            op = fock_side_p(group, k, gamma)
+            assert op.cyclotomic
+            assert_same_as_block_apply(op, vectors)
+
+
+def cancelling_vector(op, space: ColorSpace, d: int):
+    """A vector of weight d whose first two terms cancel at a monomial m of
+    the output and whose third term brings m back, the second adding a
+    monomial that neither of the others does; and m, with that monomial.
+    None when there is no such vector."""
+    cols, den = op.block(d)
+    monos, rows = space.grade(d)[0], space.grade(d - op.lowers)[0]
+    columns = {mono: {rows[r]: Fraction(x, den) for r, x in col.items()}
+               for mono, col in zip(monos, cols)}
+    for m in rows:
+        reach = [mono for mono in monos if m in columns[mono]]
+        for u1, u2, u3 in itertools.permutations(reach, 3):
+            new = [r for r in columns[u2] if r not in columns[u1] and r not in columns[u3]]
+            if new:
+                terms = {u1: 1 / columns[u1][m], u2: -1 / columns[u2][m], u3: 1}
+                return FockVector(space, terms), m, new[0]
+    return None
+
+
+@pytest.mark.parametrize("model, k, n, label, d", [
+    ("p2", 2, 0, "h", 4), ("p2", 2, 1, "1", 5), ("p2", 3, 0, "1", 4), ("point", 3, 0, "pt", 6),
+    ("fraction-trace", 2, 0, "h", 4)])
+def test_cancelled_monomial_comes_back_at_the_end(model, k, n, label, d):
+    alg = fraction_trace_p2() if model == "fraction-trace" else builtin_model(model)
+    space = ColorSpace.of_algebra(alg)
+    op = W_operator(alg, k, n, alg.element({label: 1}), d, space)
+    found = cancelling_vector(op, space, d)
+    assert found is not None
+    v, m, later = found
+    got, want = op.apply(v), ref.block_apply(op, v)
+    assert exact(got) == exact(want)
+    order = list(got.terms)
+    # m left the sum at the second term and came back after its new monomial
+    assert order.index(m) > order.index(later)
+    for x in (v, v.scale(Fraction(2, 3)), v.scale(CycNum.zeta(3, 1))):
+        assert exact(op.apply(x)) == exact(ref.block_apply(op, x))

@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_series as ref
 from wfk.budget import BudgetExceeded, budget_override
@@ -373,3 +375,60 @@ def test_fraction_product_matches_init_in_key_order():
             got, want = x * y, init_product(x, y)
             assert ([(e, type(c), c) for e, c in got.coeffs.items()]
                     == [(e, type(c), c) for e, c in want.coeffs.items()])
+
+
+def typed(s: PowerSeries) -> list:
+    """The coefficients of s as (exponent, type, value), by exponent."""
+    return sorted((e, type(c), c) for e, c in s.coeffs.items())
+
+
+def assert_same_series(got: PowerSeries, want: PowerSeries) -> None:
+    assert (got.variables, got.order) == (want.variables, want.order)
+    assert typed(got) == typed(want)
+
+
+BETTI = [(1, 0, 1, 0, 1), (1, 2, 1, 2, 1), (1, 4, 6, 4, 1), (1, 0, 22, 0, 1), (0, 0, 0, 0, 0)]
+HODGE = {
+    "P2": {(0, 0): 1, (1, 1): 1, (2, 2): 1},
+    "K3": {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1},
+    "abelian": {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (1, 1): 4, (0, 2): 1,
+                (2, 1): 2, (1, 2): 2, (2, 2): 1},
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+@pytest.mark.parametrize("betti", BETTI, ids=lambda b: "".join(map(str, b)))
+def test_gottsche_matches_reference(betti, order):
+    assert_same_series(gottsche_poincare(betti, order), ref.gottsche_poincare(betti, order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+def test_euler_product_matches_reference(order):
+    for e in range(-3, 25):
+        assert_same_series(euler_product(e, order), ref.euler_product(e, order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+@pytest.mark.parametrize("name", sorted(HODGE))
+def test_hodge_product_matches_reference(name, order):
+    h = HODGE[name]
+    assert_same_series(hodge_product(h, order), ref.hodge_product(h, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=5, max_size=5), st.integers(-6, 6),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 3),
+                       max_size=4),
+       st.integers(0, 6))
+def test_product_formulas_match_reference_on_random_data(betti, e, h, order):
+    betti = tuple(betti)
+    assert_same_series(gottsche_poincare(betti, order), ref.gottsche_poincare(betti, order))
+    assert_same_series(euler_product(e, order), ref.euler_product(e, order))
+    assert_same_series(hodge_product(h, order), ref.hodge_product(h, order))
+
+
+def test_series_of_different_orders_differ():
+    # the same coefficients truncated at different orders are different series
+    assert euler_product(0, 3).coeffs == euler_product(0, 5).coeffs
+    assert euler_product(0, 3) != euler_product(0, 5)
+    assert euler_product(0, 3) == euler_product(0, 3)
